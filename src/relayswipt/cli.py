@@ -19,8 +19,10 @@ byte for byte.  Exit codes: 0 success, 2 usage error, 1 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -201,12 +203,6 @@ def _preset_for(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _mc_overlay(config, scheme: SchemeParam, frames: int, seed: int):
-    result = run(config, scheme, MonteCarloConfig(n_frames=frames, seed=seed,
-                                                  batch_size=min(frames, 100_000)))
-    return result
-
-
 def cmd_tradeoff_capacity(args) -> int:
     preset = _preset_for(args)
     config, seed = _build_config(args, preset)
@@ -244,7 +240,7 @@ def cmd_tradeoff_capacity(args) -> int:
                 ParetoOptimal(zeta=zeta, metric=Metric.CAPACITY, energy_only=energy_only),
             ]
             for scheme in schemes:
-                result = _mc_overlay(config, scheme, args.frames, seed)
+                result = run(config, scheme, MonteCarloConfig(args.frames, seed))
                 row += [
                     result.capacity.mean, result.capacity.std_error,
                     result.energy.mean, result.energy.std_error,
@@ -395,7 +391,7 @@ def cmd_montecarlo(args) -> int:
     mc = MonteCarloConfig(
         n_frames=args.frames,
         seed=seed,
-        batch_size=min(args.frames, args.batch_size),
+        batch_size=args.batch_size,
         n_workers=args.workers,
     )
     result = run(config, scheme, mc)
@@ -496,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--energy-only", action="store_true",
                     help="use the infinite-weight (best-energy) limit")
     mc.add_argument("--frames", type=int, default=1_000_000)
-    mc.add_argument("--batch-size", type=int, default=100_000)
-    mc.add_argument("--workers", type=int, default=1)
+    mc.add_argument("--batch-size", type=int, default=MonteCarloConfig.batch_size)
+    mc.add_argument("--workers", type=int, default=MonteCarloConfig.n_workers)
     mc.set_defaults(handler=cmd_montecarlo)
 
     return parser
@@ -507,7 +503,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (``| head``); devnull takes what is still buffered
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ToleranceNotMetError, BracketError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -1,18 +1,24 @@
 """Deterministic Monte Carlo engine for any (config, scheme) pair.
 
-Frame k's uniforms live at a fixed counter offset of a Philox stream keyed
-by the seed, so a frame's content depends only on (seed, k).  Accumulation
-happens over fixed-size statistics blocks that are reduced in block order.
-Together these make the result bit-identical for a given
-(config, scheme, seed, n_frames) no matter how frames are chunked or how
-many workers evaluate the chunks.
+Frame k's 2N+1 uniforms (N SNR draws, N energy draws, one selection coin)
+are packed back to back in a Philox stream keyed by the seed, starting at
+word k(2N+1), so a frame's content depends only on (seed, k).  Every scheme
+reads the same layout, coin included, so runs of different schemes with one
+seed share their channel draws.  Accumulation happens over fixed-size
+statistics blocks that are reduced in block order.  Together these make the
+result bit-identical for a given (config, scheme, seed, n_frames) no matter
+how frames are chunked or how many workers evaluate the chunks.
 
 ``batch_size`` and ``n_workers`` are therefore pure throughput knobs.
+``n_workers`` defaults to the cores this process may run on (CPU affinity; a
+cgroup CPU quota is not read); a one-chunk run is evaluated inline, without
+a thread pool.  A worker holds one chunk of at most 16 MiB.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,6 +38,11 @@ __all__ = [
 # Frames per statistics block; fixed so that sums are invariant to chunking.
 _STAT_BLOCK = 10_000
 
+# Bytes one chunk may hold: per frame, its 2N+1 uniforms and up to
+# _TEMP_WORDS 8-byte temporaries (measured at N = 1..8).
+_CHUNK_BYTES = 16 * 2**20
+_TEMP_WORDS = 12
+
 # Minimum expected outage events before the estimate is trusted.
 _MIN_OUTAGE_EVENTS = 100
 
@@ -43,15 +54,14 @@ class MonteCarloConfig:
     n_frames: int
     seed: int = 0
     batch_size: int = _STAT_BLOCK
-    n_workers: int = 1
+    # CPU affinity (a cgroup quota is not read); 1 where the platform cannot tell
+    n_workers: int = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
     def __post_init__(self):
         if self.n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.n_frames < self.batch_size:
-            raise ValueError("n_frames must be >= batch_size")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if not (0 <= int(self.seed) < 2**64):
@@ -78,53 +88,42 @@ class SimulationResult:
     low_confidence: bool
 
 
-def _padded_words(n_relays: int) -> int:
-    """Per-frame uniform count rounded up to whole 256-bit Philox blocks."""
-    raw = uniforms_per_frame(n_relays)
-    return 4 * ((raw + 3) // 4)
-
-
 def frame_uniforms(seed: int, n_relays: int, start: int, count: int) -> np.ndarray:
-    """Uniform draws for frames [start, start+count), shape (count, words).
+    """Uniform draws for frames [start, start+count), shape (count, 2N+1).
 
-    Frame k always begins at Philox block k * words/4 of the stream keyed by
-    the seed, so any partition of the frame range yields identical rows.
+    Frame k starts at word k(2N+1) of the Philox stream keyed by the seed:
+    inside 256-bit block floor(k(2N+1)/4), after its first k(2N+1) mod 4
+    words.  Any partition of the frame range therefore yields identical rows.
     """
-    words = _padded_words(n_relays)
-    bitgen = np.random.Philox(key=int(seed), counter=start * (words // 4))
-    gen = np.random.Generator(bitgen)
-    return gen.random(count * words).reshape(count, words)
+    words = uniforms_per_frame(n_relays)
+    block, skip = divmod(start * words, 4)
+    gen = np.random.Generator(np.random.Philox(key=int(seed), counter=block))
+    return gen.random(skip + count * words)[skip:].reshape(count, words)
 
 
-def _chunk_stats(config, scheme, seed, start, count, threshold):
+def _chunk_stats(config, scheme, seed, start, count):
     """Per-statistics-block sums for frames [start, start+count).
 
-    Returns (capacity sums, energy sums, outage sums, selection counts).
+    Returns a (5, blocks) array of the capacity, squared capacity, energy,
+    squared energy and outage sums of each block, and the selection counts.
     ``start`` must be a multiple of the statistics block size.
     """
     u = frame_uniforms(seed, config.n_relays, start, count)
     snr, energy, coins = frames_from_uniforms(config, u)
+    threshold = config.outage_threshold
     sel = select_indices(scheme, snr, energy, coins, threshold)
     rows = np.arange(count)
+    stats = np.empty((5, count))  # written in place: fewer passes than np.stack
+    cap, cap_sq, en, en_sq, out = stats
     snr_sel = snr[rows, sel]
-    energy_sel = energy[rows, sel]
-    cap = 0.5 * np.log2(1.0 + snr_sel)
-    out = (snr_sel < threshold).astype(float)
-    counts = np.bincount(sel, minlength=config.n_relays).astype(np.int64)
-
-    block_sums = []
-    for k0 in range(0, count, _STAT_BLOCK):
-        k1 = min(k0 + _STAT_BLOCK, count)
-        block_sums.append(
-            (
-                float(np.sum(cap[k0:k1])),
-                float(np.sum(cap[k0:k1] ** 2)),
-                float(np.sum(energy_sel[k0:k1])),
-                float(np.sum(energy_sel[k0:k1] ** 2)),
-                float(np.sum(out[k0:k1])),
-            )
-        )
-    return block_sums, counts
+    np.less(snr_sel, threshold, out=out)
+    np.log2(snr_sel + 1.0, out=cap)
+    cap *= 0.5
+    np.multiply(cap, cap, out=cap_sq)
+    en[:] = energy[rows, sel]
+    np.multiply(en, en, out=en_sq)
+    sums = np.add.reduceat(stats, np.arange(0, count, _STAT_BLOCK), axis=1)
+    return sums, np.bincount(sel, minlength=config.n_relays)
 
 
 def _estimate(total: float, total_sq: float, n: int) -> Estimate:
@@ -145,44 +144,33 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
     accumulate the selected relay's capacity, energy and outage indicator.
     """
     validate_scheme(scheme, config.n_relays)
-    threshold = config.outage_threshold
     n = mc.n_frames
 
     # Chunks are whole numbers of statistics blocks so block boundaries are
-    # global, independent of batch_size.
-    blocks_per_chunk = max(1, -(-mc.batch_size // _STAT_BLOCK))
-    chunk = blocks_per_chunk * _STAT_BLOCK
-    starts = list(range(0, n, chunk))
-    jobs = [(s, min(chunk, n - s)) for s in starts]
+    # global, independent of batch_size; each chunk fits the cap.
+    frame_bytes = 8 * (uniforms_per_frame(config.n_relays) + _TEMP_WORDS)
+    max_blocks = _CHUNK_BYTES // (frame_bytes * _STAT_BLOCK)
+    chunk = max(1, min(-(-mc.batch_size // _STAT_BLOCK), max_blocks)) * _STAT_BLOCK
+    jobs = [(s, min(chunk, n - s)) for s in range(0, n, chunk)]
 
-    if mc.n_workers == 1:
-        results = [_chunk_stats(config, scheme, mc.seed, s, c, threshold) for s, c in jobs]
+    def stats(job):
+        return _chunk_stats(config, scheme, mc.seed, *job)
+
+    if mc.n_workers == 1 or len(jobs) == 1:
+        results = [stats(job) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=mc.n_workers) as pool:
-            futures = [
-                pool.submit(_chunk_stats, config, scheme, mc.seed, s, c, threshold)
-                for s, c in jobs
-            ]
-            results = [f.result() for f in futures]
+        with ThreadPoolExecutor(max_workers=min(mc.n_workers, len(jobs))) as pool:
+            results = list(pool.map(stats, jobs))
 
-    cap_sum = cap_sq = en_sum = en_sq = out_sum = 0.0
-    counts = np.zeros(config.n_relays, dtype=np.int64)
-    for block_sums, chunk_counts in results:  # fixed chunk order
-        counts += chunk_counts
-        for bc, bc2, be, be2, bo in block_sums:
-            cap_sum += bc
-            cap_sq += bc2
-            en_sum += be
-            en_sq += be2
-            out_sum += bo
+    # Blocks are merged in block order, whatever the chunking.
+    sums = np.concatenate([block_sums for block_sums, _ in results], axis=1).sum(axis=1)
+    cap_sum, cap_sq, en_sum, en_sq, out_sum = (float(x) for x in sums)
+    counts = sum(chunk_counts for _, chunk_counts in results)
 
-    outage_mean = out_sum / n
-    # Bernoulli sums: sum of squares equals the sum itself.
-    outage = _estimate(out_sum, out_sum, n)
     return SimulationResult(
         capacity=_estimate(cap_sum, cap_sq, n),
         energy=_estimate(en_sum, en_sq, n),
-        outage=outage,
+        outage=_estimate(out_sum, out_sum, n),  # Bernoulli: sum of squares is the sum
         selection_counts=tuple(int(c) for c in counts),
         low_confidence=bool(out_sum < _MIN_OUTAGE_EVENTS),
     )

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +199,18 @@ def test_gnuplot_script(tmp_path):
     assert script.exists()
     text = script.read_text()
     assert "plot" in text and "fig4.csv" in text
+
+
+def test_closed_pipe_exits_quietly():
+    """``relayswipt outage-vs-snr | head -1`` ends with exit 0 and no message."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "relayswipt.cli", "outage-vs-snr"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""

@@ -112,6 +112,18 @@ def test_snr_samples_pass_ks_test():
     assert result.pvalue >= 0.001
 
 
+def test_frames_from_uniforms_consumes_float64_input():
+    cfg = SystemConfig(2, 10.0, 1.0, 1.0)
+    u = frame_uniforms(seed=3, n_relays=2, start=0, count=4)
+    coin = u[:, 4].copy()
+    snr, energy, coins = frames_from_uniforms(cfg, u)
+    assert np.shares_memory(snr, u) and np.shares_memory(energy, u)
+    assert np.array_equal(coins, coin) and not np.shares_memory(coins, u)
+    wide = np.full((3, 8), 0.5, dtype=np.float32)  # other dtypes are copied
+    snr, _, _ = frames_from_uniforms(cfg, wide)
+    assert np.all(wide == 0.5) and np.allclose(snr, 5.0 * math.log(2.0))
+
+
 def test_instantaneous_capacity_values():
     assert instantaneous_capacity(0.0) == 0.0
     assert instantaneous_capacity(3.0) == pytest.approx(1.0)

@@ -1,9 +1,14 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relayswipt.closedform as cf
+import relayswipt.simulate as simulate
 from relayswipt.model import SystemConfig, frames_from_uniforms
 from relayswipt.schemes import (
     Metric,
@@ -22,8 +27,6 @@ def test_mc_config_validation():
     with pytest.raises(ValueError):
         MonteCarloConfig(n_frames=100, batch_size=0)
     with pytest.raises(ValueError):
-        MonteCarloConfig(n_frames=10, batch_size=20)
-    with pytest.raises(ValueError):
         MonteCarloConfig(n_frames=10, batch_size=5, n_workers=0)
     with pytest.raises(ValueError):
         MonteCarloConfig(n_frames=10, batch_size=5, seed=-1)
@@ -37,6 +40,101 @@ def test_frame_uniforms_split_invariance():
     assert np.array_equal(full, np.vstack([head, mid, tail]))
     # random access to a single frame
     assert np.array_equal(full[33:34], frame_uniforms(seed=3, n_relays=2, start=33, count=1))
+
+
+@pytest.mark.parametrize("n_relays", range(1, 9))
+def test_frame_uniforms_random_access_inside_philox_blocks(n_relays):
+    """Frames are packed without padding, so most start inside a 4-word block."""
+    words = 2 * n_relays + 1
+    full = frame_uniforms(seed=5, n_relays=n_relays, start=0, count=40)
+    assert full.shape == (40, words)
+    for start in (1, 2, 3, 13, 22, 35):
+        assert start * words % 4 != 0
+        part = frame_uniforms(seed=5, n_relays=n_relays, start=start, count=40 - start)
+        assert np.array_equal(full[start:], part)
+
+
+def test_batch_larger_than_n_frames_is_accepted(config10):
+    mc = MonteCarloConfig(n_frames=10, batch_size=20)
+    assert run(config10, TimeSharing(mu=0.5), mc) == run(
+        config10, TimeSharing(mu=0.5), MonteCarloConfig(n_frames=10)
+    )
+
+
+def test_huge_batch_is_cut_into_bounded_chunks(monkeypatch):
+    cfg = SystemConfig(8, 10.0, 1.0, 1.0)
+    scheme = ThresholdChecking(tau=3.0)
+    drawn = []
+
+    def spy(*args):
+        u = frame_uniforms(*args)
+        drawn.append(u.nbytes)
+        return u
+
+    monkeypatch.setattr(simulate, "frame_uniforms", spy)
+    huge = run(cfg, scheme, MonteCarloConfig(250_000, seed=4, batch_size=10**9))
+    assert len(drawn) > 1 and max(drawn) <= simulate._CHUNK_BYTES
+    assert huge == run(cfg, scheme, MonteCarloConfig(250_000, seed=4))
+
+
+@pytest.mark.parametrize("n_relays", [1, 8])
+def test_chunk_memory_stays_under_the_cap(n_relays):
+    """The cap bounds a whole chunk, temporaries included, not its uniforms."""
+    cfg = SystemConfig(n_relays, 10.0, 1.0, 1.0)
+    mc = MonteCarloConfig(300_000, seed=5, batch_size=10**9, n_workers=1)
+    tracemalloc.start()
+    try:
+        run(cfg, TimeSharing(mu=0.5), mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert simulate._CHUNK_BYTES / 2 < peak <= simulate._CHUNK_BYTES
+
+
+def test_single_chunk_runs_without_a_pool(config10, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk run started a thread pool")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    mc = MonteCarloConfig(10_000, seed=1, batch_size=60_000, n_workers=3)
+    assert sum(run(config10, TimeSharing(mu=0.5), mc).selection_counts) == 10_000
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_workers_default_to_available_cores():
+    assert MonteCarloConfig(1).n_workers == len(os.sched_getaffinity(0))
+
+
+@st.composite
+def _scenario(draw):
+    n_relays = draw(st.integers(1, 8))
+    schemes = [
+        st.builds(TimeSharing, mu=st.floats(0.0, 1.0)),
+        st.builds(ThresholdChecking, tau=st.floats(0.0, 20.0)),
+    ]
+    if n_relays == 2:
+        schemes += [
+            st.builds(WeightedDifference, nu=st.floats(0.0, 10.0), energy_only=st.booleans()),
+            st.builds(ParetoOptimal, zeta=st.floats(0.0, 10.0),
+                      metric=st.sampled_from(Metric), energy_only=st.booleans()),
+        ]
+    cfg = SystemConfig(n_relays, draw(st.floats(0.1, 1000.0)), draw(st.floats(0.01, 100.0)))
+    return cfg, draw(st.one_of(schemes))
+
+
+@given(
+    _scenario(),
+    st.integers(1, 50_000),
+    st.integers(1, 60_000),
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_run_invariant_to_chunking_and_workers(scenario, n_frames, batch_size, n_workers, seed):
+    cfg, scheme = scenario
+    reference = run(cfg, scheme, MonteCarloConfig(n_frames, seed, batch_size=10_000, n_workers=1))
+    mc = MonteCarloConfig(n_frames, seed, batch_size=batch_size, n_workers=n_workers)
+    assert run(cfg, scheme, mc) == reference
 
 
 def test_run_bit_identical_across_batch_and_workers(config10):
