@@ -57,13 +57,7 @@ from .schemes import (
     ThresholdChecking,
     TimeSharing,
     WeightedDifference,
-    argmax_energy,
-    argmax_snr,
     select,
-    select_pareto,
-    select_threshold,
-    select_time_sharing,
-    select_weighted_difference,
 )
 from .simulate import Estimate, MonteCarloConfig, SimulationResult, run
 from .specfun import exp_e1_scaled, exp_integral_e1, harmonic
@@ -83,9 +77,7 @@ __all__ = [
     "load_config_file", "outage_indicator", "sample_frame", "snr_from_db",
     "snr_to_db",
     "Metric", "ParetoOptimal", "SchemeParam", "ThresholdChecking",
-    "TimeSharing", "WeightedDifference", "argmax_energy", "argmax_snr",
-    "select", "select_pareto", "select_threshold", "select_time_sharing",
-    "select_weighted_difference",
+    "TimeSharing", "WeightedDifference", "select",
     "Estimate", "MonteCarloConfig", "SimulationResult", "run",
     "exp_e1_scaled", "exp_integral_e1", "harmonic",
     "__version__",

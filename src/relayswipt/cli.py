@@ -33,7 +33,7 @@ from .frontier import (
     ToleranceNotMetError,
     capacity_frontier,
     pareto_capacity_point,
-    solve_zeta_for_energy,
+    zeta_for_delta,
 )
 from .model import SystemConfig, load_config_file, snr_from_db
 from .schemes import (
@@ -215,7 +215,7 @@ def cmd_tradeoff_capacity(args) -> int:
             header += [f"mc_c_{name}", f"mc_c_{name}_stderr",
                        f"mc_e_{name}", f"mc_e_{name}_stderr"]
     rows = []
-    for delta, point in zip(deltas, frontier.points):
+    for delta, point, zeta in zip(deltas, frontier.points, frontier.zetas):
         delta = float(delta)
         energy = cf.energy_from_delta(config, delta)
         row = [
@@ -227,17 +227,11 @@ def cmd_tradeoff_capacity(args) -> int:
             point.value,
         ]
         if args.with_mc:
-            energy_only = delta >= 1.0
-            if energy_only or delta <= 0.0:
-                zeta = 0.0
-            else:
-                zeta = solve_zeta_for_energy(config, energy, Metric.CAPACITY)
             schemes = [
                 TimeSharing(mu=cf.mu_from_energy(config, energy)),
                 ThresholdChecking(tau=cf.tau_from_energy(config, energy)),
-                WeightedDifference(nu=0.0 if energy_only else cf.nu_from_energy(config, energy),
-                                   energy_only=energy_only),
-                ParetoOptimal(zeta=zeta, metric=Metric.CAPACITY, energy_only=energy_only),
+                WeightedDifference(nu=cf.nu_from_energy(config, energy)),
+                ParetoOptimal(zeta=zeta, metric=Metric.CAPACITY),
             ]
             for scheme in schemes:
                 result = run(config, scheme, MonteCarloConfig(args.frames, seed))
@@ -268,7 +262,6 @@ def cmd_tradeoff_outage(args) -> int:
     config, _ = _build_config(args, preset)
     deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid))
     delta_lo, _ = cf.delta_range_outage(config)
-    floor = cf.pareto_outage_energy_min(config)
     header = ["delta", "energy", "noout_ts", "noout_tc", "noout_wd", "noout_pareto"]
     rows = []
     for delta in deltas:
@@ -276,12 +269,7 @@ def cmd_tradeoff_outage(args) -> int:
         energy = cf.energy_from_delta(config, delta)
         pareto = None
         if delta >= delta_lo - 1e-12:
-            if delta >= 1.0:
-                zeta = math.inf
-            elif energy <= floor + 1e-9 * config.mean_energy:
-                zeta = 0.0
-            else:
-                zeta = solve_zeta_for_energy(config, energy, Metric.OUTAGE_INDICATOR)
+            zeta = zeta_for_delta(config, delta, Metric.OUTAGE_INDICATOR)
             pareto = cf.pareto_no_outage(config, zeta)
         rows.append([
             delta,
@@ -318,13 +306,8 @@ def cmd_capacity_vs_snr(args) -> int:
             row.append(cf.c_ts(point_config, energy))
             row.append(cf.c_tc(point_config, energy))
             row.append(cf.c_wd(point_config, energy))
-            if delta <= 0.0:
-                row.append(cf.c_max(point_config))
-            elif delta >= 1.0:
-                row.append(cf.c_min(point_config))
-            else:
-                zeta = solve_zeta_for_energy(point_config, energy, Metric.CAPACITY)
-                row.append(pareto_capacity_point(point_config, zeta).value)
+            zeta = zeta_for_delta(point_config, delta, Metric.CAPACITY)
+            row.append(pareto_capacity_point(point_config, zeta).value)
         rows.append(row)
     _write_csv(args.out, header, rows)
     if args.gnuplot and args.out not in (None, "-"):
@@ -370,16 +353,7 @@ def _pareto_outage_at_delta(config: SystemConfig, delta: float) -> float:
     policy then transfers more energy than requested at no outage cost.
     """
     delta_lo, _ = cf.delta_range_outage(config)
-    delta_eff = max(delta, delta_lo)
-    if delta_eff >= 1.0:
-        zeta = math.inf
-    else:
-        energy = cf.energy_from_delta(config, delta_eff)
-        floor = cf.pareto_outage_energy_min(config)
-        if energy <= floor + 1e-9 * config.mean_energy:
-            zeta = 0.0
-        else:
-            zeta = solve_zeta_for_energy(config, energy, Metric.OUTAGE_INDICATOR)
+    zeta = zeta_for_delta(config, max(delta, delta_lo), Metric.OUTAGE_INDICATOR)
     return 1.0 - cf.pareto_no_outage(config, zeta)
 
 
@@ -424,13 +398,13 @@ def _scheme_from_args(args) -> SchemeParam:
         return ThresholdChecking(tau=args.tau)
     if args.scheme == "weighted-difference":
         if args.energy_only:
-            return WeightedDifference(nu=0.0, energy_only=True)
+            return WeightedDifference(nu=math.inf)
         if args.nu is None:
             raise ValueError("--nu is required for --scheme weighted-difference")
         return WeightedDifference(nu=args.nu)
     metric = Metric.CAPACITY if args.metric == "capacity" else Metric.OUTAGE_INDICATOR
     if args.energy_only:
-        return ParetoOptimal(zeta=0.0, metric=metric, energy_only=True)
+        return ParetoOptimal(zeta=math.inf, metric=metric)
     if args.zeta is None:
         raise ValueError("--zeta is required for --scheme pareto")
     return ParetoOptimal(zeta=args.zeta, metric=metric)

@@ -9,8 +9,7 @@ integral over the ordered SNR pair.  The outer (smaller-SNR) dimension uses
 Gauss-Laguerre; the inner SNR-gap dimension uses composite Gauss-Legendre
 panels on a fixed geometric grid, because the policy's switching layer sits
 near zero gap at a scale proportional to zeta and uniform nodes cannot
-track it.  A node-doubling ladder certifies the requested tolerance.  A
-Halton quasi-Monte-Carlo rule is available as an alternative route.
+track it.  A node-doubling ladder certifies the requested tolerance.
 
 The outage frontier needs no integration: both coordinates have closed
 forms, and only the weight solve is numerical.
@@ -45,6 +44,7 @@ __all__ = [
     "BracketError",
     "pareto_capacity_point",
     "solve_zeta_for_energy",
+    "zeta_for_delta",
     "capacity_frontier",
     "outage_frontier",
 ]
@@ -56,7 +56,6 @@ _GL_LADDER = ((48, 8), (64, 12), (96, 16), (128, 24))
 # panel per decade keeps it resolved wherever it lands.  Mass beyond the last
 # edge is below exp(-60).
 _PANEL_EDGES = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0, 25.0, 60.0)
-_QMC_POINTS = 1 << 22
 _DEFAULT_TOL = 1e-4
 _SOLVER_BAND = 1e-4  # |energy(zeta) - target| < band * mean_energy terminates
 _MAX_BRACKET = 2.0**60
@@ -75,13 +74,15 @@ class BracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class FrontierCurve:
-    """Tradeoff points sorted by energy, with the evaluation method used."""
+    """Tradeoff points sorted by energy, with the Pareto weight of each point."""
 
     points: tuple[TradeoffPoint, ...]
-    method: str
+    zetas: tuple[float, ...]
     tolerance: float
 
     def __post_init__(self):
+        if len(self.zetas) != len(self.points):
+            raise ValueError("a frontier needs one weight per point")
         energies = [p.energy for p in self.points]
         if any(b <= a for a, b in zip(energies, energies[1:])):
             raise ValueError("frontier points must be strictly increasing in energy")
@@ -140,46 +141,16 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float,
     return energy, capacity
 
 
-def _halton(count: int, base: int) -> np.ndarray:
-    """First `count` points of the van der Corput sequence in the given base."""
-    idx = np.arange(1, count + 1, dtype=np.int64)
-    out = np.zeros(count)
-    denom = 1.0
-    while idx.any():
-        denom /= base
-        out += denom * (idx % base)
-        idx //= base
-    return out
-
-
-def _capacity_policy_qmc(config: SystemConfig, zeta: float, count: int):
-    """Quasi-Monte-Carlo version of the policy expectations (Halton, 2-d)."""
-    g = config.mean_snr
-    eps = config.mean_energy
-    snr1 = -0.5 * g * np.log1p(-_halton(count, 2))
-    snr2 = -0.5 * g * np.log1p(-_halton(count, 3))
-    f1 = 0.5 * np.log2(1.0 + snr1)
-    f2 = 0.5 * np.log2(1.0 + snr2)
-    t = (f1 - f2) / (zeta * eps)
-    damp = np.exp(-np.abs(t))
-    p_first = np.where(t >= 0.0, 1.0 - 0.5 * damp, 0.5 * damp)
-    cap = f1 * p_first + f2 * (1.0 - p_first)
-    energy = eps * (1.0 + 0.5 * (1.0 + np.abs(t)) * damp)
-    return energy, cap
-
-
 def pareto_capacity_point(
     config: SystemConfig,
     zeta: float,
     *,
-    energy_only: bool = False,
-    method: str = "quadrature",
     tol: float = _DEFAULT_TOL,
 ) -> TradeoffPoint:
     """One point of the capacity Pareto frontier at weight zeta.
 
-    zeta = 0 is pure best-SNR selection, (eps, c_max); ``energy_only``
-    requests the zeta -> infinity limit (1.5*eps, c_min).  Otherwise the
+    zeta = 0 is pure best-SNR selection, (eps, c_max); zeta = math.inf is
+    pure best-energy selection, (1.5*eps, c_min).  Otherwise the
     policy expectations are integrated to absolute tolerance ``tol`` on both
     coordinates.
 
@@ -190,34 +161,22 @@ def pareto_capacity_point(
         raise ValueError("the capacity frontier is defined for exactly 2 relays")
     if math.isnan(zeta) or zeta < 0.0:
         raise ValueError(f"zeta must be >= 0, got {zeta!r}")
-    if energy_only or math.isinf(zeta):
+    if math.isinf(zeta):
         return tradeoff_point(config, 1.5 * config.mean_energy, c_min(config))
     if zeta == 0.0:
         return tradeoff_point(config, config.mean_energy, c_max(config))
 
-    if method == "quadrature":
-        prev = None
-        for outer, inner in _GL_LADDER:
-            cur = _capacity_policy_integrals(config, zeta, outer, inner)
-            if prev is not None:
-                err = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
-                if err < tol:
-                    return tradeoff_point(config, cur[0], cur[1])
-            prev = cur
-        raise ToleranceNotMetError(
-            f"quadrature ladder (max {_GL_LADDER[-1]} nodes) did not reach tol={tol}"
-        )
-    if method == "qmc":
-        energy, cap = _capacity_policy_qmc(config, zeta, _QMC_POINTS)
-        half = _QMC_POINTS // 2
-        err = max(
-            abs(energy.mean() - energy[:half].mean()),
-            abs(cap.mean() - cap[:half].mean()),
-        )
-        if err >= tol:
-            raise ToleranceNotMetError(f"QMC half-sequence error {err:.2e} >= tol={tol}")
-        return tradeoff_point(config, float(energy.mean()), float(cap.mean()))
-    raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'qmc'")
+    prev = None
+    for outer, inner in _GL_LADDER:
+        cur = _capacity_policy_integrals(config, zeta, outer, inner)
+        if prev is not None:
+            err = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
+            if err < tol:
+                return tradeoff_point(config, cur[0], cur[1])
+        prev = cur
+    raise ToleranceNotMetError(
+        f"quadrature ladder (max {_GL_LADDER[-1]} nodes) did not reach tol={tol}"
+    )
 
 
 def _energy_of_zeta(config: SystemConfig, zeta: float, tol: float) -> float:
@@ -267,12 +226,14 @@ def solve_zeta_for_energy(
 
     band = _SOLVER_BAND * eps
     ceiling = 1.5 * eps
-    if math.isnan(energy_target) or energy_target < floor - band or energy_target >= ceiling:
+    # checked before the ceiling: where the floor lies within the band of the
+    # ceiling, a target that rounds up to the ceiling is still met by zeta = 0
+    if floor - band <= energy_target <= floor + band:
+        return 0.0
+    if not floor - band <= energy_target < ceiling:
         raise ValueError(
             f"energy target {energy_target!r} outside feasible range [{floor}, {ceiling})"
         )
-    if energy_target <= floor + band:
-        return 0.0
 
     mono_slack = max(4.0 * point_tol, 1e-9) * eps
     lo, hi = 0.0, 1.0
@@ -302,11 +263,30 @@ def solve_zeta_for_energy(
     raise ToleranceNotMetError(f"bisection stalled solving for energy {energy_target}")
 
 
+def zeta_for_delta(
+    config: SystemConfig,
+    delta: float,
+    metric: Metric,
+    *,
+    point_tol: float = 2.5e-5,
+) -> float:
+    """Pareto weight whose policy transfers the energy of tradeoff factor delta.
+
+    delta = 1 is the best-energy limit, math.inf.  Below that the weight is
+    solved for; a target within the solver band above the policy's energy
+    floor gives 0, and one below the floor raises ValueError, as does a
+    delta outside [0, 1].
+    """
+    energy = energy_from_delta(config, delta)
+    if delta == 1.0:
+        return math.inf
+    return solve_zeta_for_energy(config, energy, metric, point_tol=point_tol)
+
+
 def capacity_frontier(
     config: SystemConfig,
     deltas=None,
     *,
-    method: str = "quadrature",
     tol: float = _DEFAULT_TOL,
 ) -> FrontierCurve:
     """Capacity Pareto frontier over a grid of tradeoff factors.
@@ -314,22 +294,19 @@ def capacity_frontier(
     Defaults to 21 uniform points on [0, 1].  Endpoints are exact; interior
     points solve for the weight matching the energy implied by delta.
     """
+    if config.n_relays != 2:
+        raise ValueError("the capacity frontier is defined for exactly 2 relays")
     if deltas is None:
         deltas = np.linspace(0.0, 1.0, 21)
-    points = []
+    points, zetas = [], []
     worst = 0.0
     for delta in deltas:
-        delta = float(delta)
-        if delta <= 0.0:
-            points.append(pareto_capacity_point(config, 0.0, method=method, tol=tol))
-        elif delta >= 1.0:
-            points.append(pareto_capacity_point(config, 0.0, energy_only=True))
-        else:
-            target = energy_from_delta(config, delta)
-            zeta = solve_zeta_for_energy(config, target, Metric.CAPACITY, point_tol=tol / 4.0)
-            points.append(pareto_capacity_point(config, zeta, method=method, tol=tol))
-            worst = max(worst, tol)
-    return FrontierCurve(points=tuple(points), method=method, tolerance=worst)
+        zeta = zeta_for_delta(config, float(delta), Metric.CAPACITY, point_tol=tol / 4.0)
+        points.append(pareto_capacity_point(config, zeta, tol=tol))
+        zetas.append(zeta)
+        if 0.0 < zeta < math.inf:
+            worst = tol
+    return FrontierCurve(points=tuple(points), zetas=tuple(zetas), tolerance=worst)
 
 
 def outage_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
@@ -339,24 +316,18 @@ def outage_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
     delta_lo, _ = delta_range_outage(config)
     if deltas is None:
         deltas = np.linspace(delta_lo, 1.0, 21)
-    floor = pareto_outage_energy_min(config)
-    band = _SOLVER_BAND * config.mean_energy
-    points = []
+    points, zetas = [], []
     for delta in deltas:
         delta = float(delta)
         if delta < delta_lo - 1e-12:
             raise ValueError(
                 f"delta {delta} below the feasible lower bound {delta_lo} of the outage frontier"
             )
-        target = energy_from_delta(config, delta)
-        if target <= floor + band:
-            zeta = 0.0
-        elif delta >= 1.0:
-            zeta = math.inf
-        else:
-            zeta = solve_zeta_for_energy(config, target, Metric.OUTAGE_INDICATOR)
+        zeta = zeta_for_delta(config, delta, Metric.OUTAGE_INDICATOR)
         points.append(
             tradeoff_point(config, pareto_outage_energy(config, zeta),
                            pareto_no_outage(config, zeta))
         )
-    return FrontierCurve(points=tuple(points), method="closed-form", tolerance=band)
+        zetas.append(zeta)
+    return FrontierCurve(points=tuple(points), zetas=tuple(zetas),
+                         tolerance=_SOLVER_BAND * config.mean_energy)

@@ -1,15 +1,20 @@
 """Relay selection policies.
 
 Each policy maps one channel frame (plus, for time sharing, a uniform coin)
-to the index of the relay to activate.  Indices are 0-based.  Scalar
-per-frame functions define the semantics; the vectorized ``select_indices``
-applies the same rules to whole batches and is what the Monte Carlo engine
-uses.  Ties are probability-zero events under the continuous fading model;
-the conventions below exist so results are reproducible:
+to the index of the relay to activate.  Indices are 0-based.  The rules
+live in ``select_indices``, which applies them to whole batches and is what
+the Monte Carlo engine uses; ``select`` runs it on a single frame.  Ties are
+probability-zero events under the continuous fading model; the conventions
+below exist so results are reproducible:
 
+* best SNR, best energy: exact tie selects the lowest index;
 * weighted difference: exact tie selects relay 0;
 * Pareto policy: exact tie selects the relay with the larger energy, then
-  relay 0.
+  relay 0;
+* outage metric: an SNR equal to the threshold is no outage, as in
+  ``model.outage_indicator`` and the Monte Carlo engine.
+
+An infinite weight (nu or zeta = math.inf) selects the best-energy relay.
 """
 
 from __future__ import annotations
@@ -30,12 +35,6 @@ __all__ = [
     "ParetoOptimal",
     "SchemeParam",
     "validate_scheme",
-    "argmax_snr",
-    "argmax_energy",
-    "select_time_sharing",
-    "select_threshold",
-    "select_weighted_difference",
-    "select_pareto",
     "select",
     "select_indices",
 ]
@@ -78,15 +77,13 @@ class ThresholdChecking:
 class WeightedDifference:
     """Two-relay rule: relay 0 wins iff snr0 - snr1 > nu * (energy1 - energy0).
 
-    ``energy_only=True`` is the nu -> infinity limit (pure best-energy
-    selection); the finite parameter is ignored in that case.
+    nu may be math.inf, the limit of pure best-energy selection.
     """
 
     nu: float
-    energy_only: bool = False
 
     def __post_init__(self):
-        if not self.energy_only and (math.isnan(self.nu) or self.nu < 0.0):
+        if math.isnan(self.nu) or self.nu < 0.0:
             raise ValueError(f"nu must be >= 0, got {self.nu!r}")
 
 
@@ -95,17 +92,17 @@ class ParetoOptimal:
     """Two-relay rule: relay 0 wins iff F(snr0) - F(snr1) > zeta * (energy1 - energy0).
 
     F is the instantaneous capacity or the no-outage indicator, per
-    ``metric``.  ``energy_only=True`` is the zeta -> infinity limit.
+    ``metric``.  zeta may be math.inf, the limit of pure best-energy
+    selection.
     """
 
     zeta: float
     metric: Metric = Metric.CAPACITY
-    energy_only: bool = False
 
     def __post_init__(self):
         if not isinstance(self.metric, Metric):
             raise ValueError(f"metric must be a Metric, got {self.metric!r}")
-        if not self.energy_only and (math.isnan(self.zeta) or self.zeta < 0.0):
+        if math.isnan(self.zeta) or self.zeta < 0.0:
             raise ValueError(f"zeta must be >= 0, got {self.zeta!r}")
 
 
@@ -122,70 +119,11 @@ def validate_scheme(scheme: SchemeParam, n_relays: int) -> None:
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def argmax_snr(frame: ChannelFrame) -> int:
-    """Index of the relay with the largest end-to-end SNR (lowest index on ties)."""
-    return int(np.argmax(frame.snr))
-
-
-def argmax_energy(frame: ChannelFrame) -> int:
-    """Index of the relay with the largest harvestable energy (lowest index on ties)."""
-    return int(np.argmax(frame.energy))
-
-
-def select_time_sharing(frame: ChannelFrame, mu: float, coin: float) -> int:
-    """Best-SNR relay if coin < mu, else best-energy relay."""
-    return argmax_snr(frame) if coin < mu else argmax_energy(frame)
-
-
-def select_threshold(frame: ChannelFrame, tau: float) -> int:
-    """Best-SNR relay if its SNR is >= tau, else best-energy relay."""
-    kappa = argmax_snr(frame)
-    return kappa if frame.snr[kappa] >= tau else argmax_energy(frame)
-
-
-def select_weighted_difference(frame: ChannelFrame, nu: float) -> int:
-    """Weighted-difference rule for two relays; ties go to relay 0."""
-    if frame.n_relays != 2:
-        raise ValueError("weighted difference selection requires exactly 2 relays")
-    lhs = frame.snr[0] - frame.snr[1]
-    rhs = nu * (frame.energy[1] - frame.energy[0])
-    return 1 if lhs < rhs else 0
-
-
-def _metric_values(snr, metric: Metric, threshold: float):
-    if metric is Metric.CAPACITY:
-        return 0.5 * np.log2(1.0 + np.asarray(snr, dtype=float))
-    return (np.asarray(snr, dtype=float) > threshold).astype(float)
-
-
-def select_pareto(frame: ChannelFrame, zeta: float, metric: Metric, threshold: float) -> int:
-    """Pareto rule for two relays; ties go to the larger energy, then relay 0."""
-    if frame.n_relays != 2:
-        raise ValueError("Pareto selection requires exactly 2 relays")
-    f = _metric_values(frame.snr, metric, threshold)
-    lhs = f[0] - f[1]
-    rhs = zeta * (frame.energy[1] - frame.energy[0])
-    if lhs > rhs:
-        return 0
-    if lhs < rhs:
-        return 1
-    return 1 if frame.energy[1] > frame.energy[0] else 0
-
-
 def select(frame: ChannelFrame, scheme: SchemeParam, coin: float = 0.0,
            outage_threshold: float = 1.0) -> int:
     """Apply any scheme to a single frame."""
-    validate_scheme(scheme, frame.n_relays)
-    if isinstance(scheme, TimeSharing):
-        return select_time_sharing(frame, scheme.mu, coin)
-    if isinstance(scheme, ThresholdChecking):
-        return select_threshold(frame, scheme.tau)
-    if isinstance(scheme, WeightedDifference):
-        return argmax_energy(frame) if scheme.energy_only else \
-            select_weighted_difference(frame, scheme.nu)
-    if scheme.energy_only:
-        return argmax_energy(frame)
-    return select_pareto(frame, scheme.zeta, scheme.metric, outage_threshold)
+    return int(select_indices(scheme, frame.snr[None, :], frame.energy[None, :],
+                              np.array([coin]), outage_threshold)[0])
 
 
 def select_indices(
@@ -202,8 +140,7 @@ def select_indices(
         coins: per-frame uniforms in [0, 1); required for time sharing.
 
     Returns:
-        int array of shape (m,) with the selected relay index per frame,
-        identical frame by frame to the scalar selection functions.
+        int array of shape (m,) with the selected relay index per frame.
     """
     snr = np.asarray(snr, dtype=float)
     energy = np.asarray(energy, dtype=float)
@@ -219,16 +156,16 @@ def select_indices(
     if isinstance(scheme, ThresholdChecking):
         rows = np.arange(snr.shape[0])
         return np.where(snr[rows, kappa] >= scheme.tau, kappa, lam)
-    if isinstance(scheme, WeightedDifference):
-        if scheme.energy_only:
-            return lam
-        lhs = snr[:, 0] - snr[:, 1]
-        rhs = scheme.nu * (energy[:, 1] - energy[:, 0])
-        return (lhs < rhs).astype(np.intp)
-    if scheme.energy_only:
+    weight = scheme.nu if isinstance(scheme, WeightedDifference) else scheme.zeta
+    if math.isinf(weight):
         return lam
-    f = _metric_values(snr, scheme.metric, outage_threshold)
+    rhs = weight * (energy[:, 1] - energy[:, 0])
+    if isinstance(scheme, WeightedDifference):
+        return (snr[:, 0] - snr[:, 1] < rhs).astype(np.intp)
+    if scheme.metric is Metric.CAPACITY:
+        f = 0.5 * np.log2(1.0 + snr)
+    else:
+        f = (snr >= outage_threshold).astype(float)
     lhs = f[:, 0] - f[:, 1]
-    rhs = scheme.zeta * (energy[:, 1] - energy[:, 0])
     tie = (energy[:, 1] > energy[:, 0]).astype(np.intp)
     return np.where(lhs > rhs, 0, np.where(lhs < rhs, 1, tie)).astype(np.intp)

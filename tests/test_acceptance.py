@@ -156,8 +156,8 @@ def test_criterion_4_boundary_values():
     at_ceiling = [
         TimeSharing(mu=0.0),
         ThresholdChecking(tau=math.inf),
-        WeightedDifference(nu=0.0, energy_only=True),
-        ParetoOptimal(zeta=0.0, metric=Metric.CAPACITY, energy_only=True),
+        WeightedDifference(nu=math.inf),
+        ParetoOptimal(zeta=math.inf, metric=Metric.CAPACITY),
     ]
     for scheme in at_ceiling:
         r = run(cfg, scheme, mc)

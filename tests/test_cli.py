@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -8,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import relayswipt.closedform as cf
+import relayswipt.frontier as frontier
 from relayswipt.cli import main
 from relayswipt.model import SystemConfig, snr_from_db
+from relayswipt.schemes import Metric, ParetoOptimal
+from relayswipt.simulate import MonteCarloConfig, run
 
 
 def read_csv(path):
@@ -51,6 +55,32 @@ def test_tradeoff_capacity_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header, data = read_csv(a)
     assert "mc_c_ts" in header and "mc_c_pareto_stderr" in header
+
+
+def test_with_mc_reuses_the_frontier_weights(tmp_path, monkeypatch):
+    targets = []
+    solve = frontier.solve_zeta_for_energy
+
+    def counting_solve(config, energy_target, metric, **kwargs):
+        targets.append(energy_target)
+        return solve(config, energy_target, metric, **kwargs)
+
+    monkeypatch.setattr(frontier, "solve_zeta_for_energy", counting_solve)
+    out = tmp_path / "mc.csv"
+    grid, frames, seed = 5, 2000, 3
+    assert main(["tradeoff-capacity", "--with-mc", "--grid", str(grid), "--frames", str(frames),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    # one solve per grid point below delta = 1, none repeated for the overlay
+    assert len(targets) == len(set(targets)) == grid - 1
+    monkeypatch.undo()
+    header, data = read_csv(out)
+    config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    curve = frontier.capacity_frontier(config, [cell(header, row, "delta") for row in data])
+    for zeta, row in zip(curve.zetas, data):
+        result = run(config, ParetoOptimal(zeta=zeta, metric=Metric.CAPACITY),
+                     MonteCarloConfig(frames, seed))
+        assert cell(header, row, "mc_c_pareto") == result.capacity.mean
+        assert cell(header, row, "mc_e_pareto") == result.energy.mean
 
 
 def test_tradeoff_outage_fig5(tmp_path):
@@ -142,6 +172,15 @@ def test_montecarlo_row_and_determinism(tmp_path):
     assert sum(counts) == 30000
 
 
+def test_montecarlo_energy_only_is_the_infinite_weight(tmp_path):
+    base = ["montecarlo", "--mean-snr-db", "10", "--frames", "20000", "--seed", "2"]
+    for scheme, weight in (("weighted-difference", "--nu"), ("pareto", "--zeta")):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(base + ["--scheme", scheme, "--energy-only", "--out", str(a)]) == 0
+        assert main(base + ["--scheme", scheme, weight, "inf", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_montecarlo_usage_errors(capsys):
     assert main(["montecarlo", "--scheme", "time-sharing", "--mu", "1.5",
                  "--frames", "1000"]) == 2
@@ -170,25 +209,40 @@ def test_config_file_and_flag_override(tmp_path):
     assert int(data[0][header.index("seed")]) == 3
 
 
+# sha256 of each preset's CSV; a change to any of them must be deliberate and
+# recorded in CHANGES.md.
+PRESET_SHA256 = {
+    "fig3": "8f3e678421bf844bab99ad61bb172702984a53cc517ac602a8625f6f3fbbad83",
+    "fig4": "b9187451af9e6319c6a9d46aaae0f6d3e0d5fbd6b2f36f52ccefd6aff737c561",
+    "fig5": "7dea31133e27aff6bcd5f59c8e04414fefdba050e9f98f1e37b2cb3769643d3c",
+    "fig6": "74b9f5575a92a7a2c26ffa95fec37029635be83720f04c37114e4bc6f38becf6",
+    "fig7": "97f139e2159df002cf937bfe81fce5f721f034379b522bc284780241a6ccaa27",
+    "fig8": "d7ba080c8a058a3750ccff93fbd48017977bfb837224c24e5347f35f4cee830c",
+}
+PRESET_COMMANDS = {
+    "fig3": "tradeoff-capacity", "fig4": "tradeoff-capacity", "fig5": "tradeoff-outage",
+    "fig6": "capacity-vs-snr", "fig7": "outage-vs-snr", "fig8": "outage-vs-snr",
+}
+
+
 def test_all_presets_run_fast(tmp_path):
     """Analytic-resolution figure commands finish well inside 60 seconds."""
     import time
 
-    presets = {
-        "fig3": "tradeoff-capacity",
-        "fig4": "tradeoff-capacity",
-        "fig5": "tradeoff-outage",
-        "fig6": "capacity-vs-snr",
-        "fig7": "outage-vs-snr",
-        "fig8": "outage-vs-snr",
-    }
-    for preset, command in presets.items():
+    for preset, command in PRESET_COMMANDS.items():
         out = tmp_path / f"{preset}.csv"
         start = time.time()
         assert main([command, "--preset", preset, "--out", str(out)]) == 0
         assert time.time() - start < 60.0
         header, data = read_csv(out)
         assert header and data
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
+def test_preset_bytes_are_pinned(preset, capsys):
+    assert main([PRESET_COMMANDS[preset], "--preset", preset]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[preset]
 
 
 def test_gnuplot_script(tmp_path):

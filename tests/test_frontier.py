@@ -12,8 +12,9 @@ from relayswipt.frontier import (
     outage_frontier,
     pareto_capacity_point,
     solve_zeta_for_energy,
+    zeta_for_delta,
 )
-from relayswipt.model import SystemConfig
+from relayswipt.model import SystemConfig, snr_from_db
 from relayswipt.schemes import Metric, ParetoOptimal
 from relayswipt.simulate import MonteCarloConfig, run
 
@@ -23,10 +24,8 @@ from conftest import toy_model_states
 def test_endpoints(config100):
     zero = pareto_capacity_point(config100, 0.0)
     assert (zero.energy, zero.value) == (1.0, cf.c_max(config100))
-    top = pareto_capacity_point(config100, 0.0, energy_only=True)
+    top = pareto_capacity_point(config100, math.inf)
     assert (top.energy, top.value) == (1.5, cf.c_min(config100))
-    inf_weight = pareto_capacity_point(config100, math.inf)
-    assert inf_weight == top
 
 
 def test_point_matches_plain_monte_carlo(config100):
@@ -43,12 +42,44 @@ def test_point_matches_plain_monte_carlo(config100):
     assert abs(mc.energy.mean - point.energy) < energy_tol
 
 
+def _halton(count: int, base: int) -> np.ndarray:
+    """First `count` points of the van der Corput sequence in the given base."""
+    idx = np.arange(1, count + 1, dtype=np.int64)
+    out = np.zeros(count)
+    denom = 1.0
+    while idx.any():
+        denom /= base
+        out += denom * (idx % base)
+        idx //= base
+    return out
+
+
+def _capacity_policy_qmc(config, zeta, count):
+    """Quasi-Monte-Carlo policy expectations (2-d Halton), independent of the quadrature."""
+    g = config.mean_snr
+    eps = config.mean_energy
+    snr1 = -0.5 * g * np.log1p(-_halton(count, 2))
+    snr2 = -0.5 * g * np.log1p(-_halton(count, 3))
+    f1 = 0.5 * np.log2(1.0 + snr1)
+    f2 = 0.5 * np.log2(1.0 + snr2)
+    t = (f1 - f2) / (zeta * eps)
+    damp = np.exp(-np.abs(t))
+    p_first = np.where(t >= 0.0, 1.0 - 0.5 * damp, 0.5 * damp)
+    cap = f1 * p_first + f2 * (1.0 - p_first)
+    energy = eps * (1.0 + 0.5 * (1.0 + np.abs(t)) * damp)
+    return energy, cap
+
+
 def test_quadrature_and_qmc_agree(config100):
+    count = 1 << 22
     for zeta in (0.5, 5.0, 50.0):
-        quad = pareto_capacity_point(config100, zeta, method="quadrature")
-        qmc = pareto_capacity_point(config100, zeta, method="qmc")
-        assert qmc.energy == pytest.approx(quad.energy, abs=2e-4)
-        assert qmc.value == pytest.approx(quad.value, abs=2e-4)
+        quad = pareto_capacity_point(config100, zeta)
+        energy, cap = _capacity_policy_qmc(config100, zeta, count)
+        # the QMC estimate certifies itself: both halves of the sequence agree
+        assert abs(energy.mean() - energy[: count // 2].mean()) < 1e-4
+        assert abs(cap.mean() - cap[: count // 2].mean()) < 1e-4
+        assert energy.mean() == pytest.approx(quad.energy, abs=2e-4)
+        assert cap.mean() == pytest.approx(quad.value, abs=2e-4)
 
 
 def test_point_validation(config100):
@@ -56,8 +87,6 @@ def test_point_validation(config100):
         pareto_capacity_point(SystemConfig(3, 10.0, 1.0, 1.0), 1.0)
     with pytest.raises(ValueError):
         pareto_capacity_point(config100, -1.0)
-    with pytest.raises(ValueError):
-        pareto_capacity_point(config100, 1.0, method="simpson")
 
 
 def test_energy_monotone_in_weight(config100):
@@ -97,9 +126,39 @@ def test_solve_zeta_domain_errors(config100):
         solve_zeta_for_energy(cfg, 1.01, Metric.OUTAGE_INDICATOR)  # below the floor
 
 
+def test_zeta_for_delta_limits(config100):
+    for metric in Metric:
+        assert zeta_for_delta(config100, 1.0, metric) == math.inf
+    assert zeta_for_delta(config100, 0.0, Metric.CAPACITY) == 0.0
+    zeta = zeta_for_delta(config100, 0.5, Metric.CAPACITY)
+    assert zeta == solve_zeta_for_energy(config100, 1.25, Metric.CAPACITY)
+    cfg = SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0)  # outage floor at delta = 0.5
+    assert zeta_for_delta(cfg, 0.5, Metric.OUTAGE_INDICATOR) == 0.0
+    with pytest.raises(ValueError):
+        zeta_for_delta(cfg, 0.4, Metric.OUTAGE_INDICATOR)
+    for delta in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            capacity_frontier(config100, [delta])
+
+
+def test_outage_floor_next_to_the_ceiling():
+    """At -12.74 dB the floor is within the band of the ceiling and the target
+    at delta_lo < 1 rounds up to the ceiling; zeta = 0 still meets it."""
+    cfg = SystemConfig(2, snr_from_db(-12.74), 1.0, 1.0)
+    delta_lo, _ = cf.delta_range_outage(cfg)
+    assert delta_lo < 1.0 and cf.energy_from_delta(cfg, delta_lo) == 1.5
+    assert zeta_for_delta(cfg, delta_lo, Metric.OUTAGE_INDICATOR) == 0.0
+    with pytest.raises(ValueError):
+        solve_zeta_for_energy(cfg, 1.5 + 1e-3, Metric.OUTAGE_INDICATOR)
+
+
 def test_capacity_frontier_shape_and_dominance(config100):
     curve = capacity_frontier(config100)
-    assert len(curve.points) == 21
+    assert len(curve.points) == len(curve.zetas) == 21
+    assert curve.zetas[0] == 0.0 and curve.zetas[-1] == math.inf
+    assert all(a < b for a, b in zip(curve.zetas, curve.zetas[1:]))
+    for zeta, point in zip(curve.zetas[1:-1], curve.points[1:-1]):
+        assert pareto_capacity_point(config100, zeta) == point
     assert curve.points[0].energy == pytest.approx(1.0, abs=1e-4)
     assert curve.points[0].value == pytest.approx(cf.c_max(config100), abs=1e-4)
     assert curve.points[-1].energy == pytest.approx(1.5, abs=1e-4)
@@ -117,6 +176,9 @@ def test_outage_frontier_endpoints_and_dominance():
     cfg = SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0)
     a = math.exp(-2.0 * cfg.outage_threshold / cfg.mean_snr)
     curve = outage_frontier(cfg)
+    assert curve.zetas[0] == 0.0 and curve.zetas[-1] == math.inf
+    for zeta, point in zip(curve.zetas, curve.points):
+        assert point.value == cf.pareto_no_outage(cfg, zeta)
     assert curve.points[0].delta == pytest.approx(0.5, abs=1e-9)
     assert curve.points[0].value == pytest.approx(1.0 - (1.0 - a) ** 2, abs=1e-9)
     assert curve.points[-1].value == pytest.approx(a, abs=1e-9)
@@ -131,10 +193,12 @@ def test_frontier_curve_invariants_enforced():
     p1 = cf.TradeoffPoint(energy=1.0, value=2.0, delta=0.0)
     p2 = cf.TradeoffPoint(energy=1.2, value=2.5, delta=0.4)
     with pytest.raises(ValueError):
-        FrontierCurve(points=(p1, p2), method="quadrature", tolerance=1e-4)  # value rises
+        FrontierCurve(points=(p1, p2), zetas=(0.0, 1.0), tolerance=1e-4)  # value rises
     p3 = cf.TradeoffPoint(energy=1.0, value=1.5, delta=0.0)
     with pytest.raises(ValueError):
-        FrontierCurve(points=(p1, p3), method="quadrature", tolerance=1e-4)  # energy ties
+        FrontierCurve(points=(p1, p3), zetas=(0.0, 1.0), tolerance=1e-4)  # energy ties
+    with pytest.raises(ValueError):
+        FrontierCurve(points=(p1,), zetas=(0.0, 1.0), tolerance=1e-4)  # one weight per point
 
 
 def test_selection_rule_is_lagrangian_optimal_on_toy_model():

@@ -12,21 +12,41 @@ from relayswipt.schemes import (
     ThresholdChecking,
     TimeSharing,
     WeightedDifference,
-    argmax_energy,
-    argmax_snr,
     select,
     select_indices,
-    select_pareto,
-    select_threshold,
-    select_time_sharing,
-    select_weighted_difference,
     validate_scheme,
 )
 from relayswipt.simulate import frame_uniforms
 
+BEST_SNR, BEST_ENERGY = TimeSharing(mu=1.0), TimeSharing(mu=0.0)
+
 
 def frame(snr, energy):
     return ChannelFrame(snr=np.asarray(snr, float), energy=np.asarray(energy, float))
+
+
+def oracle(snr, energy, scheme, coin, threshold):
+    """The per-frame selection rules in plain Python, independent of select_indices."""
+    best_snr = max(range(len(snr)), key=lambda i: (snr[i], -i))
+    best_energy = max(range(len(energy)), key=lambda i: (energy[i], -i))
+    if isinstance(scheme, TimeSharing):
+        return best_snr if coin < scheme.mu else best_energy
+    if isinstance(scheme, ThresholdChecking):
+        return best_snr if snr[best_snr] >= scheme.tau else best_energy
+    if isinstance(scheme, WeightedDifference):
+        weight, lhs = scheme.nu, snr[0] - snr[1]
+    elif scheme.metric is Metric.CAPACITY:
+        weight, lhs = scheme.zeta, 0.5 * math.log2(1.0 + snr[0]) - 0.5 * math.log2(1.0 + snr[1])
+    else:
+        weight, lhs = scheme.zeta, float(snr[0] >= threshold) - float(snr[1] >= threshold)
+    if math.isinf(weight):
+        return best_energy
+    rhs = weight * (energy[1] - energy[0])
+    if lhs != rhs:
+        return 0 if lhs > rhs else 1
+    if isinstance(scheme, WeightedDifference):
+        return 0
+    return 1 if energy[1] > energy[0] else 0
 
 
 def test_param_validation():
@@ -48,15 +68,17 @@ def test_param_validation():
     ThresholdChecking(tau=0.0)
     ThresholdChecking(tau=math.inf)
     WeightedDifference(nu=0.0)
+    WeightedDifference(nu=math.inf)
     ParetoOptimal(zeta=0.0, metric=Metric.OUTAGE_INDICATOR)
+    ParetoOptimal(zeta=math.inf)
 
 
 def test_two_relay_schemes_reject_other_sizes():
     f3 = frame([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        select_weighted_difference(f3, 1.0)
+        select(f3, WeightedDifference(nu=1.0))
     with pytest.raises(ValueError):
-        select_pareto(f3, 1.0, Metric.CAPACITY, 1.0)
+        select(f3, ParetoOptimal(zeta=1.0))
     with pytest.raises(ValueError):
         validate_scheme(WeightedDifference(nu=1.0), 3)
     with pytest.raises(ValueError):
@@ -64,52 +86,60 @@ def test_two_relay_schemes_reject_other_sizes():
 
 
 def test_argmax_examples():
-    assert argmax_snr(frame([1.0, 3.0, 2.0], [0.0, 0.0, 0.0])) == 1
-    assert argmax_energy(frame([0.0, 0.0], [4.0, 4.0])) == 0  # tie -> lowest index
-    assert argmax_snr(frame([7.0], [1.0])) == 0
+    assert select(frame([1.0, 3.0, 2.0], [0.0, 0.0, 0.0]), BEST_SNR) == 1
+    assert select(frame([0.0, 0.0], [4.0, 4.0]), BEST_ENERGY) == 0  # tie -> lowest index
+    assert select(frame([7.0], [1.0]), BEST_SNR) == 0
 
 
 def test_time_sharing_examples():
     f = frame([1.0, 3.0], [5.0, 2.0])
-    assert select_time_sharing(f, mu=0.5, coin=0.0) == 1  # best SNR
-    assert select_time_sharing(f, mu=0.5, coin=0.9) == 0  # best energy
+    assert select(f, TimeSharing(mu=0.5), coin=0.0) == 1  # best SNR
+    assert select(f, TimeSharing(mu=0.5), coin=0.9) == 0  # best energy
     for coin in (0.0, 0.5, 0.999999):
-        assert select_time_sharing(f, mu=1.0, coin=coin) == 1
+        assert select(f, TimeSharing(mu=1.0), coin=coin) == 1
 
 
 def test_threshold_examples():
     f = frame([1.0, 3.0], [5.0, 2.0])
-    assert select_threshold(f, tau=2.0) == 1
-    assert select_threshold(f, tau=4.0) == 0
-    assert select_threshold(f, tau=0.0) == 1
-    assert select_threshold(f, tau=math.inf) == 0
+    assert select(f, ThresholdChecking(tau=2.0)) == 1
+    assert select(f, ThresholdChecking(tau=4.0)) == 0
+    assert select(f, ThresholdChecking(tau=0.0)) == 1
+    assert select(f, ThresholdChecking(tau=math.inf)) == 0
 
 
 def test_weighted_difference_examples():
     dominant = frame([3.0, 1.0], [5.0, 2.0])
-    for nu in (0.0, 1.0, 10.0):
-        assert select_weighted_difference(dominant, nu) == 0
+    for nu in (0.0, 1.0, 10.0, math.inf):
+        assert select(dominant, WeightedDifference(nu=nu)) == 0
     f = frame([1.0, 3.0], [5.0, 2.0])
-    assert select_weighted_difference(f, nu=0.0) == 1  # reduces to max-SNR
-    assert select_weighted_difference(f, nu=1.0) == 0  # -2 > 1*(-3)
+    assert select(f, WeightedDifference(nu=0.0)) == 1  # reduces to max-SNR
+    assert select(f, WeightedDifference(nu=1.0)) == 0  # -2 > 1*(-3)
     # exact tie goes to the first relay
     tied = frame([1.0, 3.0], [4.0, 2.0])  # lhs = -2, rhs = nu*(-2)
-    assert select_weighted_difference(tied, nu=1.0) == 0
+    assert select(tied, WeightedDifference(nu=1.0)) == 0
 
 
 def test_pareto_examples():
     # zero weight with the capacity metric is max-SNR selection
     f = frame([1.0, 3.0], [5.0, 2.0])
-    assert select_pareto(f, 0.0, Metric.CAPACITY, 1.0) == argmax_snr(f)
+    assert select(f, ParetoOptimal(zeta=0.0, metric=Metric.CAPACITY)) == select(f, BEST_SNR)
+    # infinite weight is best-energy selection
+    assert select(f, ParetoOptimal(zeta=math.inf)) == select(f, BEST_ENERGY) == 0
+    outage = ParetoOptimal(zeta=0.1, metric=Metric.OUTAGE_INDICATOR)
     # both relays above threshold: metric tie broken by energy
-    f = frame([2.0, 3.0], [1.0, 4.0])
-    assert select_pareto(f, 0.1, Metric.OUTAGE_INDICATOR, 1.0) == 1
+    assert select(frame([2.0, 3.0], [1.0, 4.0]), outage, outage_threshold=1.0) == 1
     # one relay above threshold and worth its energy deficit
-    f = frame([2.0, 0.5], [1.0, 4.0])
-    assert select_pareto(f, 0.1, Metric.OUTAGE_INDICATOR, 1.0) == 0
+    assert select(frame([2.0, 0.5], [1.0, 4.0]), outage, outage_threshold=1.0) == 0
     # exact tie (equal metric, equal energy) goes to the first relay
     f = frame([2.0, 3.0], [2.0, 2.0])
-    assert select_pareto(f, 0.5, Metric.OUTAGE_INDICATOR, 1.0) == 0
+    assert select(f, ParetoOptimal(zeta=0.5, metric=Metric.OUTAGE_INDICATOR)) == 0
+
+
+def test_outage_metric_counts_the_threshold_as_no_outage():
+    """snr == threshold is no outage, as in model.outage_indicator and the engine."""
+    scheme = ParetoOptimal(zeta=0.1, metric=Metric.OUTAGE_INDICATOR)
+    snr, energy = np.array([[1.0, 0.5]]), np.array([[1.0, 2.0]])
+    assert select_indices(scheme, snr, energy, outage_threshold=1.0)[0] == 0
 
 
 @given(
@@ -120,7 +150,7 @@ def test_pareto_examples():
 def test_argmax_scale_invariance(values, scale):
     f1 = frame(values, values)
     f2 = frame([v * scale for v in values], values)
-    assert argmax_snr(f1) == argmax_snr(f2)
+    assert select(f1, BEST_SNR) == select(f2, BEST_SNR)
 
 
 @given(
@@ -138,11 +168,11 @@ def test_monotone_dominance(winner, coin, mu, tau, weight):
     snr[winner] = 2.0
     energy[winner] = 2.0
     f = frame(snr, energy)
-    assert select_time_sharing(f, mu, coin) == winner
-    assert select_threshold(f, tau) == winner
-    assert select_weighted_difference(f, weight) == winner
-    assert select_pareto(f, weight, Metric.CAPACITY, 1.5) == winner
-    assert select_pareto(f, weight, Metric.OUTAGE_INDICATOR, 1.5) == winner
+    assert select(f, TimeSharing(mu=mu), coin=coin) == winner
+    assert select(f, ThresholdChecking(tau=tau)) == winner
+    assert select(f, WeightedDifference(nu=weight)) == winner
+    for metric in Metric:
+        assert select(f, ParetoOptimal(zeta=weight, metric=metric), outage_threshold=1.5) == winner
 
 
 def _random_batch(seed, count):
@@ -166,16 +196,20 @@ def test_vectorized_matches_scalar_on_random_frames():
         TimeSharing(mu=0.3),
         ThresholdChecking(tau=4.0),
         WeightedDifference(nu=0.7),
-        WeightedDifference(nu=0.0, energy_only=True),
+        WeightedDifference(nu=math.inf),
         ParetoOptimal(zeta=0.4, metric=Metric.CAPACITY),
         ParetoOptimal(zeta=0.4, metric=Metric.OUTAGE_INDICATOR),
-        ParetoOptimal(zeta=0.0, metric=Metric.CAPACITY, energy_only=True),
+        ParetoOptimal(zeta=0.0, metric=Metric.OUTAGE_INDICATOR),  # ties go by energy
+        ParetoOptimal(zeta=math.inf, metric=Metric.CAPACITY),
+        ParetoOptimal(zeta=math.inf, metric=Metric.OUTAGE_INDICATOR),
     ]
     for scheme in schemes:
         vec = select_indices(scheme, snr, energy, coins, outage_threshold=1.0)
         for k in range(0, 2000, 97):
+            expected = oracle(snr[k], energy[k], scheme, coins[k], 1.0)
+            assert vec[k] == expected
             f = ChannelFrame(snr=snr[k], energy=energy[k])
-            assert vec[k] == select(f, scheme, coin=coins[k], outage_threshold=1.0)
+            assert select(f, scheme, coin=coins[k], outage_threshold=1.0) == expected
 
 
 def test_pareto_outage_agrees_with_case_enumeration():

@@ -113,10 +113,10 @@ def _scenario(draw):
         st.builds(ThresholdChecking, tau=st.floats(0.0, 20.0)),
     ]
     if n_relays == 2:
+        weights = st.one_of(st.floats(0.0, 10.0), st.just(math.inf))
         schemes += [
-            st.builds(WeightedDifference, nu=st.floats(0.0, 10.0), energy_only=st.booleans()),
-            st.builds(ParetoOptimal, zeta=st.floats(0.0, 10.0),
-                      metric=st.sampled_from(Metric), energy_only=st.booleans()),
+            st.builds(WeightedDifference, nu=weights),
+            st.builds(ParetoOptimal, zeta=weights, metric=st.sampled_from(Metric)),
         ]
     cfg = SystemConfig(n_relays, draw(st.floats(0.1, 1000.0)), draw(st.floats(0.01, 100.0)))
     return cfg, draw(st.one_of(schemes))
