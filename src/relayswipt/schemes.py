@@ -3,7 +3,10 @@
 Each policy maps one channel frame (plus, for time sharing, a uniform coin)
 to the index of the relay to activate.  Indices are 0-based.  The rules
 live in ``select_indices``, which applies them to whole batches and is what
-the Monte Carlo engine uses; ``select`` runs it on a single frame.  Ties are
+the Monte Carlo engine uses; ``select`` runs it on a single frame.  The
+rules work column by column: a best-relay index is one comparison at N = 2,
+else a running maximum over the columns and a reverse scan for the lowest
+column equal to it, and the two-relay rules read two columns.  Ties are
 probability-zero events under the continuous fading model; the conventions
 below exist so results are reproducible:
 
@@ -126,6 +129,20 @@ def select(frame: ChannelFrame, scheme: SchemeParam, coin: float = 0.0,
                               np.array([coin]), outage_threshold)[0])
 
 
+def _argmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise argmax (ties to the lowest index) and row maximum of an (m, N) array."""
+    if x.shape[1] == 2:
+        a, b = x[:, 0], x[:, 1]
+        return (b > a).astype(np.intp), np.maximum(a, b)
+    top = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(top, x[:, j], out=top)
+    idx = np.zeros(x.shape[0], dtype=np.intp)
+    for j in range(x.shape[1] - 1, -1, -1):  # the lowest equal column writes last
+        np.copyto(idx, j, where=x[:, j] == top)
+    return idx, top
+
+
 def select_indices(
     scheme: SchemeParam,
     snr: np.ndarray,
@@ -136,36 +153,49 @@ def select_indices(
     """Vectorized selection over a batch of frames.
 
     Args:
-        snr, energy: arrays of shape (m, N).
-        coins: per-frame uniforms in [0, 1); required for time sharing.
+        snr, energy: arrays of shape (m, N); strided views are fine, as the
+            rules read them one column at a time.
+        coins: per-frame uniforms in [0, 1), shape (m,); required for time
+            sharing.
 
     Returns:
         int array of shape (m,) with the selected relay index per frame.
     """
     snr = np.asarray(snr, dtype=float)
     energy = np.asarray(energy, dtype=float)
-    n_relays = snr.shape[1]
-    validate_scheme(scheme, n_relays)
-    kappa = np.argmax(snr, axis=1)
-    lam = np.argmax(energy, axis=1)
+    if snr.ndim != 2 or snr.shape[1] < 1:
+        raise ValueError(f"snr must have shape (m, N) with N >= 1, got {snr.shape}")
+    if energy.shape != snr.shape:
+        raise ValueError(f"energy shape {energy.shape} differs from snr shape {snr.shape}")
+    validate_scheme(scheme, snr.shape[1])
 
     if isinstance(scheme, TimeSharing):
         if coins is None:
             raise ValueError("time sharing needs per-frame coins")
-        return np.where(np.asarray(coins) < scheme.mu, kappa, lam)
+        coins = np.asarray(coins)
+        if coins.shape != snr.shape[:1]:
+            raise ValueError(f"coins must have shape {snr.shape[:1]}, got {coins.shape}")
+        kappa, _ = _argmax_rows(snr)
+        lam, _ = _argmax_rows(energy)
+        return np.where(coins < scheme.mu, kappa, lam)
     if isinstance(scheme, ThresholdChecking):
-        rows = np.arange(snr.shape[0])
-        return np.where(snr[rows, kappa] >= scheme.tau, kappa, lam)
+        kappa, best = _argmax_rows(snr)
+        lam, _ = _argmax_rows(energy)
+        return np.where(best >= scheme.tau, kappa, lam)
     weight = scheme.nu if isinstance(scheme, WeightedDifference) else scheme.zeta
     if math.isinf(weight):
-        return lam
-    rhs = weight * (energy[:, 1] - energy[:, 0])
+        return _argmax_rows(energy)[0]
+    e0, e1 = energy[:, 0], energy[:, 1]
+    rhs = weight * (e1 - e0)
+    s0, s1 = snr[:, 0], snr[:, 1]
     if isinstance(scheme, WeightedDifference):
-        return (snr[:, 0] - snr[:, 1] < rhs).astype(np.intp)
+        return (s0 - s1 < rhs).astype(np.intp)
     if scheme.metric is Metric.CAPACITY:
-        f = 0.5 * np.log2(1.0 + snr)
+        lhs = 0.5 * np.log2(1.0 + s0) - 0.5 * np.log2(1.0 + s1)
     else:
-        f = (snr >= outage_threshold).astype(float)
-    lhs = f[:, 0] - f[:, 1]
-    tie = (energy[:, 1] > energy[:, 0]).astype(np.intp)
-    return np.where(lhs > rhs, 0, np.where(lhs < rhs, 1, tie)).astype(np.intp)
+        lhs = (s0 >= outage_threshold).astype(float) - (s1 >= outage_threshold).astype(float)
+    # relay 1 if its metric gain beats its energy cost, or on a tie (no side
+    # ahead, NaN included) if it has more energy
+    pick1 = lhs < rhs
+    pick1 |= ~(lhs > rhs) & (e1 > e0)
+    return pick1.astype(np.intp)

@@ -10,9 +10,14 @@ result bit-identical for a given (config, scheme, seed, n_frames) no matter
 how frames are chunked or how many workers evaluate the chunks.
 
 ``batch_size`` and ``n_workers`` are therefore pure throughput knobs.
-``n_workers`` defaults to the cores this process may run on (CPU affinity; a
-cgroup CPU quota is not read); a one-chunk run is evaluated inline, without
-a thread pool.  A worker holds one chunk of at most 16 MiB.
+``n_workers`` defaults to the cores this process may run on (CPU affinity),
+capped by a cgroup CPU quota rounded up; a one-chunk run is evaluated
+inline, without a thread pool.  A worker holds one chunk of at most 16 MiB.
+
+A chunk's frames are transformed in place in one contiguous array; the
+selection rules read its SNR and energy columns one at a time, and the
+selected relay's SNR and energy are gathered from it by flat index
+k(2N+1) + relay.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +53,31 @@ _TEMP_WORDS = 12
 _MIN_OUTAGE_EVENTS = 100
 
 
+def _cpu_quota(cgroup: str | os.PathLike = "/sys/fs/cgroup") -> int | None:
+    """CPUs a cgroup CPU quota allows, rounded up; None when unlimited or unreadable.
+
+    Reads cgroup v2 ``cpu.max`` ("max 100000" or "150000 100000"), else cgroup
+    v1 ``cpu/cpu.cfs_quota_us`` and ``cpu/cpu.cfs_period_us`` (quota -1 when
+    unlimited).
+    """
+    root = Path(cgroup)
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            quota, period = (int(w) for w in " ".join(
+                (root / name).read_text() for name in names).split())
+        except (OSError, ValueError):  # absent, "max", or not two numbers
+            continue
+        return max(1, -(-quota // period)) if quota > 0 and period > 0 else None
+    return None
+
+
+def _default_workers(cgroup: str | os.PathLike = "/sys/fs/cgroup") -> int:
+    """CPU affinity (1 where the platform cannot tell), capped by a cgroup CPU quota."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    quota = _cpu_quota(cgroup)
+    return cores if quota is None else min(cores, quota)
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Sampling plan: frame budget, seed, and throughput knobs."""
@@ -54,8 +85,7 @@ class MonteCarloConfig:
     n_frames: int
     seed: int = 0
     batch_size: int = _STAT_BLOCK
-    # CPU affinity (a cgroup quota is not read); 1 where the platform cannot tell
-    n_workers: int = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_workers: int = _default_workers()  # read once, at import: a plain field default
 
     def __post_init__(self):
         if self.n_frames < 1:
@@ -108,22 +138,30 @@ def _chunk_stats(config, scheme, seed, start, count):
     squared energy and outage sums of each block, and the selection counts.
     ``start`` must be a multiple of the statistics block size.
     """
-    u = frame_uniforms(seed, config.n_relays, start, count)
-    snr, energy, coins = frames_from_uniforms(config, u)
+    n = config.n_relays
+    u = frame_uniforms(seed, n, start, count)
+    snr, energy, coins = frames_from_uniforms(config, u)  # views into u, transformed in place
     threshold = config.outage_threshold
     sel = select_indices(scheme, snr, energy, coins, threshold)
-    rows = np.arange(count)
+    # Flat index of each frame's selected SNR in the contiguous frame array;
+    # its energy sits N words further on.  The indices are in range by
+    # construction: "clip" skips the bounds check and the copy of ``out``
+    # that the default mode makes.
+    at = np.arange(0, count * u.shape[1], u.shape[1])
+    at += sel
     stats = np.empty((5, count))  # written in place: fewer passes than np.stack
     cap, cap_sq, en, en_sq, out = stats
-    snr_sel = snr[rows, sel]
-    np.less(snr_sel, threshold, out=out)
-    np.log2(snr_sel + 1.0, out=cap)
+    u.take(at, out=cap, mode="clip")
+    np.less(cap, threshold, out=out)
+    cap += 1.0
+    np.log2(cap, out=cap)
     cap *= 0.5
     np.multiply(cap, cap, out=cap_sq)
-    en[:] = energy[rows, sel]
+    at += n
+    u.take(at, out=en, mode="clip")
     np.multiply(en, en, out=en_sq)
     sums = np.add.reduceat(stats, np.arange(0, count, _STAT_BLOCK), axis=1)
-    return sums, np.bincount(sel, minlength=config.n_relays)
+    return sums, np.bincount(sel, minlength=n)
 
 
 def _estimate(total: float, total_sq: float, n: int) -> Estimate:

@@ -268,3 +268,12 @@ def test_closed_pipe_exits_quietly():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert stderr == b""
+
+
+def test_with_mc_bytes_are_pinned(capsys):
+    """MC overlay columns, recorded before the column-wise selection kernels."""
+    assert main(["tradeoff-capacity", "--with-mc", "--frames", "20000", "--seed", "3"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "454d54438ca4c4fb3783ae5813281650dad698252c0cf6e9c2a117dcd9b9a342"
+    )

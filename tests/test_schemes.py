@@ -175,6 +175,63 @@ def test_monotone_dominance(winner, coin, mu, tau, weight):
         assert select(f, ParetoOptimal(zeta=weight, metric=metric), outage_threshold=1.5) == winner
 
 
+_TIE_VALUES = [0.0, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def _tied_batch(draw):
+    """Frames over a few values, so row, metric and threshold ties are common."""
+    n_relays = draw(st.one_of(st.just(2), st.integers(1, 8)))  # N = 2 has four schemes
+    m = draw(st.integers(1, 12))
+    values = st.lists(st.sampled_from(_TIE_VALUES), min_size=n_relays * m,
+                      max_size=n_relays * m)
+    snr = np.array(draw(values)).reshape(m, n_relays)
+    energy = np.array(draw(values)).reshape(m, n_relays)
+    coins = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                                   min_size=m, max_size=m)))
+    levels = st.sampled_from(_TIE_VALUES + [math.inf])
+    schemes = [
+        st.builds(TimeSharing, mu=st.sampled_from([0.0, 0.5, 1.0])),
+        st.builds(ThresholdChecking, tau=levels),
+    ]
+    if n_relays == 2:
+        schemes += [
+            st.builds(WeightedDifference, nu=levels),
+            st.builds(ParetoOptimal, zeta=levels, metric=st.sampled_from(Metric)),
+        ]
+    return snr, energy, coins, draw(st.one_of(schemes)), draw(st.sampled_from(_TIE_VALUES))
+
+
+@given(_tied_batch())
+@settings(max_examples=400, deadline=None)
+def test_tie_heavy_batches_match_the_oracle(batch):
+    snr, energy, coins, scheme, threshold = batch
+    vec = select_indices(scheme, snr, energy, coins, outage_threshold=threshold)
+    for k in range(snr.shape[0]):
+        expected = oracle(snr[k], energy[k], scheme, coins[k], threshold)
+        assert vec[k] == expected
+        f = ChannelFrame(snr=snr[k], energy=energy[k])
+        assert select(f, scheme, coin=coins[k], outage_threshold=threshold) == expected
+
+
+def test_select_indices_rejects_bad_shapes():
+    snr, energy, coins = np.ones((4, 3)), np.ones((4, 3)), np.zeros(4)
+    scheme = TimeSharing(mu=0.5)
+    with pytest.raises(ValueError, match="snr must have shape"):
+        select_indices(scheme, snr[0], energy[0], coins[:1])  # one frame, 1-D
+    with pytest.raises(ValueError, match="snr must have shape"):
+        select_indices(scheme, snr[None], energy[None], coins)
+    with pytest.raises(ValueError, match="energy shape"):
+        select_indices(scheme, snr, energy[:1], coins)  # would broadcast
+    with pytest.raises(ValueError, match="energy shape"):
+        select_indices(ThresholdChecking(tau=1.0), snr, energy[:, :2])
+    with pytest.raises(ValueError, match="coins must have shape"):
+        select_indices(scheme, snr, energy, coins[:3])
+    with pytest.raises(ValueError, match="coins must have shape"):
+        select_indices(scheme, snr, energy, coins[:, None])
+    assert select_indices(scheme, snr, energy, coins).shape == (4,)
+
+
 def _random_batch(seed, count):
     cfg = SystemConfig(2, 10.0, 1.0, 1.0)
     u = frame_uniforms(seed, 2, 0, count)

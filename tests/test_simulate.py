@@ -102,7 +102,35 @@ def test_single_chunk_runs_without_a_pool(config10, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
 def test_workers_default_to_available_cores():
-    assert MonteCarloConfig(1).n_workers == len(os.sched_getaffinity(0))
+    cores, quota = len(os.sched_getaffinity(0)), simulate._cpu_quota()
+    assert MonteCarloConfig(1).n_workers == (cores if quota is None else min(cores, quota))
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "200000 100000\n"}, 2),
+    ({"cpu.max": "20000 100000\n"}, 1),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ({"cpu/cpu.cfs_quota_us": "250000\n"}, None),  # period unreadable
+    ({}, None),
+])
+def test_cpu_quota_from_cgroup_files(tmp_path, files, cpus):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert simulate._cpu_quota(tmp_path) == cpus
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_default_workers_capped_by_the_quota(tmp_path):
+    cores = len(os.sched_getaffinity(0))
+    assert simulate._default_workers(tmp_path) == cores  # no quota files
+    (tmp_path / "cpu.max").write_text("100000 100000\n")
+    assert simulate._default_workers(tmp_path) == 1
+    (tmp_path / "cpu.max").write_text(f"{100000 * (cores + 3)} 100000\n")
+    assert simulate._default_workers(tmp_path) == cores
 
 
 @st.composite
@@ -278,3 +306,138 @@ def test_coverage_calibration():
                 hits += 1
         in_band.append(93 <= hits <= 97)
     assert any(in_band), f"coverage out of band for all representatives: {in_band}"
+
+
+# Every estimate and selection count of these runs, recorded before the
+# column-wise selection kernels replaced per-row argmax and 2-D gathers.  A
+# change to any frame's selection, gather or reduction moves a bit here.
+_PIN_SEEDS = (5, 2**63 + 11)
+_PIN_FRAMES = 23_457  # not a multiple of the statistics block
+
+
+def _pinned_cases():
+    cases = {}
+    for n in (1, 2, 3, 8):
+        cases[f"ts N={n}"] = (n, TimeSharing(mu=0.6))
+        cases[f"tc N={n}"] = (n, ThresholdChecking(tau=4.0))
+    for label, weight in (("0.7", 0.7), ("inf", math.inf)):
+        cases[f"wd nu={label}"] = (2, WeightedDifference(nu=weight))
+        cases[f"pareto-capacity zeta={label}"] = (2, ParetoOptimal(weight, Metric.CAPACITY))
+        cases[f"pareto-outage zeta={label}"] = (2, ParetoOptimal(weight, Metric.OUTAGE_INDICATOR))
+    # metric ties are common here, so the energy tie rule decides many frames
+    cases["pareto-outage zeta=0"] = (2, ParetoOptimal(0.0, Metric.OUTAGE_INDICATOR))
+    return cases
+
+
+_PINNED = {
+    ("ts N=1", _PIN_SEEDS[0]):
+        "0x1.13e06ae7d81e6p+0 0x1.dfacd8ef8887dp-9 0x1.010fa1e8bd98ap+0 "
+        "0x1.b1775367bf7bcp-8 0x1.748bd32abf9efp-3 0x1.4a260237ffdcap-9 23457",
+    ("ts N=1", _PIN_SEEDS[1]):
+        "0x1.136a5fd67ee31p+0 0x1.e0589126c2453p-9 0x1.00e5376783dc1p+0 "
+        "0x1.ae14e3a6623aep-8 0x1.717d89fb00676p-3 0x1.491763a18da66p-9 23457",
+    ("tc N=1", _PIN_SEEDS[0]):
+        "0x1.13e06ae7d81e6p+0 0x1.dfacd8ef8887dp-9 0x1.010fa1e8bd98ap+0 "
+        "0x1.b1775367bf7bcp-8 0x1.748bd32abf9efp-3 0x1.4a260237ffdcap-9 23457",
+    ("tc N=1", _PIN_SEEDS[1]):
+        "0x1.136a5fd67ee31p+0 0x1.e0589126c2453p-9 0x1.00e5376783dc1p+0 "
+        "0x1.ae14e3a6623aep-8 0x1.717d89fb00676p-3 0x1.491763a18da66p-9 23457",
+    ("ts N=2", _PIN_SEEDS[0]):
+        "0x1.43bd1d76f3e9bp+0 0x1.c63c10855553ap-9 0x1.35f6c5d581696p+0 "
+        "0x1.d29fd5c426ceap-8 0x1.7e963159eac32p-4 0x1.f21615da3e9a7p-10 11756,11701",
+    ("ts N=2", _PIN_SEEDS[1]):
+        "0x1.43a8753d8e315p+0 0x1.c7c68168b2adap-9 0x1.325c17d4e35adp+0 "
+        "0x1.ccb918a5912a0p-8 0x1.8379d9a64fe8cp-4 0x1.f4edc0f7aa0b5p-10 11802,11655",
+    ("tc N=2", _PIN_SEEDS[0]):
+        "0x1.55a67951960eep+0 0x1.d807d9f9b7f6fp-9 0x1.28763cc02cfdbp+0 "
+        "0x1.c9e436b1b66b2p-8 0x1.a47a89a9faa70p-4 0x1.03bfd4ed013fdp-9 11831,11626",
+    ("tc N=2", _PIN_SEEDS[1]):
+        "0x1.56d1382a6b120p+0 0x1.d8ca1a21232a5p-9 0x1.24fb1c3254c31p+0 "
+        "0x1.c882e6be8cf78p-8 0x1.a4d3f11d2672dp-4 0x1.03d847b2f262ep-9 11899,11558",
+    ("ts N=3", _PIN_SEEDS[0]):
+        "0x1.5d66cd246ae8ep+0 0x1.c70be34da369cp-9 0x1.557f5b15d6b98p+0 "
+        "0x1.e80477476b2b7p-8 0x1.3e808a4c0627cp-4 0x1.ca5d644bf75bap-10 7758,7846,7853",
+    ("ts N=3", _PIN_SEEDS[1]):
+        "0x1.5d04bf9353fb9p+0 0x1.c76155237d588p-9 0x1.54290ee5178a9p+0 "
+        "0x1.eaded0b0a02dap-8 0x1.3598bc53295a0p-4 0x1.c471964892be4p-10 7838,7739,7880",
+    ("tc N=3", _PIN_SEEDS[0]):
+        "0x1.838e07234af0cp+0 0x1.a60445c7f6e9ep-9 0x1.243cbfd6e6399p+0 "
+        "0x1.cbb4cdad15dc6p-8 0x1.c06adda7aa59ap-5 0x1.8558761f1c539p-10 7856,7874,7727",
+    ("tc N=3", _PIN_SEEDS[1]):
+        "0x1.83311d637df4fp+0 0x1.a9aa9e80dac29p-9 0x1.250cd7ba0b045p+0 "
+        "0x1.d0ac94c64bb51p-8 0x1.c6b423c0beaeap-5 0x1.87e7ebbd0a3e8p-10 7824,7792,7841",
+    ("ts N=8", _PIN_SEEDS[0]):
+        "0x1.8f0aca542176cp+0 0x1.e8d5993b4c8edp-9 0x1.b03b806af8a68p+0 "
+        "0x1.282a4dc257ab8p-7 0x1.2290364e56752p-4 0x1.b76a707f267fbp-10 "
+        "2927,2939,2934,3003,2947,2957,2884,2866",
+    ("ts N=8", _PIN_SEEDS[1]):
+        "0x1.8f7cbc42d5a9cp+0 0x1.eb031b8f2353cp-9 0x1.ad7e2a7957fffp+0 "
+        "0x1.2701122226a56p-7 0x1.2af1e91a71912p-4 0x1.bd37a323738bap-10 "
+        "2957,3012,2934,2916,2951,2945,2916,2826",
+    ("tc N=8", _PIN_SEEDS[0]):
+        "0x1.de67c97bc82dbp+0 0x1.060693952082ap-9 0x1.04d288fa59086p+0 "
+        "0x1.afc3b95df98bdp-8 0x1.cfc8a57331625p-9 0x1.968ae64781362p-12 "
+        "2890,2916,2967,2973,2954,2962,2876,2919",
+    ("tc N=8", _PIN_SEEDS[1]):
+        "0x1.df5a9c8ab281cp+0 0x1.055f097542e5cp-9 0x1.04476883f52b8p+0 "
+        "0x1.b3cb5ba04501ep-8 0x1.3e808a4c0627cp-9 0x1.51170805de100p-12 "
+        "2990,3052,2892,2918,2904,2889,2951,2861",
+    ("wd nu=0.7", _PIN_SEEDS[0]):
+        "0x1.6229278ca4943p+0 0x1.9b5cb3746efe9p-9 0x1.1f1624df85b65p+0 "
+        "0x1.d72a531963615p-8 0x1.6060bcef9e639p-5 0x1.5b46ae11843a1p-10 11805,11652",
+    ("wd nu=0.7", _PIN_SEEDS[1]):
+        "0x1.63983fa5b4e6ep+0 0x1.9acf3be71b902p-9 0x1.1ad0713629da8p+0 "
+        "0x1.d672d2936bd7ap-8 0x1.5b7d14a3393dep-5 0x1.58f74878b563fp-10 11821,11636",
+    ("pareto-capacity zeta=0.7", _PIN_SEEDS[0]):
+        "0x1.4b35da7248f6cp+0 0x1.bcfbd7e8a7557p-9 0x1.62ff788cef7adp+0 "
+        "0x1.fa4482dd7a3dep-8 0x1.41a52d5890524p-4 0x1.cc6de3abb9744p-10 11719,11738",
+    ("pareto-capacity zeta=0.7", _PIN_SEEDS[1]):
+        "0x1.4c3d885570b52p+0 0x1.bfc27f372d6f0p-9 0x1.5fb8c1ea2c60fp+0 "
+        "0x1.fa2651e462122p-8 0x1.436432986b4d7p-4 0x1.cd9210743cfd2p-10 11854,11603",
+    ("pareto-outage zeta=0.7", _PIN_SEEDS[0]):
+        "0x1.2ee0c38c1d1c1p+0 0x1.ac89788feff82p-9 0x1.716135f373aacp+0 "
+        "0x1.ef561dee7539fp-8 0x1.1a01cfc8a5733p-4 0x1.b1625250ae759p-10 11672,11785",
+    ("pareto-outage zeta=0.7", _PIN_SEEDS[1]):
+        "0x1.2efbeaee7c64ap+0 0x1.aea8d941b6217p-9 0x1.6ec0bdab3d1e7p+0 "
+        "0x1.ef7ceedee9bb6p-8 0x1.1c73a3eed8060p-4 0x1.b31e7325f4d36p-10 11868,11589",
+    ("wd nu=inf", _PIN_SEEDS[0]):
+        "0x1.133889b8d8c8cp+0 0x1.ded80b4a9d25cp-9 0x1.80d80852a1215p+0 "
+        "0x1.e330892bdf829p-8 0x1.71ed4b4af7263p-3 0x1.493e2e10141e8p-9 11636,11821",
+    ("wd nu=inf", _PIN_SEEDS[1]):
+        "0x1.129dfbe9934f1p+0 0x1.df95c0adc8806p-9 0x1.7f23861cedd6cp+0 "
+        "0x1.e231c2b16d419p-8 0x1.76e74d74273edp-3 0x1.4af551e2c36f6p-9 11865,11592",
+    ("pareto-capacity zeta=inf", _PIN_SEEDS[0]):
+        "0x1.133889b8d8c8cp+0 0x1.ded80b4a9d25cp-9 0x1.80d80852a1215p+0 "
+        "0x1.e330892bdf829p-8 0x1.71ed4b4af7263p-3 0x1.493e2e10141e8p-9 11636,11821",
+    ("pareto-capacity zeta=inf", _PIN_SEEDS[1]):
+        "0x1.129dfbe9934f1p+0 0x1.df95c0adc8806p-9 0x1.7f23861cedd6cp+0 "
+        "0x1.e231c2b16d419p-8 0x1.76e74d74273edp-3 0x1.4af551e2c36f6p-9 11865,11592",
+    ("pareto-outage zeta=inf", _PIN_SEEDS[0]):
+        "0x1.133889b8d8c8cp+0 0x1.ded80b4a9d25cp-9 0x1.80d80852a1215p+0 "
+        "0x1.e330892bdf829p-8 0x1.71ed4b4af7263p-3 0x1.493e2e10141e8p-9 11636,11821",
+    ("pareto-outage zeta=inf", _PIN_SEEDS[1]):
+        "0x1.129dfbe9934f1p+0 0x1.df95c0adc8806p-9 0x1.7f23861cedd6cp+0 "
+        "0x1.e231c2b16d419p-8 0x1.76e74d74273edp-3 0x1.4af551e2c36f6p-9 11865,11592",
+    ("pareto-outage zeta=0", _PIN_SEEDS[0]):
+        "0x1.37cc2f40059c6p+0 0x1.96c6534c59ca1p-9 0x1.5b7a6553dbe8dp+0 "
+        "0x1.dfdb1187fc695p-8 0x1.0d9bf75012af2p-5 0x1.315d4e9c54447p-10 11681,11776",
+    ("pareto-outage zeta=0", _PIN_SEEDS[1]):
+        "0x1.3855aa8ddd80cp+0 0x1.98e46c91018ccp-9 0x1.57a28ccb9c5ccp+0 "
+        "0x1.dc3a0d1c46e28p-8 0x1.0bdcf21037b3fp-5 0x1.306854a3170e2p-10 11856,11601",
+}
+
+
+def test_run_estimates_are_pinned():
+    """float.hex of every estimate and the selection counts, per case and seed."""
+    mismatched = []
+    for name, (n_relays, scheme) in _pinned_cases().items():
+        for seed in _PIN_SEEDS:
+            result = run(SystemConfig(n_relays, 10.0, 1.0, 1.0), scheme,
+                         MonteCarloConfig(_PIN_FRAMES, seed))
+            estimates = (result.capacity, result.energy, result.outage)
+            assert all(e.n == _PIN_FRAMES for e in estimates)
+            got = " ".join(f"{e.mean.hex()} {e.std_error.hex()}" for e in estimates)
+            got += " " + ",".join(str(c) for c in result.selection_counts)
+            if got != _PINNED[name, seed]:
+                mismatched.append((name, seed))
+    assert not mismatched
