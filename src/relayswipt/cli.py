@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -35,7 +36,7 @@ from .frontier import (
     pareto_capacity_point,
     zeta_for_delta,
 )
-from .model import SystemConfig, load_config_file, snr_from_db
+from .model import SystemConfig, _read_config_file, _resolve_scenario, snr_from_db
 from .schemes import (
     Metric,
     ParetoOptimal,
@@ -48,6 +49,7 @@ from .simulate import MonteCarloConfig, run
 
 _LN2 = math.log(2.0)
 
+_DEFAULTS = {"n_relays": 2, "mean_snr_db": 10.0, "mean_energy": 1.0, "seed": 0}
 _PRESETS = {
     "fig3": {"command": "tradeoff-capacity", "mean_snr_db": 20.0, "x_axis": "energy"},
     "fig4": {"command": "tradeoff-capacity", "mean_snr_db": 10.0, "x_axis": "delta"},
@@ -68,12 +70,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    if path in (None, "-"):
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([[_fmt(v) for v in row] for row in rows])
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([[_fmt(v) for v in row] for row in rows])
@@ -136,50 +134,8 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 def _build_config(args, preset: dict) -> tuple[SystemConfig, int]:
     """Resolve the scenario: built-in defaults < preset < config file < flags."""
-    values = {
-        "n_relays": 2,
-        "mean_snr": None,
-        "mean_snr_db": 10.0,
-        "mean_energy": 1.0,
-        "outage_threshold": 1.0,
-        "rate": None,
-        "seed": 0,
-    }
-    values.update({k: v for k, v in preset.items() if k in values})
-    if args.config:
-        file_config, file_seed = load_config_file(args.config)
-        values["n_relays"] = file_config.n_relays
-        values["mean_snr"] = file_config.mean_snr
-        values["mean_snr_db"] = None
-        values["mean_energy"] = file_config.mean_energy
-        values["outage_threshold"] = file_config.outage_threshold
-        if file_seed is not None:
-            values["seed"] = file_seed
-    for key in ("n_relays", "mean_energy", "seed"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if args.mean_snr is not None:
-        values["mean_snr"], values["mean_snr_db"] = args.mean_snr, None
-    elif args.mean_snr_db is not None:
-        values["mean_snr"], values["mean_snr_db"] = None, args.mean_snr_db
-    if getattr(args, "rate", None) is not None:
-        values["rate"] = args.rate
-    elif getattr(args, "outage_threshold", None) is not None:
-        values["outage_threshold"], values["rate"] = args.outage_threshold, None
-
-    mean_snr = values["mean_snr"]
-    if mean_snr is None:
-        mean_snr = snr_from_db(values["mean_snr_db"])
-    if values["rate"] is not None:
-        config = SystemConfig.from_rate(
-            values["n_relays"], mean_snr, values["mean_energy"], values["rate"]
-        )
-    else:
-        config = SystemConfig(
-            values["n_relays"], mean_snr, values["mean_energy"], values["outage_threshold"]
-        )
-    return config, int(values["seed"])
+    file_keys = _read_config_file(args.config) if args.config else {}
+    return _resolve_scenario(_DEFAULTS, preset, file_keys, vars(args))
 
 
 def _checked_grid(grid: int) -> int:
@@ -248,18 +204,10 @@ def cmd_tradeoff_capacity(args) -> int:
 
 
 def cmd_tradeoff_outage(args) -> int:
-    preset = _preset_for(args)
+    config, _ = _build_config(args, _preset_for(args))
     if args.mean_snr is None and args.mean_snr_db is None and not args.config:
         # default geometry maximizes the Pareto policy's feasible delta range
-        threshold = args.outage_threshold
-        if threshold is None and args.rate is not None:
-            threshold = 2.0 ** (2.0 * args.rate) - 1.0
-        if threshold is None:
-            threshold = 1.0
-        preset = dict(preset)
-        preset["mean_snr"] = 2.0 * threshold / _LN2
-        preset["mean_snr_db"] = None
-    config, _ = _build_config(args, preset)
+        config = dataclasses.replace(config, mean_snr=2.0 * config.outage_threshold / _LN2)
     deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid))
     delta_lo, _ = cf.delta_range_outage(config)
     header = ["delta", "energy", "noout_ts", "noout_tc", "noout_wd", "noout_pareto"]
@@ -297,9 +245,7 @@ def cmd_capacity_vs_snr(args) -> int:
             header.append(f"c_{name}_d{delta:g}")
     rows = []
     for snr_db in snr_db_grid:
-        point_config = SystemConfig(
-            config.n_relays, snr_from_db(snr_db), config.mean_energy, config.outage_threshold
-        )
+        point_config = dataclasses.replace(config, mean_snr=snr_from_db(snr_db))
         row = [float(snr_db)]
         for delta in deltas:
             energy = cf.energy_from_delta(point_config, delta)
@@ -329,9 +275,7 @@ def cmd_outage_vs_snr(args) -> int:
     rows = []
     for ratio_db in ratio_db_grid:
         gbar = config.outage_threshold * snr_from_db(ratio_db)
-        point_config = SystemConfig(
-            config.n_relays, gbar, config.mean_energy, config.outage_threshold
-        )
+        point_config = dataclasses.replace(config, mean_snr=gbar)
         row = [float(ratio_db)]
         for delta in deltas:
             row.append(cf.outage_ts(point_config, delta))
@@ -359,8 +303,6 @@ def _pareto_outage_at_delta(config: SystemConfig, delta: float) -> float:
 
 def cmd_montecarlo(args) -> int:
     config, seed = _build_config(args, {})
-    if args.seed is not None:
-        seed = args.seed
     scheme = _scheme_from_args(args)
     mc = MonteCarloConfig(
         n_frames=args.frames,

@@ -9,9 +9,7 @@ Conventions used throughout:
   factor ``delta`` is the normalized position inside that interval.
 * Every curve-versus-energy function is evaluated by composing the
   parameter inversion (mu, tau or nu from energy) with the
-  parameter-form expression.  The direct composite expressions are kept as
-  separate ``*_composite`` transcriptions and the test suite checks the two
-  routes agree, which catches transcription slips in either.
+  parameter-form expression; that composition is the one route.
 * ``delta = 1`` (equivalently ``tau = inf`` / ``nu = inf``) degenerates to
   pure best-energy selection and is evaluated through that limit.
 
@@ -39,25 +37,19 @@ __all__ = [
     "energy_from_delta",
     "mu_from_energy",
     "c_ts",
-    "c_ts_composite",
     "tau_from_energy",
     "energy_tc_of_tau",
     "c_tc_of_tau",
     "c_tc",
-    "c_tc_composite",
     "nu_from_energy",
     "energy_wd_of_nu",
     "c_wd_of_nu",
     "c_wd",
-    "c_wd_composite",
     "outage_ts",
-    "outage_ts_composite",
     "outage_tc_of_tau",
     "outage_tc",
-    "outage_tc_composite",
     "outage_wd_of_nu",
     "outage_wd",
-    "outage_wd_composite",
     "asymptotic_outage",
     "array_gain",
     "pareto_outage_energy",
@@ -180,24 +172,6 @@ def c_ts(config: SystemConfig, energy: float) -> float:
     return mu * c_max(config) + (1.0 - mu) * c_min(config)
 
 
-def c_ts_composite(config: SystemConfig, energy: float) -> float:
-    """Direct single-expression form of the time-sharing capacity curve."""
-    _energy_fraction(config, energy)  # domain check
-    g = config.mean_snr
-    eps = config.mean_energy
-    hn = harmonic(config.n_relays)
-    n = config.n_relays
-    ssum = 0.0
-    for j in range(n):
-        ssum += (
-            n * (-1.0) ** j * math.comb(n - 1, j)
-            * exp_e1_scaled(2.0 * (j + 1) / g)
-            / (2.0 * (j + 1) * _LN2)
-        )
-    num = (energy - eps) * exp_e1_scaled(2.0 / g) + (eps * hn - energy) * math.log(4.0) * ssum
-    return num / (2.0 * eps * (hn - 1.0) * _LN2)
-
-
 # ---------------------------------------------------------------------------
 #  Threshold-checking scheme
 # ---------------------------------------------------------------------------
@@ -258,32 +232,6 @@ def c_tc_of_tau(config: SystemConfig, tau: float) -> float:
 def c_tc(config: SystemConfig, energy: float) -> float:
     """Threshold-checking ergodic capacity at the given average energy."""
     return c_tc_of_tau(config, tau_from_energy(config, energy))
-
-
-def c_tc_composite(config: SystemConfig, energy: float) -> float:
-    """Direct single-expression form of the threshold-checking curve."""
-    rho = _energy_fraction(config, energy)
-    if rho >= 1.0:
-        return c_min(config)
-    g = config.mean_snr
-    n = config.n_relays
-    q = 1.0 - rho ** (1.0 / n)
-    lnq = math.log(q)
-    arg1 = 1.0 - 0.5 * g * lnq  # equals 1 + tau
-    first = (
-        rho ** ((n - 1.0) / n)
-        / (2.0 * _LN2)
-        * (
-            exp_e1_scaled(2.0 / g)
-            - q * exp_e1_scaled(2.0 / g - lnq)
-            - q * math.log(arg1)
-        )
-    )
-    second = 0.0
-    for j in range(n):
-        coeff = n * (-1.0) ** j * math.comb(n - 1, j) * q ** (j + 1) / (2.0 * (j + 1) * _LN2)
-        second += coeff * (exp_e1_scaled(2.0 * (j + 1) * arg1 / g) + math.log(arg1))
-    return first + second
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +301,6 @@ def c_wd(config: SystemConfig, energy: float) -> float:
     return c_wd_of_nu(config, nu_from_energy(config, energy))
 
 
-def c_wd_composite(config: SystemConfig, energy: float) -> float:
-    """Direct single-expression form of the weighted-difference curve."""
-    _require_two_relays(config)
-    rho = _energy_fraction(config, energy)
-    if rho >= 1.0:
-        return c_min(config)
-    g = config.mean_snr
-    eps = config.mean_energy
-    clamped = energy_from_delta(config, rho)
-    t = 1.0 - math.sqrt(eps / (3.0 * eps - 2.0 * clamped))  # <= 0
-    if abs(1.0 - t * t) < _SINGULAR_TOL:
-        lo = _c_wd_from_t(config, t * (1.0 - _PERTURB))
-        hi = _c_wd_from_t(config, t * (1.0 + _PERTURB))
-        return 0.5 * (lo + hi)
-    return _c_wd_from_t(config, t)
-
-
-def _c_wd_from_t(config: SystemConfig, t: float) -> float:
-    g = config.mean_snr
-    x2 = exp_e1_scaled(2.0 / g)
-    x4 = exp_e1_scaled(4.0 / g)
-    if t == 0.0:
-        cross = 0.0
-    else:
-        cross = t * t * exp_e1_scaled(2.0 * (1.0 - 1.0 / t) / g)
-    return (2.0 * (1.0 - t * t) * x2 + cross - x4) / (2.0 * (1.0 - t * t) * _LN2)
-
-
 # ---------------------------------------------------------------------------
 #  Outage probabilities
 # ---------------------------------------------------------------------------
@@ -397,19 +317,6 @@ def outage_ts(config: SystemConfig, delta: float) -> float:
     delta = _check_delta(delta)
     p1 = _single_outage(config)
     return (1.0 - delta) * p1 ** config.n_relays + delta * p1
-
-
-def outage_ts_composite(config: SystemConfig, energy: float) -> float:
-    """Direct energy-parameterized form of the time-sharing outage curve."""
-    _energy_fraction(config, energy)  # domain check
-    g = config.mean_snr
-    gth = config.outage_threshold
-    eps = config.mean_energy
-    hn = harmonic(config.n_relays)
-    ratio = energy / eps
-    a = math.exp(-2.0 * gth / g)
-    inner = ratio + (hn - ratio) * (1.0 - a) ** config.n_relays - 1.0
-    return (a * (1.0 - ratio) + inner) / (hn - 1.0)
 
 
 def outage_tc_of_tau(config: SystemConfig, tau: float) -> float:
@@ -433,16 +340,6 @@ def outage_tc(config: SystemConfig, delta: float) -> float:
     if delta <= p1 ** n:
         return p1 ** n
     return p1 * delta ** ((n - 1.0) / n)
-
-
-def outage_tc_composite(config: SystemConfig, energy: float) -> float:
-    """Direct energy-parameterized form of the threshold-checking outage curve."""
-    rho = _energy_fraction(config, energy)
-    n = config.n_relays
-    p1 = _single_outage(config)
-    if rho <= p1 ** n:
-        return p1 ** n
-    return p1 * rho ** ((n - 1.0) / n)
 
 
 def outage_wd_of_nu(config: SystemConfig, nu: float) -> float:
@@ -475,29 +372,6 @@ def outage_wd(config: SystemConfig, delta: float) -> float:
     _require_two_relays(config)
     delta = _check_delta(delta)
     return outage_wd_of_nu(config, nu_from_energy(config, energy_from_delta(config, delta)))
-
-
-def outage_wd_composite(config: SystemConfig, energy: float) -> float:
-    """Direct energy-parameterized form of the weighted-difference outage curve."""
-    _require_two_relays(config)
-    rho = _energy_fraction(config, energy)
-    a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
-    if rho >= 1.0:
-        return 1.0 - a
-    eps = config.mean_energy
-    clamped = energy_from_delta(config, rho)
-    w = math.sqrt(eps / (3.0 * eps - 2.0 * clamped))  # >= 1
-    if w == 1.0:
-        return (1.0 - a) ** 2
-    tm = 1.0 - w  # <= 0
-    if abs(1.0 - tm * tm) < _SINGULAR_TOL:
-        mid = 0.5 * (
-            outage_wd_composite(config, clamped - _PERTURB * eps)
-            + outage_wd_composite(config, clamped + _PERTURB * eps)
-        )
-        return mid
-    inner = math.exp(2.0 * config.outage_threshold / (config.mean_snr * tm))
-    return ((1.0 - a) ** 2 + tm * tm * (a * (2.0 - inner) - 1.0)) / (1.0 - tm * tm)
 
 
 # ---------------------------------------------------------------------------

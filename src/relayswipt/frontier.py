@@ -9,7 +9,9 @@ integral over the ordered SNR pair.  The outer (smaller-SNR) dimension uses
 Gauss-Laguerre; the inner SNR-gap dimension uses composite Gauss-Legendre
 panels on a fixed geometric grid, because the policy's switching layer sits
 near zero gap at a scale proportional to zeta and uniform nodes cannot
-track it.  A node-doubling ladder certifies the requested tolerance.
+track it.  One node-doubling ladder certifies both uses: a frontier point
+needs both coordinates within its tolerance, the weight solve's forward map
+only the energy.
 
 The outage frontier needs no integration: both coordinates have closed
 forms, and only the weight solve is numerical.
@@ -141,6 +143,24 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float,
     return energy, capacity
 
 
+def _certified_integrals(config: SystemConfig, zeta: float, tol: float,
+                         coords: int, name: str):
+    """(energy, capacity) from the first rung of the quadrature ladder that
+    agrees with the rung below it to within ``tol`` on its first ``coords``
+    coordinates.
+
+    Raises:
+        ToleranceNotMetError: naming ``name``, if no rung does.
+    """
+    prev = None
+    for outer, inner in _GL_LADDER:
+        cur = _capacity_policy_integrals(config, zeta, outer, inner)
+        if prev is not None and max(abs(c - p) for c, p in zip(cur[:coords], prev)) < tol:
+            return cur
+        prev = cur
+    raise ToleranceNotMetError(f"{name} did not reach tol={tol}")
+
+
 def pareto_capacity_point(
     config: SystemConfig,
     zeta: float,
@@ -166,30 +186,8 @@ def pareto_capacity_point(
     if zeta == 0.0:
         return tradeoff_point(config, config.mean_energy, c_max(config))
 
-    prev = None
-    for outer, inner in _GL_LADDER:
-        cur = _capacity_policy_integrals(config, zeta, outer, inner)
-        if prev is not None:
-            err = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
-            if err < tol:
-                return tradeoff_point(config, cur[0], cur[1])
-        prev = cur
-    raise ToleranceNotMetError(
-        f"quadrature ladder (max {_GL_LADDER[-1]} nodes) did not reach tol={tol}"
-    )
-
-
-def _energy_of_zeta(config: SystemConfig, zeta: float, tol: float) -> float:
-    """Average energy under the capacity policy, certified on that coordinate only."""
-    if zeta == 0.0:
-        return config.mean_energy
-    prev = None
-    for outer, inner in _GL_LADDER:
-        cur = _capacity_policy_integrals(config, zeta, outer, inner)[0]
-        if prev is not None and abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise ToleranceNotMetError(f"energy integral did not reach tol={tol}")
+    ladder = f"quadrature ladder (max {_GL_LADDER[-1]} nodes)"
+    return tradeoff_point(config, *_certified_integrals(config, zeta, tol, 2, ladder))
 
 
 def solve_zeta_for_energy(
@@ -213,7 +211,7 @@ def solve_zeta_for_energy(
         floor = eps
 
         def forward(z: float) -> float:
-            return _energy_of_zeta(config, z, point_tol)
+            return _certified_integrals(config, z, point_tol, 1, "energy integral")[0]
 
     elif metric is Metric.OUTAGE_INDICATOR:
         floor = pareto_outage_energy_min(config)

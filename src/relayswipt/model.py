@@ -214,24 +214,47 @@ def outage_indicator(snr: float, threshold: float) -> int:
     return 1 if snr < threshold else 0
 
 
+# Scenario keys, each with the type a config file's text is read as.
 _CONFIG_KEYS = {
-    "n_relays",
-    "mean_snr",
-    "mean_snr_db",
-    "mean_energy",
-    "outage_threshold",
-    "rate",
-    "seed",
+    "n_relays": int,
+    "mean_snr": float,
+    "mean_snr_db": float,
+    "mean_energy": float,
+    "seed": int,
+    "rate": float,
+    "outage_threshold": float,
 }
+# Each pair spells one quantity two ways; a source that sets either key
+# replaces both.
+_KEY_PAIRS = (("mean_snr", "mean_snr_db"), ("outage_threshold", "rate"))
 
 
-def load_config_file(path) -> tuple[SystemConfig, int | None]:
-    """Parse a key-value config file into (SystemConfig, seed).
+def _resolve_scenario(*sources: dict) -> tuple[SystemConfig, int | None]:
+    """Merge scenario keys into (SystemConfig, seed); later sources win.
 
-    One ``key = value`` pair per line ('=' or ':' separators, '#' comments).
-    Keys: n_relays, mean_snr OR mean_snr_db, mean_energy, outage_threshold
-    OR rate, and an optional seed.  SNR is stored linear.
+    Keys that are not scenario keys, and keys set to None, are ignored.  The
+    outage threshold defaults to 1 and the seed to None; n_relays,
+    mean_energy and one of mean_snr / mean_snr_db must be set by some source.
     """
+    values = {}
+    for source in sources:
+        given = {k: v for k, v in source.items() if k in _CONFIG_KEYS and v is not None}
+        for pair in _KEY_PAIRS:
+            if not given.keys().isdisjoint(pair):
+                for key in pair:
+                    values.pop(key, None)
+        values.update(given)
+    mean_snr = values["mean_snr"] if "mean_snr" in values else snr_from_db(values["mean_snr_db"])
+    scenario = (values["n_relays"], mean_snr, values["mean_energy"])
+    if "rate" in values:
+        config = SystemConfig.from_rate(*scenario, values["rate"])
+    else:
+        config = SystemConfig(*scenario, values.get("outage_threshold", 1.0))
+    return config, values.get("seed")
+
+
+def _read_config_file(path) -> dict:
+    """Read a key-value config file into scenario keys (see load_config_file)."""
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -251,23 +274,20 @@ def load_config_file(path) -> tuple[SystemConfig, int | None]:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             raw[key] = value.strip()
 
-    for a, b in (("mean_snr", "mean_snr_db"), ("outage_threshold", "rate")):
+    for a, b in _KEY_PAIRS:
         if a in raw and b in raw:
             raise ValueError(f"config sets both {a!r} and {b!r}")
     missing = {"n_relays", "mean_energy"} - raw.keys()
     if missing or ("mean_snr" not in raw and "mean_snr_db" not in raw):
         raise ValueError(f"config missing required keys: {sorted(missing) or ['mean_snr']}")
+    return {key: kind(raw[key]) for key, kind in _CONFIG_KEYS.items() if key in raw}
 
-    n_relays = int(raw["n_relays"])
-    mean_snr = (
-        float(raw["mean_snr"]) if "mean_snr" in raw else snr_from_db(float(raw["mean_snr_db"]))
-    )
-    mean_energy = float(raw["mean_energy"])
-    seed = int(raw["seed"]) if "seed" in raw else None
-    if "rate" in raw:
-        config = SystemConfig.from_rate(n_relays, mean_snr, mean_energy, float(raw["rate"]))
-    else:
-        config = SystemConfig(
-            n_relays, mean_snr, mean_energy, float(raw.get("outage_threshold", 1.0))
-        )
-    return config, seed
+
+def load_config_file(path) -> tuple[SystemConfig, int | None]:
+    """Parse a key-value config file into (SystemConfig, seed).
+
+    One ``key = value`` pair per line ('=' or ':' separators, '#' comments).
+    Keys: n_relays, mean_snr OR mean_snr_db, mean_energy, outage_threshold
+    OR rate, and an optional seed.  SNR is stored linear.
+    """
+    return _resolve_scenario(_read_config_file(path))

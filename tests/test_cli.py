@@ -245,6 +245,74 @@ def test_preset_bytes_are_pinned(preset, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[preset]
 
 
+CONFIG_FILES = {
+    "snr_db": "n_relays = 2\nmean_snr_db = 20\nmean_energy = 2\nseed = 11\n",
+    "snr_rate": "n_relays = 2\nmean_snr = 50\nmean_energy = 0.5\nrate = 0.5\n",
+    "threshold": "n_relays = 2\nmean_snr_db = 15\nmean_energy = 1\noutage_threshold = 2\nseed = 5\n",
+}
+_MC = ["montecarlo", "--scheme", "threshold-checking", "--tau", "2", "--frames", "5000"]
+
+# (config file or None, argv) -> (exit code, sha256 of stdout); recorded before
+# the scenario resolver was shared between the config file and the CLI.
+CLI_PINS = {
+    ("snr_db", ("tradeoff-outage", "--grid", "5")):
+        (0, "3bbf33d425b12fc923541b3fcfdc5d768616151698a184e5dc739575a35fae11"),
+    ("snr_db", ("tradeoff-outage", "--grid", "5", "--mean-snr", "30")):
+        (0, "0621e0293a7e1c3fc0e46efb15bc238bdb0be7185bdf19bdadcc7bda8146e0c7"),
+    ("snr_db", ("tradeoff-capacity", "--grid", "5", "--mean-snr", "5")):
+        (0, "5f53fb1e789a1db33cc41867c97bd2645581eec256a1077cbfbd4989d72c1ee9"),
+    ("snr_rate", ("tradeoff-outage", "--grid", "5")):
+        (0, "734e047239248314f97a63596d0b974fbb6d6a91cc3ca62834ad013fc448ffc8"),
+    ("snr_rate", ("tradeoff-outage", "--grid", "5", "--mean-snr-db", "12")):
+        (0, "b4b127920680b7d45d4acd3b61dd481cff39709deffc8e81ee80e710d66ac774"),
+    ("snr_rate", ("tradeoff-outage", "--grid", "5", "--outage-threshold", "2")):
+        (0, "117454311844df381e4aeb28f34269cf8f83b70dd658add202fb659dabf3e7b7"),
+    ("threshold", ("tradeoff-outage", "--grid", "5")):
+        (0, "d68917687c65d659bdbd633d92d70c45865b5101dd2e760bc35cd9ddccff5633"),
+    ("threshold", ("tradeoff-outage", "--grid", "5", "--rate", "0.25")):
+        (0, "39c07ef5d9500476d5dbff47c968b48de6e9a7f6413439ab5df6f422d2e558d6"),
+    ("threshold", tuple(_MC)):
+        (0, "092da6d3ae1254a54024cb0876c68b96910b0d56b85b9752a1ef9216c2719335"),
+    ("threshold", tuple(_MC) + ("--seed", "3")):
+        (0, "1795cee72ff8da260953da13505d0c2eca441348b2a1ce99dfdb45f0c0918094"),
+    ("threshold", tuple(_MC) + ("--mean-snr", "40", "--rate", "0.5")):
+        (0, "a821d740b7f55bba03eceea926b700f5ff5dbf5103076b3e5da5a2192504f3c8"),
+    ("snr_rate", tuple(_MC)):
+        (0, "efd556643ca66b7e751acc1c518d812531a061741962b42163a28c1db56f6d9b"),
+    (None, ("tradeoff-outage", "--rate", "0.5")):
+        (0, "7dea31133e27aff6bcd5f59c8e04414fefdba050e9f98f1e37b2cb3769643d3c"),
+    (None, ("tradeoff-outage", "--rate", "0.75")):
+        (0, "8a6d13c447aea0b696e35396d266d8470ddac6c0f583a21235c634fb1431a5fd"),
+    (None, ("outage-vs-snr", "--n-relays", "3")):
+        (0, "61b26831bea372979b1db8c4c173855894e30561a1a8cbb632c4c7b83c7ce4ac"),
+    (None, ("capacity-vs-snr", "--snr-db=-5:25:7")):
+        (0, "6d093cca000cddd5a2b71f5e15f4dfd2ed2dae8762fa9f4452b282838d7802a0"),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(CLI_PINS),
+    ids=lambda c: "_".join((str(c[0]),) + c[1]).replace("--", "").replace(":", "_"),
+)
+def test_cli_output_is_pinned(case, tmp_path, capsys):
+    config, argv = case
+    if config is not None:
+        path = tmp_path / "scenario.cfg"
+        path.write_text(CONFIG_FILES[config])
+        argv = argv + ("--config", str(path))
+    code = main(list(argv))
+    text = capsys.readouterr().out
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == CLI_PINS[case]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+def test_tradeoff_outage_names_a_bad_threshold(value, capsys):
+    """The default geometry is derived from the threshold, so the error names it."""
+    assert main(["tradeoff-outage", "--outage-threshold", value]) == 2
+    err = capsys.readouterr().err
+    assert "outage_threshold" in err and "mean_snr" not in err
+
+
 def test_gnuplot_script(tmp_path):
     out = tmp_path / "fig4.csv"
     assert main(["tradeoff-capacity", "--preset", "fig4", "--grid", "5",

@@ -8,6 +8,7 @@ from relayswipt.model import SystemConfig
 from relayswipt.simulate import MonteCarloConfig, run
 from relayswipt.schemes import Metric, TimeSharing
 
+import oracles
 from conftest import capacity_quadrature
 
 LN2 = math.log(2.0)
@@ -121,7 +122,7 @@ def test_c_ts_composite_equality():
             for energy in np.linspace(lo, hi, 50):
                 energy = float(energy)
                 assert cf.c_ts(cfg, energy) == pytest.approx(
-                    cf.c_ts_composite(cfg, energy), rel=1e-10
+                    oracles.c_ts_composite(cfg, energy), rel=1e-10
                 )
 
 
@@ -175,7 +176,7 @@ def test_c_tc_composite_equality():
         for energy in np.linspace(lo, hi, 40):
             energy = float(energy)
             assert cf.c_tc(cfg, energy) == pytest.approx(
-                cf.c_tc_composite(cfg, energy), rel=1e-8
+                oracles.c_tc_composite(cfg, energy), rel=1e-8
             )
 
 
@@ -222,7 +223,7 @@ def test_c_wd_composite_equality():
         for energy in np.linspace(1.0, 1.5, 40):
             energy = float(energy)
             assert cf.c_wd(cfg, energy) == pytest.approx(
-                cf.c_wd_composite(cfg, energy), rel=1e-8
+                oracles.c_wd_composite(cfg, energy), rel=1e-8
             )
 
 
@@ -284,7 +285,7 @@ def test_outage_ts_composite_equality(config10):
         delta = float(delta)
         energy = cf.energy_from_delta(config10, delta)
         assert cf.outage_ts(config10, delta) == pytest.approx(
-            cf.outage_ts_composite(config10, energy), rel=1e-11
+            oracles.outage_ts_composite(config10, energy), rel=1e-11
         )
 
 
@@ -313,7 +314,7 @@ def test_outage_tc_composite_equality():
             energy = float(energy)
             delta = cf.delta_from_energy(cfg, energy)
             assert cf.outage_tc(cfg, delta) == pytest.approx(
-                cf.outage_tc_composite(cfg, energy), rel=1e-12
+                oracles.outage_tc_composite(cfg, energy), rel=1e-12
             )
 
 
@@ -332,7 +333,7 @@ def test_outage_wd_composite_equality(config10):
         delta = float(delta)
         energy = cf.energy_from_delta(config10, delta)
         assert cf.outage_wd(config10, delta) == pytest.approx(
-            cf.outage_wd_composite(config10, energy), rel=1e-8, abs=1e-12
+            oracles.outage_wd_composite(config10, energy), rel=1e-8, abs=1e-12
         )
 
 
