@@ -40,16 +40,7 @@ from .frontier import (
     pareto_capacity_point,
     solve_zeta_for_energy,
 )
-from .model import (
-    ChannelFrame,
-    SystemConfig,
-    instantaneous_capacity,
-    load_config_file,
-    outage_indicator,
-    sample_frame,
-    snr_from_db,
-    snr_to_db,
-)
+from .model import SystemConfig, snr_from_db
 from .schemes import (
     Metric,
     ParetoOptimal,
@@ -60,7 +51,7 @@ from .schemes import (
     select,
 )
 from .simulate import Estimate, MonteCarloConfig, SimulationResult, run
-from .specfun import exp_e1_scaled, exp_integral_e1, harmonic
+from .specfun import exp_e1_scaled, harmonic
 
 __version__ = "0.1.0"
 
@@ -73,12 +64,10 @@ __all__ = [
     "BracketError", "FrontierCurve", "ToleranceNotMetError",
     "capacity_frontier", "outage_frontier", "pareto_capacity_point",
     "solve_zeta_for_energy",
-    "ChannelFrame", "SystemConfig", "instantaneous_capacity",
-    "load_config_file", "outage_indicator", "sample_frame", "snr_from_db",
-    "snr_to_db",
+    "SystemConfig", "snr_from_db",
     "Metric", "ParetoOptimal", "SchemeParam", "ThresholdChecking",
     "TimeSharing", "WeightedDifference", "select",
     "Estimate", "MonteCarloConfig", "SimulationResult", "run",
-    "exp_e1_scaled", "exp_integral_e1", "harmonic",
+    "exp_e1_scaled", "harmonic",
     "__version__",
 ]

@@ -70,7 +70,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", encoding="utf-8", newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -157,9 +157,12 @@ def _preset_for(args) -> dict:
 # ---------------------------------------------------------------------------
 #  Subcommand handlers
 # ---------------------------------------------------------------------------
+# Each returns (header, rows, plot); ``main`` writes the CSV and, for
+# --gnuplot, a script plotting plot = (x column, y columns[, log y]) if set.
+_Table = tuple[list[str], list[list], tuple | None]
 
 
-def cmd_tradeoff_capacity(args) -> int:
+def cmd_tradeoff_capacity(args) -> _Table:
     preset = _preset_for(args)
     config, seed = _build_config(args, preset)
     x_axis = args.x_axis or preset.get("x_axis", "energy")
@@ -196,14 +199,10 @@ def cmd_tradeoff_capacity(args) -> int:
                     result.energy.mean, result.energy.std_error,
                 ]
         rows.append(row)
-    _write_csv(args.out, header, rows)
-    if args.gnuplot and args.out not in (None, "-"):
-        x_col = "energy" if x_axis == "energy" else "delta"
-        _write_gnuplot(args.out, header, x_col, ["c_ts", "c_tc", "c_wd", "c_pareto"])
-    return 0
+    return header, rows, (x_axis, ["c_ts", "c_tc", "c_wd", "c_pareto"])
 
 
-def cmd_tradeoff_outage(args) -> int:
+def cmd_tradeoff_outage(args) -> _Table:
     config, _ = _build_config(args, _preset_for(args))
     if args.mean_snr is None and args.mean_snr_db is None and not args.config:
         # default geometry maximizes the Pareto policy's feasible delta range
@@ -227,14 +226,10 @@ def cmd_tradeoff_outage(args) -> int:
             1.0 - cf.outage_wd(config, delta),
             pareto,
         ])
-    _write_csv(args.out, header, rows)
-    if args.gnuplot and args.out not in (None, "-"):
-        _write_gnuplot(args.out, header, "delta",
-                       ["noout_ts", "noout_tc", "noout_wd", "noout_pareto"])
-    return 0
+    return header, rows, ("delta", ["noout_ts", "noout_tc", "noout_wd", "noout_pareto"])
 
 
-def cmd_capacity_vs_snr(args) -> int:
+def cmd_capacity_vs_snr(args) -> _Table:
     preset = _preset_for(args)
     config, _ = _build_config(args, preset)
     snr_db_grid = _parse_grid(args.snr_db or preset.get("snr_db", "0:30:16"))
@@ -255,13 +250,10 @@ def cmd_capacity_vs_snr(args) -> int:
             zeta = zeta_for_delta(point_config, delta, Metric.CAPACITY)
             row.append(pareto_capacity_point(point_config, zeta).value)
         rows.append(row)
-    _write_csv(args.out, header, rows)
-    if args.gnuplot and args.out not in (None, "-"):
-        _write_gnuplot(args.out, header, "snr_db", header[1:])
-    return 0
+    return header, rows, ("snr_db", header[1:])
 
 
-def cmd_outage_vs_snr(args) -> int:
+def cmd_outage_vs_snr(args) -> _Table:
     preset = _preset_for(args)
     config, _ = _build_config(args, preset)
     ratio_db_grid = _parse_grid(args.ratio_db or preset.get("ratio_db", "0:30:16"))
@@ -284,10 +276,7 @@ def cmd_outage_vs_snr(args) -> int:
                 row.append(cf.outage_wd(point_config, delta))
                 row.append(_pareto_outage_at_delta(point_config, delta))
         rows.append(row)
-    _write_csv(args.out, header, rows)
-    if args.gnuplot and args.out not in (None, "-"):
-        _write_gnuplot(args.out, header, "ratio_db", header[1:], logscale_y=True)
-    return 0
+    return header, rows, ("ratio_db", header[1:], True)
 
 
 def _pareto_outage_at_delta(config: SystemConfig, delta: float) -> float:
@@ -301,7 +290,7 @@ def _pareto_outage_at_delta(config: SystemConfig, delta: float) -> float:
     return 1.0 - cf.pareto_no_outage(config, zeta)
 
 
-def cmd_montecarlo(args) -> int:
+def cmd_montecarlo(args) -> _Table:
     config, seed = _build_config(args, {})
     scheme = _scheme_from_args(args)
     mc = MonteCarloConfig(
@@ -325,8 +314,7 @@ def cmd_montecarlo(args) -> int:
         result.outage.mean, result.outage.std_error,
         result.low_confidence,
     ] + list(result.selection_counts)
-    _write_csv(args.out, header, [row])
-    return 0
+    return header, [row], None
 
 
 def _scheme_from_args(args) -> SchemeParam:
@@ -339,14 +327,10 @@ def _scheme_from_args(args) -> SchemeParam:
             raise ValueError("--tau is required for --scheme threshold-checking")
         return ThresholdChecking(tau=args.tau)
     if args.scheme == "weighted-difference":
-        if args.energy_only:
-            return WeightedDifference(nu=math.inf)
         if args.nu is None:
             raise ValueError("--nu is required for --scheme weighted-difference")
         return WeightedDifference(nu=args.nu)
     metric = Metric.CAPACITY if args.metric == "capacity" else Metric.OUTAGE_INDICATOR
-    if args.energy_only:
-        return ParetoOptimal(zeta=math.inf, metric=metric)
     if args.zeta is None:
         raise ValueError("--zeta is required for --scheme pareto")
     return ParetoOptimal(zeta=args.zeta, metric=metric)
@@ -405,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--nu", type=float, default=None)
     mc.add_argument("--zeta", type=float, default=None)
     mc.add_argument("--metric", choices=["capacity", "outage"], default="capacity")
-    mc.add_argument("--energy-only", action="store_true",
-                    help="use the infinite-weight (best-energy) limit")
     mc.add_argument("--frames", type=int, default=1_000_000)
     mc.add_argument("--batch-size", type=int, default=MonteCarloConfig.batch_size)
     mc.add_argument("--workers", type=int, default=MonteCarloConfig.n_workers)
@@ -419,9 +401,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        if args.gnuplot and args.out == "-":
+            raise ValueError("--gnuplot needs --out PATH: the plot script reads the CSV file")
+        header, rows, plot = args.handler(args)
+        _write_csv(args.out, header, rows)
+        if args.gnuplot and plot:
+            _write_gnuplot(args.out, header, *plot)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader left (``| head``); devnull takes what is still buffered
         with contextlib.suppress(AttributeError, OSError, ValueError):

@@ -98,16 +98,23 @@ def c_min(config: SystemConfig) -> float:
 
 
 def c_max(config: SystemConfig) -> float:
-    """Largest achievable ergodic capacity: always pick the best-SNR relay.
+    """Largest achievable ergodic capacity: always pick the best-SNR relay."""
+    return _best_snr_capacity_above(config, 0.0)
+
+
+def _best_snr_capacity_above(config: SystemConfig, tau: float) -> float:
+    """E[C(best SNR); best SNR >= tau] for finite tau >= 0.
 
     Alternating order-statistics sum over the N exponential end-to-end SNRs.
     """
     g = config.mean_snr
     n = config.n_relays
+    log1ptau = math.log1p(tau)
     total = 0.0
     for j in range(n):
         coeff = n * (-1.0) ** j * math.comb(n - 1, j) / (2.0 * (j + 1) * _LN2)
-        total += coeff * exp_e1_scaled(2.0 * (j + 1) / g)
+        damp = math.exp(-2.0 * (j + 1) * tau / g)
+        total += coeff * damp * (exp_e1_scaled(2.0 * (j + 1) * (1.0 + tau) / g) + log1ptau)
     return total
 
 
@@ -131,6 +138,14 @@ def _energy_fraction(config: SystemConfig, energy: float) -> float:
         raise ValueError(f"energy {energy!r} outside feasible range [{lo}, {hi}]")
     frac = (energy - lo) / (hi - lo)
     return min(max(frac, 0.0), 1.0)
+
+
+def _check_weight(name: str, value: float) -> float:
+    """A policy parameter (tau, nu or zeta): >= 0, math.inf allowed."""
+    value = float(value)
+    if math.isnan(value) or value < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
 
 
 def _check_delta(delta: float) -> float:
@@ -193,8 +208,7 @@ def tau_from_energy(config: SystemConfig, energy: float) -> float:
 def energy_tc_of_tau(config: SystemConfig, tau: float) -> float:
     """Average transferred energy of threshold checking with threshold tau."""
     _require_multi_relay(config)
-    if math.isnan(tau) or tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    tau = _check_weight("tau", tau)
     q = -math.expm1(-2.0 * tau / config.mean_snr)  # Pr{one SNR < tau}
     eps = config.mean_energy
     hn = harmonic(config.n_relays)
@@ -208,19 +222,14 @@ def c_tc_of_tau(config: SystemConfig, tau: float) -> float:
     capacity of an SNR-independent relay when every SNR is below tau.
     """
     _require_multi_relay(config)
-    if math.isnan(tau) or tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    tau = _check_weight("tau", tau)
     if math.isinf(tau):
         return c_min(config)
     g = config.mean_snr
     n = config.n_relays
     q = -math.expm1(-2.0 * tau / g)
     log1ptau = math.log1p(tau)
-    total = 0.0
-    for j in range(n):
-        coeff = n * (-1.0) ** j * math.comb(n - 1, j) / (2.0 * (j + 1) * _LN2)
-        damp = math.exp(-2.0 * (j + 1) * tau / g)
-        total += coeff * damp * (exp_e1_scaled(2.0 * (j + 1) * (1.0 + tau) / g) + log1ptau)
+    total = _best_snr_capacity_above(config, tau)
     below = (
         exp_e1_scaled(2.0 / g)
         - math.exp(-2.0 * tau / g) * exp_e1_scaled(2.0 * (1.0 + tau) / g)
@@ -261,8 +270,7 @@ def nu_from_energy(config: SystemConfig, energy: float) -> float:
 def energy_wd_of_nu(config: SystemConfig, nu: float) -> float:
     """Average transferred energy of the weighted-difference rule."""
     _require_two_relays(config)
-    if math.isnan(nu) or nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu!r}")
+    nu = _check_weight("nu", nu)
     eps = config.mean_energy
     if math.isinf(nu):
         return 1.5 * eps
@@ -279,8 +287,7 @@ def c_wd_of_nu(config: SystemConfig, nu: float) -> float:
     two one-sided perturbations of nu.
     """
     _require_two_relays(config)
-    if math.isnan(nu) or nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu!r}")
+    nu = _check_weight("nu", nu)
     if math.isinf(nu):
         return c_min(config)
     g = config.mean_snr
@@ -322,8 +329,7 @@ def outage_ts(config: SystemConfig, delta: float) -> float:
 def outage_tc_of_tau(config: SystemConfig, tau: float) -> float:
     """Threshold-checking outage probability as a function of tau."""
     _require_multi_relay(config)
-    if math.isnan(tau) or tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    tau = _check_weight("tau", tau)
     p1 = _single_outage(config)
     if tau <= config.outage_threshold:
         return p1 ** config.n_relays
@@ -349,8 +355,7 @@ def outage_wd_of_nu(config: SystemConfig, nu: float) -> float:
     2 * nu * mean_energy == mean_snr and is perturbed there the same way.
     """
     _require_two_relays(config)
-    if math.isnan(nu) or nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu!r}")
+    nu = _check_weight("nu", nu)
     a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
     if math.isinf(nu):
         return 1.0 - a
@@ -417,13 +422,6 @@ def array_gain(scheme: SchemeName, config: SystemConfig, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_zeta(zeta: float) -> float:
-    zeta = float(zeta)
-    if math.isnan(zeta) or zeta < 0.0:
-        raise ValueError(f"zeta must be >= 0, got {zeta!r}")
-    return zeta
-
-
 def pareto_outage_energy(config: SystemConfig, zeta: float) -> float:
     """Average transferred energy of the outage-metric Pareto policy.
 
@@ -431,7 +429,7 @@ def pareto_outage_energy(config: SystemConfig, zeta: float) -> float:
     policy's feasible energy range is [pareto_outage_energy_min, 1.5*eps]).
     """
     _require_two_relays(config)
-    zeta = _check_zeta(zeta)
+    zeta = _check_weight("zeta", zeta)
     eps = config.mean_energy
     a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
     t = 1.0 / (zeta * eps) if zeta > 0.0 else math.inf
@@ -443,7 +441,7 @@ def pareto_outage_energy(config: SystemConfig, zeta: float) -> float:
 def pareto_no_outage(config: SystemConfig, zeta: float) -> float:
     """No-outage probability of the outage-metric Pareto policy."""
     _require_two_relays(config)
-    zeta = _check_zeta(zeta)
+    zeta = _check_weight("zeta", zeta)
     a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
     if zeta == 0.0:
         decay = 0.0

@@ -1,4 +1,4 @@
-"""System configuration, per-frame channel realizations, and link metrics.
+"""System configuration, the channel-frame transform, and scenario resolution.
 
 A transmission frame consists of, for each of the N relays, an end-to-end
 two-hop SNR and an independent exponential harvestable energy with mean
@@ -21,28 +21,18 @@ import numpy as np
 
 __all__ = [
     "SystemConfig",
-    "ChannelFrame",
     "snr_from_db",
-    "snr_to_db",
     "uniforms_per_frame",
     "frames_from_uniforms",
-    "sample_frame",
-    "instantaneous_capacity",
-    "outage_indicator",
-    "load_config_file",
 ]
 
 
 def snr_from_db(db: float) -> float:
     """Convert an SNR in dB to linear scale."""
-    return 10.0 ** (float(db) / 10.0)
-
-
-def snr_to_db(linear: float) -> float:
-    """Convert a linear SNR to dB."""
-    if linear <= 0:
-        raise ValueError(f"linear SNR must be > 0, got {linear!r}")
-    return 10.0 * math.log10(float(linear))
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"mean_snr_db is too large for a linear SNR, got {db!r}") from None
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -89,54 +79,11 @@ class SystemConfig:
         reflects the two-phase half-duplex relaying.
         """
         rate = _require_positive("rate", rate)
-        return cls(n_relays, mean_snr, mean_energy, 2.0 ** (2.0 * rate) - 1.0)
-
-    @classmethod
-    def from_physical(
-        cls,
-        n_relays: int,
-        mean_snr: float,
-        absorption: float,
-        noise_power: float,
-        outage_threshold: float = 1.0,
-    ) -> "SystemConfig":
-        """Build a config from harvester and noise parameters.
-
-        ``absorption`` is the harvester's energy absorption coefficient
-        (0 < beta <= 1); the mean harvested energy is
-        ``absorption * noise_power * mean_snr``.  The transmit power cancels
-        out of that product and is not needed.
-        """
-        absorption = float(absorption)
-        if not (0.0 < absorption <= 1.0):
-            raise ValueError(f"absorption coefficient must be in (0, 1], got {absorption!r}")
-        noise_power = _require_positive("noise_power", noise_power)
-        mean_snr = _require_positive("mean_snr", mean_snr)
-        return cls(n_relays, mean_snr, absorption * noise_power * mean_snr, outage_threshold)
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelFrame:
-    """One frame's per-relay end-to-end SNRs and harvestable energies."""
-
-    snr: np.ndarray
-    energy: np.ndarray
-
-    def __post_init__(self):
-        snr = np.asarray(self.snr, dtype=float)
-        energy = np.asarray(self.energy, dtype=float)
-        if snr.ndim != 1 or energy.shape != snr.shape or snr.size < 1:
-            raise ValueError("snr and energy must be 1-d arrays of equal nonzero length")
-        if not (np.all(np.isfinite(snr)) and np.all(np.isfinite(energy))):
-            raise ValueError("frame entries must be finite")
-        if np.any(snr < 0.0) or np.any(energy < 0.0):
-            raise ValueError("frame entries must be nonnegative")
-        object.__setattr__(self, "snr", snr)
-        object.__setattr__(self, "energy", energy)
-
-    @property
-    def n_relays(self) -> int:
-        return self.snr.size
+        try:
+            threshold = 2.0 ** (2.0 * rate) - 1.0
+        except OverflowError:
+            raise ValueError(f"rate is too large for an outage threshold, got {rate!r}") from None
+        return cls(n_relays, mean_snr, mean_energy, threshold)
 
 
 def uniforms_per_frame(n_relays: int) -> int:
@@ -163,12 +110,10 @@ def frames_from_uniforms(config: SystemConfig, u: np.ndarray):
         copy of ``u[:, 2N]`` as it was before the call.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[None, :]
     n = config.n_relays
     need = uniforms_per_frame(n)
-    if u.shape[1] < need:
-        raise ValueError(f"need at least {need} uniforms per frame, got {u.shape[1]}")
+    if u.ndim != 2 or u.shape[1] < need:
+        raise ValueError(f"u must have shape (m, w) with w >= {need}, got {u.shape}")
     u = u[:, :need]
     coins = u[:, 2 * n].copy()
     # Whole rows, coin included, in one contiguous pass: 3x faster than a
@@ -179,39 +124,6 @@ def frames_from_uniforms(config: SystemConfig, u: np.ndarray):
         u[:, j] *= -0.5 * config.mean_snr
         u[:, n + j] *= -config.mean_energy
     return u[:, :n], u[:, n : 2 * n], coins
-
-
-def sample_frame(config: SystemConfig, rng: np.random.Generator) -> ChannelFrame:
-    """Draw one channel frame from a numpy Generator.
-
-    Consumes exactly 2N+1 uniform doubles in the fixed frame order, so two
-    generators in the same state produce identical frames.
-    """
-    u = rng.random(uniforms_per_frame(config.n_relays))
-    snr, energy, _ = frames_from_uniforms(config, u)
-    return ChannelFrame(snr=snr[0], energy=energy[0])
-
-
-def instantaneous_capacity(snr):
-    """Half-duplex instantaneous capacity 0.5 * log2(1 + snr), in bits/s/Hz.
-
-    Accepts a scalar or array; raises on negative or NaN input.
-    """
-    arr = np.asarray(snr, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
-        raise ValueError("snr must be nonnegative and not NaN")
-    out = 0.5 * np.log2(1.0 + arr)
-    return float(out) if np.isscalar(snr) or arr.ndim == 0 else out
-
-
-def outage_indicator(snr: float, threshold: float) -> int:
-    """1 if the SNR is strictly below the threshold, else 0.
-
-    Equality counts as no-outage; the boundary event has probability zero
-    under the continuous fading model, so the convention only pins down
-    test behavior.
-    """
-    return 1 if snr < threshold else 0
 
 
 # Scenario keys, each with the type a config file's text is read as.
@@ -254,7 +166,12 @@ def _resolve_scenario(*sources: dict) -> tuple[SystemConfig, int | None]:
 
 
 def _read_config_file(path) -> dict:
-    """Read a key-value config file into scenario keys (see load_config_file)."""
+    """Read a key-value config file into scenario keys for ``_resolve_scenario``.
+
+    One ``key = value`` pair per line ('=' or ':' separators, '#' comments).
+    Keys: n_relays, mean_snr OR mean_snr_db, mean_energy, outage_threshold
+    OR rate, and an optional seed.
+    """
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -282,12 +199,3 @@ def _read_config_file(path) -> dict:
         raise ValueError(f"config missing required keys: {sorted(missing) or ['mean_snr']}")
     return {key: kind(raw[key]) for key, kind in _CONFIG_KEYS.items() if key in raw}
 
-
-def load_config_file(path) -> tuple[SystemConfig, int | None]:
-    """Parse a key-value config file into (SystemConfig, seed).
-
-    One ``key = value`` pair per line ('=' or ':' separators, '#' comments).
-    Keys: n_relays, mean_snr OR mean_snr_db, mean_energy, outage_threshold
-    OR rate, and an optional seed.  SNR is stored linear.
-    """
-    return _resolve_scenario(_read_config_file(path))

@@ -14,10 +14,15 @@ below exist so results are reproducible:
 * weighted difference: exact tie selects relay 0;
 * Pareto policy: exact tie selects the relay with the larger energy, then
   relay 0;
-* outage metric: an SNR equal to the threshold is no outage, as in
-  ``model.outage_indicator`` and the Monte Carlo engine.
+* outage metric: an SNR equal to the threshold is no outage, as in the
+  Monte Carlo engine.
 
 An infinite weight (nu or zeta = math.inf) selects the best-energy relay.
+A NaN in what a rule compares raises ValueError: a NaN SNR or energy, or
+one that arithmetic on infinities makes (inf - inf, 0 * inf).  NaN
+propagates through a maximum, so the check takes one maximum of each row
+maximum or weighted difference a rule computes anyway, and of the SNR
+difference that the outage indicators would otherwise hide.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import ChannelFrame
 
 __all__ = [
     "Metric",
@@ -122,24 +125,44 @@ def validate_scheme(scheme: SchemeParam, n_relays: int) -> None:
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def select(frame: ChannelFrame, scheme: SchemeParam, coin: float = 0.0,
+def select(snr, energy, scheme: SchemeParam, coin: float = 0.0,
            outage_threshold: float = 1.0) -> int:
-    """Apply any scheme to a single frame."""
-    return int(select_indices(scheme, frame.snr[None, :], frame.energy[None, :],
+    """Apply any scheme to a single frame of per-relay SNRs and energies."""
+    snr = np.asarray(snr, dtype=float)
+    energy = np.asarray(energy, dtype=float)
+    if snr.ndim != 1 or energy.shape != snr.shape or snr.size < 1:
+        raise ValueError("snr and energy must be 1-d arrays of equal nonzero length")
+    if not (np.all(np.isfinite(snr)) and np.all(np.isfinite(energy))):
+        raise ValueError("frame entries must be finite")
+    if np.any(snr < 0.0) or np.any(energy < 0.0):
+        raise ValueError("frame entries must be nonnegative")
+    return int(select_indices(scheme, snr[None, :], energy[None, :],
                               np.array([coin]), outage_threshold)[0])
 
 
+def _reject_nan(*arrays: np.ndarray) -> None:
+    """Raise if any array holds a NaN: one maximum each, as NaN propagates through it."""
+    if any(math.isnan(a.max(initial=-math.inf)) for a in arrays):
+        raise ValueError("the selection rule compares a NaN: a NaN snr or energy, "
+                         "or inf - inf or 0 * inf")
+
+
 def _argmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise argmax (ties to the lowest index) and row maximum of an (m, N) array."""
+    """Row-wise argmax (ties to the lowest index) and row maximum of an (m, N) array.
+
+    Raises ValueError if x holds a NaN, which the row maximum propagates.
+    """
     if x.shape[1] == 2:
         a, b = x[:, 0], x[:, 1]
-        return (b > a).astype(np.intp), np.maximum(a, b)
-    top = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        np.maximum(top, x[:, j], out=top)
-    idx = np.zeros(x.shape[0], dtype=np.intp)
-    for j in range(x.shape[1] - 1, -1, -1):  # the lowest equal column writes last
-        np.copyto(idx, j, where=x[:, j] == top)
+        idx, top = (b > a).astype(np.intp), np.maximum(a, b)
+    else:
+        top = x[:, 0].copy()
+        for j in range(1, x.shape[1]):
+            np.maximum(top, x[:, j], out=top)
+        idx = np.zeros(x.shape[0], dtype=np.intp)
+        for j in range(x.shape[1] - 1, -1, -1):  # the lowest equal column writes last
+            np.putmask(idx, x[:, j] == top, j)
+    _reject_nan(top)
     return idx, top
 
 
@@ -189,13 +212,17 @@ def select_indices(
     rhs = weight * (e1 - e0)
     s0, s1 = snr[:, 0], snr[:, 1]
     if isinstance(scheme, WeightedDifference):
-        return (s0 - s1 < rhs).astype(np.intp)
-    if scheme.metric is Metric.CAPACITY:
+        lhs = s0 - s1
+    elif scheme.metric is Metric.CAPACITY:
         lhs = 0.5 * np.log2(1.0 + s0) - 0.5 * np.log2(1.0 + s1)
     else:
+        _reject_nan(s0 - s1)  # the indicators below would swallow a NaN SNR
         lhs = (s0 >= outage_threshold).astype(float) - (s1 >= outage_threshold).astype(float)
+    _reject_nan(lhs, rhs)
+    if isinstance(scheme, WeightedDifference):
+        return (lhs < rhs).astype(np.intp)
     # relay 1 if its metric gain beats its energy cost, or on a tie (no side
-    # ahead, NaN included) if it has more energy
+    # ahead) if it has more energy
     pick1 = lhs < rhs
     pick1 |= ~(lhs > rhs) & (e1 > e0)
     return pick1.astype(np.intp)

@@ -1,0 +1,24 @@
+import relayswipt
+
+# Every name the package exports.  A name belongs here if the CLI, the Monte
+# Carlo engine or the frontier uses it, or if it is a quantity of the paper.
+PUBLIC_NAMES = [
+    "BracketError", "Estimate", "FrontierCurve", "Metric", "MonteCarloConfig",
+    "ParetoOptimal", "SchemeParam", "SimulationResult", "SystemConfig",
+    "ThresholdChecking", "TimeSharing", "ToleranceNotMetError", "TradeoffPoint",
+    "WeightedDifference", "__version__", "array_gain", "asymptotic_outage",
+    "c_max", "c_min", "c_tc", "c_ts", "c_wd", "capacity_frontier",
+    "delta_from_energy", "delta_range_outage", "energy_bounds",
+    "energy_from_delta", "exp_e1_scaled", "harmonic", "mu_from_energy",
+    "nu_from_energy", "outage_frontier", "outage_tc", "outage_ts", "outage_wd",
+    "pareto_capacity_point", "pareto_no_outage", "pareto_outage_energy",
+    "pareto_outage_energy_min", "run", "select", "snr_from_db",
+    "solve_zeta_for_energy", "tau_from_energy",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(relayswipt.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 44
+    for name in PUBLIC_NAMES:
+        assert getattr(relayswipt, name) is not None

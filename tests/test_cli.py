@@ -172,13 +172,21 @@ def test_montecarlo_row_and_determinism(tmp_path):
     assert sum(counts) == 30000
 
 
-def test_montecarlo_energy_only_is_the_infinite_weight(tmp_path):
+def test_montecarlo_infinite_weight_is_best_energy(tmp_path):
+    """``--nu inf`` / ``--zeta inf`` estimate what time sharing with mu = 0 does."""
     base = ["montecarlo", "--mean-snr-db", "10", "--frames", "20000", "--seed", "2"]
-    for scheme, weight in (("weighted-difference", "--nu"), ("pareto", "--zeta")):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(base + ["--scheme", scheme, "--energy-only", "--out", str(a)]) == 0
-        assert main(base + ["--scheme", scheme, weight, "inf", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    want = tmp_path / "ts.csv"
+    assert main(base + ["--scheme", "time-sharing", "--mu", "0", "--out", str(want)]) == 0
+    _, (expected,) = read_csv(want)
+    for argv in (["--scheme", "weighted-difference", "--nu", "inf"],
+                 ["--scheme", "pareto", "--zeta", "inf"],
+                 ["--scheme", "pareto", "--metric", "outage", "--zeta", "inf"]):
+        got = tmp_path / "got.csv"
+        assert main(base + argv + ["--out", str(got)]) == 0
+        _, (row,) = read_csv(got)
+        assert row[1:] == expected[1:]  # all but the scheme name: estimates and counts
+    with pytest.raises(SystemExit):  # inf is the one spelling of the limit
+        main(base + ["--scheme", "pareto", "--energy-only"])
 
 
 def test_montecarlo_usage_errors(capsys):
@@ -311,6 +319,29 @@ def test_tradeoff_outage_names_a_bad_threshold(value, capsys):
     assert main(["tradeoff-outage", "--outage-threshold", value]) == 2
     err = capsys.readouterr().err
     assert "outage_threshold" in err and "mean_snr" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["tradeoff-outage", "--rate", "600"], "rate"),
+    (["montecarlo", "--scheme", "time-sharing", "--mu", "0.5", "--mean-snr-db", "4000"],
+     "mean_snr_db"),
+])
+def test_overflowing_scenario_is_a_usage_error(argv, name, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "-"]])
+@pytest.mark.parametrize("command", ["tradeoff-capacity", "tradeoff-outage",
+                                     "capacity-vs-snr", "outage-vs-snr", "montecarlo"])
+def test_gnuplot_needs_an_output_path(command, out, capsys):
+    argv = [command, "--gnuplot"] + out
+    if command == "montecarlo":
+        argv += ["--scheme", "time-sharing", "--mu", "0.5", "--frames", "1000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--gnuplot needs --out PATH" in captured.err
 
 
 def test_gnuplot_script(tmp_path):

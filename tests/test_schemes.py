@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relayswipt.model import ChannelFrame, SystemConfig, frames_from_uniforms
+from relayswipt.model import SystemConfig, frames_from_uniforms
 from relayswipt.schemes import (
     Metric,
     ParetoOptimal,
@@ -19,10 +19,6 @@ from relayswipt.schemes import (
 from relayswipt.simulate import frame_uniforms
 
 BEST_SNR, BEST_ENERGY = TimeSharing(mu=1.0), TimeSharing(mu=0.0)
-
-
-def frame(snr, energy):
-    return ChannelFrame(snr=np.asarray(snr, float), energy=np.asarray(energy, float))
 
 
 def oracle(snr, energy, scheme, coin, threshold):
@@ -74,69 +70,85 @@ def test_param_validation():
 
 
 def test_two_relay_schemes_reject_other_sizes():
-    f3 = frame([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    f3 = ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        select(f3, WeightedDifference(nu=1.0))
+        select(*f3, WeightedDifference(nu=1.0))
     with pytest.raises(ValueError):
-        select(f3, ParetoOptimal(zeta=1.0))
+        select(*f3, ParetoOptimal(zeta=1.0))
     with pytest.raises(ValueError):
         validate_scheme(WeightedDifference(nu=1.0), 3)
     with pytest.raises(ValueError):
         validate_scheme(ParetoOptimal(zeta=1.0), 1)
 
 
+def test_select_validates_the_frame():
+    with pytest.raises(ValueError, match="equal nonzero length"):
+        select([1.0, 2.0], [1.0], BEST_SNR)
+    with pytest.raises(ValueError, match="equal nonzero length"):
+        select([], [], BEST_SNR)
+    with pytest.raises(ValueError, match="equal nonzero length"):
+        select([[1.0, 2.0]], [[1.0, 1.0]], BEST_SNR)  # a batch is select_indices' job
+    with pytest.raises(ValueError, match="nonnegative"):
+        select([-1.0, 2.0], [1.0, 1.0], BEST_SNR)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            select([bad, 2.0], [1.0, 1.0], BEST_SNR)
+        with pytest.raises(ValueError, match="finite"):
+            select([1.0, 2.0], [1.0, bad], BEST_SNR)
+
+
 def test_argmax_examples():
-    assert select(frame([1.0, 3.0, 2.0], [0.0, 0.0, 0.0]), BEST_SNR) == 1
-    assert select(frame([0.0, 0.0], [4.0, 4.0]), BEST_ENERGY) == 0  # tie -> lowest index
-    assert select(frame([7.0], [1.0]), BEST_SNR) == 0
+    assert select([1.0, 3.0, 2.0], [0.0, 0.0, 0.0], BEST_SNR) == 1
+    assert select([0.0, 0.0], [4.0, 4.0], BEST_ENERGY) == 0  # tie -> lowest index
+    assert select([7.0], [1.0], BEST_SNR) == 0
 
 
 def test_time_sharing_examples():
-    f = frame([1.0, 3.0], [5.0, 2.0])
-    assert select(f, TimeSharing(mu=0.5), coin=0.0) == 1  # best SNR
-    assert select(f, TimeSharing(mu=0.5), coin=0.9) == 0  # best energy
+    f = ([1.0, 3.0], [5.0, 2.0])
+    assert select(*f, TimeSharing(mu=0.5), coin=0.0) == 1  # best SNR
+    assert select(*f, TimeSharing(mu=0.5), coin=0.9) == 0  # best energy
     for coin in (0.0, 0.5, 0.999999):
-        assert select(f, TimeSharing(mu=1.0), coin=coin) == 1
+        assert select(*f, TimeSharing(mu=1.0), coin=coin) == 1
 
 
 def test_threshold_examples():
-    f = frame([1.0, 3.0], [5.0, 2.0])
-    assert select(f, ThresholdChecking(tau=2.0)) == 1
-    assert select(f, ThresholdChecking(tau=4.0)) == 0
-    assert select(f, ThresholdChecking(tau=0.0)) == 1
-    assert select(f, ThresholdChecking(tau=math.inf)) == 0
+    f = ([1.0, 3.0], [5.0, 2.0])
+    assert select(*f, ThresholdChecking(tau=2.0)) == 1
+    assert select(*f, ThresholdChecking(tau=4.0)) == 0
+    assert select(*f, ThresholdChecking(tau=0.0)) == 1
+    assert select(*f, ThresholdChecking(tau=math.inf)) == 0
 
 
 def test_weighted_difference_examples():
-    dominant = frame([3.0, 1.0], [5.0, 2.0])
+    dominant = ([3.0, 1.0], [5.0, 2.0])
     for nu in (0.0, 1.0, 10.0, math.inf):
-        assert select(dominant, WeightedDifference(nu=nu)) == 0
-    f = frame([1.0, 3.0], [5.0, 2.0])
-    assert select(f, WeightedDifference(nu=0.0)) == 1  # reduces to max-SNR
-    assert select(f, WeightedDifference(nu=1.0)) == 0  # -2 > 1*(-3)
+        assert select(*dominant, WeightedDifference(nu=nu)) == 0
+    f = ([1.0, 3.0], [5.0, 2.0])
+    assert select(*f, WeightedDifference(nu=0.0)) == 1  # reduces to max-SNR
+    assert select(*f, WeightedDifference(nu=1.0)) == 0  # -2 > 1*(-3)
     # exact tie goes to the first relay
-    tied = frame([1.0, 3.0], [4.0, 2.0])  # lhs = -2, rhs = nu*(-2)
-    assert select(tied, WeightedDifference(nu=1.0)) == 0
+    tied = ([1.0, 3.0], [4.0, 2.0])  # lhs = -2, rhs = nu*(-2)
+    assert select(*tied, WeightedDifference(nu=1.0)) == 0
 
 
 def test_pareto_examples():
     # zero weight with the capacity metric is max-SNR selection
-    f = frame([1.0, 3.0], [5.0, 2.0])
-    assert select(f, ParetoOptimal(zeta=0.0, metric=Metric.CAPACITY)) == select(f, BEST_SNR)
+    f = ([1.0, 3.0], [5.0, 2.0])
+    assert select(*f, ParetoOptimal(zeta=0.0, metric=Metric.CAPACITY)) == select(*f, BEST_SNR)
     # infinite weight is best-energy selection
-    assert select(f, ParetoOptimal(zeta=math.inf)) == select(f, BEST_ENERGY) == 0
+    assert select(*f, ParetoOptimal(zeta=math.inf)) == select(*f, BEST_ENERGY) == 0
     outage = ParetoOptimal(zeta=0.1, metric=Metric.OUTAGE_INDICATOR)
     # both relays above threshold: metric tie broken by energy
-    assert select(frame([2.0, 3.0], [1.0, 4.0]), outage, outage_threshold=1.0) == 1
+    assert select([2.0, 3.0], [1.0, 4.0], outage, outage_threshold=1.0) == 1
     # one relay above threshold and worth its energy deficit
-    assert select(frame([2.0, 0.5], [1.0, 4.0]), outage, outage_threshold=1.0) == 0
+    assert select([2.0, 0.5], [1.0, 4.0], outage, outage_threshold=1.0) == 0
     # exact tie (equal metric, equal energy) goes to the first relay
-    f = frame([2.0, 3.0], [2.0, 2.0])
-    assert select(f, ParetoOptimal(zeta=0.5, metric=Metric.OUTAGE_INDICATOR)) == 0
+    f = ([2.0, 3.0], [2.0, 2.0])
+    assert select(*f, ParetoOptimal(zeta=0.5, metric=Metric.OUTAGE_INDICATOR)) == 0
 
 
 def test_outage_metric_counts_the_threshold_as_no_outage():
-    """snr == threshold is no outage, as in model.outage_indicator and the engine."""
+    """snr == threshold is no outage, as in the engine, which counts snr < threshold."""
     scheme = ParetoOptimal(zeta=0.1, metric=Metric.OUTAGE_INDICATOR)
     snr, energy = np.array([[1.0, 0.5]]), np.array([[1.0, 2.0]])
     assert select_indices(scheme, snr, energy, outage_threshold=1.0)[0] == 0
@@ -148,9 +160,9 @@ def test_outage_metric_counts_the_threshold_as_no_outage():
 )
 @settings(max_examples=200, deadline=None)
 def test_argmax_scale_invariance(values, scale):
-    f1 = frame(values, values)
-    f2 = frame([v * scale for v in values], values)
-    assert select(f1, BEST_SNR) == select(f2, BEST_SNR)
+    f1 = (values, values)
+    f2 = ([v * scale for v in values], values)
+    assert select(*f1, BEST_SNR) == select(*f2, BEST_SNR)
 
 
 @given(
@@ -167,12 +179,12 @@ def test_monotone_dominance(winner, coin, mu, tau, weight):
     energy = [1.0, 1.0]
     snr[winner] = 2.0
     energy[winner] = 2.0
-    f = frame(snr, energy)
-    assert select(f, TimeSharing(mu=mu), coin=coin) == winner
-    assert select(f, ThresholdChecking(tau=tau)) == winner
-    assert select(f, WeightedDifference(nu=weight)) == winner
+    f = (snr, energy)
+    assert select(*f, TimeSharing(mu=mu), coin=coin) == winner
+    assert select(*f, ThresholdChecking(tau=tau)) == winner
+    assert select(*f, WeightedDifference(nu=weight)) == winner
     for metric in Metric:
-        assert select(f, ParetoOptimal(zeta=weight, metric=metric), outage_threshold=1.5) == winner
+        assert select(*f, ParetoOptimal(zeta=weight, metric=metric), outage_threshold=1.5) == winner
 
 
 _TIE_VALUES = [0.0, 0.5, 1.0, 2.0]
@@ -210,8 +222,8 @@ def test_tie_heavy_batches_match_the_oracle(batch):
     for k in range(snr.shape[0]):
         expected = oracle(snr[k], energy[k], scheme, coins[k], threshold)
         assert vec[k] == expected
-        f = ChannelFrame(snr=snr[k], energy=energy[k])
-        assert select(f, scheme, coin=coins[k], outage_threshold=threshold) == expected
+        picked = select(snr[k], energy[k], scheme, coin=coins[k], outage_threshold=threshold)
+        assert picked == expected
 
 
 def test_select_indices_rejects_bad_shapes():
@@ -230,6 +242,55 @@ def test_select_indices_rejects_bad_shapes():
     with pytest.raises(ValueError, match="coins must have shape"):
         select_indices(scheme, snr, energy, coins[:, None])
     assert select_indices(scheme, snr, energy, coins).shape == (4,)
+
+
+_NAN_SCHEMES = [
+    TimeSharing(mu=0.0),
+    TimeSharing(mu=1.0),
+    ThresholdChecking(tau=1.0),
+    ThresholdChecking(tau=math.inf),
+    WeightedDifference(nu=0.5),
+    ParetoOptimal(zeta=0.5, metric=Metric.CAPACITY),
+    ParetoOptimal(zeta=0.5, metric=Metric.OUTAGE_INDICATOR),  # ">=" alone swallows NaN
+]
+
+
+@pytest.mark.parametrize("scheme, n_relays", [
+    (scheme, n) for scheme in _NAN_SCHEMES for n in (1, 2, 3)
+    if n == 2 or isinstance(scheme, (TimeSharing, ThresholdChecking))
+], ids=repr)
+@pytest.mark.parametrize("array", ["snr", "energy"])
+def test_select_indices_rejects_nan(scheme, n_relays, array):
+    frames = {"snr": np.full((3, n_relays), 2.0), "energy": np.ones((3, n_relays))}
+    frames[array][1, n_relays - 1] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        select_indices(scheme, frames["snr"], frames["energy"], np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("scheme", [WeightedDifference(nu=math.inf),
+                                    ParetoOptimal(zeta=math.inf)], ids=repr)
+def test_infinite_weight_reads_and_checks_only_energy(scheme):
+    snr, energy = np.array([[1.0, math.nan]]), np.array([[1.0, math.nan]])
+    with pytest.raises(ValueError, match="NaN"):
+        select_indices(scheme, np.ones((1, 2)), energy)
+    assert select_indices(scheme, snr, np.array([[1.0, 2.0]]))[0] == 1
+
+
+@pytest.mark.parametrize("metric", [None, Metric.CAPACITY])
+def test_two_relay_rules_reject_nan_made_from_infinities(metric):
+    """inf - inf (two infinite SNRs) and 0 * inf (zero weight, infinite energy gap) are NaN."""
+    def rule(weight):
+        return WeightedDifference(weight) if metric is None else ParetoOptimal(weight, metric)
+    ones = np.array([[1.0, 1.0]])
+    with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
+        select_indices(rule(0.5), np.array([[math.inf, math.inf]]), ones)
+    with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
+        select_indices(rule(0.0), ones, np.array([[1.0, math.inf]]))
+
+
+def test_select_indices_takes_an_empty_batch():
+    for scheme in _NAN_SCHEMES:
+        assert select_indices(scheme, np.ones((0, 2)), np.ones((0, 2)), np.zeros(0)).size == 0
 
 
 def _random_batch(seed, count):
@@ -265,8 +326,8 @@ def test_vectorized_matches_scalar_on_random_frames():
         for k in range(0, 2000, 97):
             expected = oracle(snr[k], energy[k], scheme, coins[k], 1.0)
             assert vec[k] == expected
-            f = ChannelFrame(snr=snr[k], energy=energy[k])
-            assert select(f, scheme, coin=coins[k], outage_threshold=1.0) == expected
+            picked = select(snr[k], energy[k], scheme, coin=coins[k], outage_threshold=1.0)
+            assert picked == expected
 
 
 def test_pareto_outage_agrees_with_case_enumeration():
