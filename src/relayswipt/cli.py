@@ -32,6 +32,7 @@ from . import closedform as cf
 from .frontier import (
     BracketError,
     ToleranceNotMetError,
+    _shared_integrals,
     capacity_frontier,
     pareto_capacity_point,
     zeta_for_delta,
@@ -45,7 +46,7 @@ from .schemes import (
     TimeSharing,
     WeightedDifference,
 )
-from .simulate import MonteCarloConfig, run
+from .simulate import MonteCarloConfig, _shared_frames, run
 
 _LN2 = math.log(2.0)
 
@@ -174,31 +175,33 @@ def cmd_tradeoff_capacity(args) -> _Table:
             header += [f"mc_c_{name}", f"mc_c_{name}_stderr",
                        f"mc_e_{name}", f"mc_e_{name}_stderr"]
     rows = []
-    for delta, point, zeta in zip(deltas, frontier.points, frontier.zetas):
-        delta = float(delta)
-        energy = cf.energy_from_delta(config, delta)
-        row = [
-            delta,
-            energy,
-            cf.c_ts(config, energy),
-            cf.c_tc(config, energy),
-            cf.c_wd(config, energy),
-            point.value,
-        ]
-        if args.with_mc:
-            schemes = [
-                TimeSharing(mu=cf.mu_from_energy(config, energy)),
-                ThresholdChecking(tau=cf.tau_from_energy(config, energy)),
-                WeightedDifference(nu=cf.nu_from_energy(config, energy)),
-                ParetoOptimal(zeta=zeta, metric=Metric.CAPACITY),
+    # every overlay run has the same (config, seed, n_frames): draw its frames once
+    with _shared_frames():
+        for delta, point, zeta in zip(deltas, frontier.points, frontier.zetas):
+            delta = float(delta)
+            energy = cf.energy_from_delta(config, delta)
+            row = [
+                delta,
+                energy,
+                cf.c_ts(config, energy),
+                cf.c_tc(config, energy),
+                cf.c_wd(config, energy),
+                point.value,
             ]
-            for scheme in schemes:
-                result = run(config, scheme, MonteCarloConfig(args.frames, seed))
-                row += [
-                    result.capacity.mean, result.capacity.std_error,
-                    result.energy.mean, result.energy.std_error,
+            if args.with_mc:
+                schemes = [
+                    TimeSharing(mu=cf.mu_from_energy(config, energy)),
+                    ThresholdChecking(tau=cf.tau_from_energy(config, energy)),
+                    WeightedDifference(nu=cf.nu_from_energy(config, energy)),
+                    ParetoOptimal(zeta=zeta, metric=Metric.CAPACITY),
                 ]
-        rows.append(row)
+                for scheme in schemes:
+                    result = run(config, scheme, MonteCarloConfig(args.frames, seed))
+                    row += [
+                        result.capacity.mean, result.capacity.std_error,
+                        result.energy.mean, result.energy.std_error,
+                    ]
+            rows.append(row)
     return header, rows, (x_axis, ["c_ts", "c_tc", "c_wd", "c_pareto"])
 
 
@@ -239,17 +242,19 @@ def cmd_capacity_vs_snr(args) -> _Table:
         for name in ("ts", "tc", "wd", "pareto"):
             header.append(f"c_{name}_d{delta:g}")
     rows = []
-    for snr_db in snr_db_grid:
-        point_config = dataclasses.replace(config, mean_snr=snr_from_db(snr_db))
-        row = [float(snr_db)]
-        for delta in deltas:
-            energy = cf.energy_from_delta(point_config, delta)
-            row.append(cf.c_ts(point_config, energy))
-            row.append(cf.c_tc(point_config, energy))
-            row.append(cf.c_wd(point_config, energy))
-            zeta = zeta_for_delta(point_config, delta, Metric.CAPACITY)
-            row.append(pareto_capacity_point(point_config, zeta).value)
-        rows.append(row)
+    # a point reuses the rungs its weight solve integrated at the same weight
+    with _shared_integrals():
+        for snr_db in snr_db_grid:
+            point_config = dataclasses.replace(config, mean_snr=snr_from_db(snr_db))
+            row = [float(snr_db)]
+            for delta in deltas:
+                energy = cf.energy_from_delta(point_config, delta)
+                row.append(cf.c_ts(point_config, energy))
+                row.append(cf.c_tc(point_config, energy))
+                row.append(cf.c_wd(point_config, energy))
+                zeta = zeta_for_delta(point_config, delta, Metric.CAPACITY)
+                row.append(pareto_capacity_point(point_config, zeta).value)
+            rows.append(row)
     return header, rows, ("snr_db", header[1:])
 
 

@@ -13,12 +13,23 @@ track it.  One node-doubling ladder certifies both uses: a frontier point
 needs both coordinates within its tolerance, the weight solve's forward map
 only the energy.
 
+The integrals are a pure function of (config, zeta, rung), and one
+frontier asks for many of them more than once: each weight solve grows its
+bracket through the same zeta = 1, 2, 4, ..., and a point integrates again
+the rungs its solve's last step computed.  Inside a ``_shared_integrals()``
+scope each is evaluated once.  ``capacity_frontier`` opens a scope for its
+own call when none is open, and the CLI's ``capacity-vs-snr`` opens one for
+the whole command; the memo is dropped when its scope ends, so nothing is
+kept between calls or commands.
+
 The outage frontier needs no integration: both coordinates have closed
 forms, and only the weight solve is numerical.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -143,6 +154,27 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float,
     return energy, capacity
 
 
+# (config, zeta, outer, inner) -> integrals, for the open _shared_integrals scope.
+_integral_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_integral_memo", default=None)
+
+
+@contextlib.contextmanager
+def _shared_integrals():
+    """Evaluate each quadrature rung once inside the scope.
+
+    A scope opened inside another one joins it.
+    """
+    if _integral_memo.get() is not None:
+        yield
+        return
+    token = _integral_memo.set({})
+    try:
+        yield
+    finally:
+        _integral_memo.reset(token)
+
+
 def _certified_integrals(config: SystemConfig, zeta: float, tol: float,
                          coords: int, name: str):
     """(energy, capacity) from the first rung of the quadrature ladder that
@@ -152,9 +184,16 @@ def _certified_integrals(config: SystemConfig, zeta: float, tol: float,
     Raises:
         ToleranceNotMetError: naming ``name``, if no rung does.
     """
+    memo = _integral_memo.get()
     prev = None
     for outer, inner in _GL_LADDER:
-        cur = _capacity_policy_integrals(config, zeta, outer, inner)
+        if memo is None:
+            cur = _capacity_policy_integrals(config, zeta, outer, inner)
+        else:
+            key = (config, zeta, outer, inner)
+            cur = memo.get(key)
+            if cur is None:
+                cur = memo[key] = _capacity_policy_integrals(config, zeta, outer, inner)
         if prev is not None and max(abs(c - p) for c, p in zip(cur[:coords], prev)) < tol:
             return cur
         prev = cur
@@ -298,12 +337,13 @@ def capacity_frontier(
         deltas = np.linspace(0.0, 1.0, 21)
     points, zetas = [], []
     worst = 0.0
-    for delta in deltas:
-        zeta = zeta_for_delta(config, float(delta), Metric.CAPACITY, point_tol=tol / 4.0)
-        points.append(pareto_capacity_point(config, zeta, tol=tol))
-        zetas.append(zeta)
-        if 0.0 < zeta < math.inf:
-            worst = tol
+    with _shared_integrals():
+        for delta in deltas:
+            zeta = zeta_for_delta(config, float(delta), Metric.CAPACITY, point_tol=tol / 4.0)
+            points.append(pareto_capacity_point(config, zeta, tol=tol))
+            zetas.append(zeta)
+            if 0.0 < zeta < math.inf:
+                worst = tol
     return FrontierCurve(points=tuple(points), zetas=tuple(zetas), tolerance=worst)
 
 

@@ -18,12 +18,23 @@ A chunk's frames are transformed in place in one contiguous array; the
 selection rules read its SNR and energy columns one at a time, and the
 selected relay's SNR and energy are gathered from it by flat index
 k(2N+1) + relay.
+
+Runs that share (config, seed, n_frames) read the same frames, so a caller
+that makes many of them (the CLI's ``--with-mc`` overlay: one run per
+scheme and tradeoff factor) may open ``_shared_frames()`` around them.
+Inside that scope each chunk is drawn and transformed once and kept,
+read-only, for every later run of the scope, up to ``_CHUNK_BYTES`` of
+frames in all; chunks past the cap are drawn per run.  Nothing outlives the
+scope, and runs outside any scope keep nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,7 +142,54 @@ def frame_uniforms(seed: int, n_relays: int, start: int, count: int) -> np.ndarr
     return gen.random(skip + count * words)[skip:].reshape(count, words)
 
 
-def _chunk_stats(config, scheme, seed, start, count):
+class _FrameMemo:
+    """Transformed chunks of one ``_shared_frames`` scope, by (config, seed, start, count)."""
+
+    def __init__(self):
+        self.chunks = {}
+        self.nbytes = 0
+        self.lock = threading.Lock()  # chunks are evaluated on worker threads
+
+
+_frame_memo: contextvars.ContextVar[_FrameMemo | None] = contextvars.ContextVar(
+    "_frame_memo", default=None)
+
+
+@contextlib.contextmanager
+def _shared_frames():
+    """Share drawn and transformed chunks among the runs made inside the scope."""
+    token = _frame_memo.set(_FrameMemo())
+    try:
+        yield
+    finally:
+        _frame_memo.reset(token)
+
+
+def _chunk_frames(config, seed, start, count, memo):
+    """(frames, snr, energy, coins) of frames [start, start+count).
+
+    ``frames`` is the transformed (count, 2N+1) array; ``snr`` and
+    ``energy`` are views into it.  With a memo, a chunk it holds is
+    returned as it is, and a new one is kept, read-only, while the memo
+    stays within ``_CHUNK_BYTES``.
+    """
+    key = (config, int(seed), start, count)
+    if memo is not None and (chunk := memo.chunks.get(key)) is not None:
+        return chunk
+    u = frame_uniforms(seed, config.n_relays, start, count)
+    chunk = (u, *frames_from_uniforms(config, u))  # views into u, transformed in place
+    if memo is not None:
+        nbytes = u.nbytes + chunk[3].nbytes
+        with memo.lock:
+            if key not in memo.chunks and memo.nbytes + nbytes <= _CHUNK_BYTES:
+                for array in chunk:
+                    array.flags.writeable = False
+                memo.chunks[key] = chunk
+                memo.nbytes += nbytes
+    return chunk
+
+
+def _chunk_stats(config, scheme, seed, start, count, memo):
     """Per-statistics-block sums for frames [start, start+count).
 
     Returns a (5, blocks) array of the capacity, squared capacity, energy,
@@ -139,8 +197,7 @@ def _chunk_stats(config, scheme, seed, start, count):
     ``start`` must be a multiple of the statistics block size.
     """
     n = config.n_relays
-    u = frame_uniforms(seed, n, start, count)
-    snr, energy, coins = frames_from_uniforms(config, u)  # views into u, transformed in place
+    u, snr, energy, coins = _chunk_frames(config, seed, start, count, memo)
     threshold = config.outage_threshold
     sel = select_indices(scheme, snr, energy, coins, threshold)
     # Flat index of each frame's selected SNR in the contiguous frame array;
@@ -190,9 +247,10 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
     max_blocks = _CHUNK_BYTES // (frame_bytes * _STAT_BLOCK)
     chunk = max(1, min(-(-mc.batch_size // _STAT_BLOCK), max_blocks)) * _STAT_BLOCK
     jobs = [(s, min(chunk, n - s)) for s in range(0, n, chunk)]
+    memo = _frame_memo.get()  # read here: worker threads do not see this context
 
     def stats(job):
-        return _chunk_stats(config, scheme, mc.seed, *job)
+        return _chunk_stats(config, scheme, mc.seed, *job, memo)
 
     if mc.n_workers == 1 or len(jobs) == 1:
         results = [stats(job) for job in jobs]

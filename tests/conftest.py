@@ -1,11 +1,13 @@
 """Shared oracles and helpers for the test suite."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import relayswipt.frontier as frontier
 from relayswipt import SystemConfig
 
 
@@ -59,3 +61,17 @@ def config10():
 @pytest.fixture
 def config100():
     return SystemConfig(2, 100.0, 1.0, 1.0)
+
+
+@pytest.fixture
+def integral_calls(monkeypatch):
+    """Counts of _capacity_policy_integrals calls by (config, zeta, outer, inner)."""
+    calls = Counter()
+    integrals = frontier._capacity_policy_integrals
+
+    def spy(config, zeta, outer_nodes, inner_nodes):
+        calls[config, zeta, outer_nodes, inner_nodes] += 1
+        return integrals(config, zeta, outer_nodes, inner_nodes)
+
+    monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy)
+    return calls

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import relayswipt.closedform as cf
 import relayswipt.frontier as frontier
+import relayswipt.simulate as simulate
 from relayswipt.cli import main
 from relayswipt.model import SystemConfig, snr_from_db
 from relayswipt.schemes import Metric, ParetoOptimal
@@ -81,6 +83,45 @@ def test_with_mc_reuses_the_frontier_weights(tmp_path, monkeypatch):
                      MonteCarloConfig(frames, seed))
         assert cell(header, row, "mc_c_pareto") == result.capacity.mean
         assert cell(header, row, "mc_e_pareto") == result.energy.mean
+
+
+@pytest.mark.parametrize("frames, chunks", [(10_000, 1), (None, 10)])
+def test_with_mc_draws_each_chunk_once(frames, chunks, monkeypatch, capsys):
+    drawn = Counter()
+    draw = simulate.frame_uniforms
+
+    def spy(seed, n_relays, start, count):
+        drawn[seed, n_relays, start, count] += 1
+        return draw(seed, n_relays, start, count)
+
+    monkeypatch.setattr(simulate, "frame_uniforms", spy)
+    argv = ["tradeoff-capacity", "--with-mc", "--seed", "4"]
+    assert main(argv + (["--frames", str(frames)] if frames else [])) == 0
+    assert len(drawn) == chunks and set(drawn.values()) == {1}
+    assert simulate._frame_memo.get() is None
+
+
+def test_only_the_overlay_shares_frames(monkeypatch, capsys):
+    memos = []
+    chunk_stats = simulate._chunk_stats
+
+    def spy(*args):
+        memos.append(args[-1])
+        return chunk_stats(*args)
+
+    monkeypatch.setattr(simulate, "_chunk_stats", spy)
+    assert main(["montecarlo", "--scheme", "time-sharing", "--mu", "0.5",
+                 "--frames", "30000", "--workers", "2"]) == 0
+    run(SystemConfig(2, 10.0, 1.0, 1.0), ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY),
+        MonteCarloConfig(30_000))
+    assert len(memos) == 6 and set(memos) == {None}
+    assert main(["tradeoff-capacity", "--with-mc", "--grid", "2", "--frames", "20000"]) == 0
+    assert len(memos) == 6 + 16 and None not in memos[6:]
+
+
+def test_capacity_vs_snr_evaluates_each_rung_once(integral_calls, capsys):
+    assert main(["capacity-vs-snr", "--preset", "fig6"]) == 0
+    assert max(integral_calls.values()) == 1 and sum(integral_calls.values()) <= 387
 
 
 def test_tradeoff_outage_fig5(tmp_path):

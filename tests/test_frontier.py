@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relayswipt.closedform as cf
+import relayswipt.frontier as frontier
 from relayswipt.frontier import (
     BracketError,
     FrontierCurve,
@@ -170,6 +171,32 @@ def test_capacity_frontier_shape_and_dominance(config100):
         energy = min(point.energy, 1.5)
         for scheme_curve in (cf.c_ts, cf.c_tc, cf.c_wd):
             assert point.value >= scheme_curve(config100, energy) - 1e-3
+
+
+def test_frontier_evaluates_each_rung_once(integral_calls):
+    config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    curve = capacity_frontier(config)
+    assert max(integral_calls.values()) == 1
+    assert sum(integral_calls.values()) <= 280
+    # the memo ends with the call: a second frontier integrates everything again
+    first = dict(integral_calls)
+    assert frontier._integral_memo.get() is None
+    assert capacity_frontier(config) == curve
+    assert dict(integral_calls) == {key: 2 for key in first}
+
+
+def test_an_open_scope_is_joined_and_then_dropped(integral_calls):
+    config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    with frontier._shared_integrals():
+        memo = frontier._integral_memo.get()
+        zeta = zeta_for_delta(config, 0.5, Metric.CAPACITY)
+        capacity_frontier(config, [0.5])
+        assert frontier._integral_memo.get() is memo
+        pareto_capacity_point(config, zeta)
+    assert max(integral_calls.values()) == 1
+    assert frontier._integral_memo.get() is None
+    pareto_capacity_point(config, zeta)
+    assert max(integral_calls.values()) == 2
 
 
 def test_outage_frontier_endpoints_and_dominance():

@@ -91,6 +91,80 @@ def test_chunk_memory_stays_under_the_cap(n_relays):
     assert simulate._CHUNK_BYTES / 2 < peak <= simulate._CHUNK_BYTES
 
 
+@given(
+    st.integers(1, 50_000),
+    st.integers(1, 60_000),
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([simulate._CHUNK_BYTES, 2**20]),
+)
+@settings(max_examples=30, deadline=None)
+def test_runs_in_a_frame_scope_equal_runs_outside(n_frames, batch_size, n_workers, seed, cap):
+    """Also with a memo cap of 1 MiB, which holds two 10,000-frame chunks at N = 2
+    (400 kB of frames and 80 kB of coins each), so later chunks spill."""
+    cfg = SystemConfig(2, 10.0, 1.0, 1.0)
+    schemes = [TimeSharing(mu=0.3), WeightedDifference(nu=0.7),
+               ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK_BYTES", cap)
+        mc = MonteCarloConfig(n_frames, seed, batch_size=batch_size, n_workers=n_workers)
+        outside = [run(cfg, scheme, mc) for scheme in schemes]
+        with simulate._shared_frames():
+            inside = [run(cfg, scheme, mc) for scheme in schemes + schemes]
+            assert simulate._frame_memo.get().nbytes <= cap
+    assert inside == outside + outside
+
+
+def test_frame_scope_spills_past_its_cap(config10, monkeypatch):
+    drawn = []
+    draw = simulate.frame_uniforms
+
+    def spy(seed, n_relays, start, count):
+        drawn.append(start)
+        return draw(seed, n_relays, start, count)
+
+    monkeypatch.setattr(simulate, "frame_uniforms", spy)
+    monkeypatch.setattr(simulate, "_CHUNK_BYTES", 2**20)
+    mc = MonteCarloConfig(50_000, seed=2, batch_size=10_000, n_workers=2)
+    scheme = TimeSharing(mu=0.5)
+    reference = run(config10, scheme, mc)
+    drawn.clear()
+    with simulate._shared_frames():
+        assert run(config10, scheme, mc) == run(config10, scheme, mc) == reference
+        memo = simulate._frame_memo.get()
+        assert len(memo.chunks) == 2 and memo.nbytes == 2 * 480_000
+    assert len(drawn) == 5 + 3
+
+
+def test_shared_frames_are_read_only(config10):
+    with simulate._shared_frames():
+        run(config10, TimeSharing(mu=0.5), MonteCarloConfig(20_000, seed=1))
+        chunks = list(simulate._frame_memo.get().chunks.values())
+    assert len(chunks) == 2
+    for chunk in chunks:
+        for array in chunk:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+def test_a_frame_scope_retains_at_most_the_cap():
+    """Four large runs with different seeds would keep ~37 MiB of frames and coins."""
+    cfg = SystemConfig(1, 10.0, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        with simulate._shared_frames():
+            for seed in range(4):
+                mc = MonteCarloConfig(300_000, seed, batch_size=10**9, n_workers=1)
+                run(cfg, TimeSharing(mu=0.5), mc)
+            retained = tracemalloc.get_traced_memory()[0]
+            kept = simulate._frame_memo.get().nbytes
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert simulate._CHUNK_BYTES / 2 < kept <= retained <= simulate._CHUNK_BYTES
+    assert left < 2**20
+
+
 def test_single_chunk_runs_without_a_pool(config10, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-chunk run started a thread pool")
