@@ -99,14 +99,15 @@ def _write_gnuplot(out_path: str, header: list[str], x_column: str, y_columns: l
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:num' into a uniform grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be 'start:stop:num', got {text!r}")
-    start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-    if num < 2 or stop <= start:
-        raise ValueError(f"grid needs stop > start and num >= 2, got {text!r}")
+def _parse_grid(text: str, flag: str) -> np.ndarray:
+    """Parse 'start:stop:num' into a uniform grid; ``flag`` names it in errors."""
+    try:
+        start, stop, num = text.split(":")
+        start, stop, num = float(start), float(stop), int(num)
+    except ValueError:
+        raise ValueError(f"{flag} must be 'start:stop:num', got {text!r}") from None
+    if not (-math.inf < start < stop < math.inf and num >= 2):
+        raise ValueError(f"{flag} needs finite start < stop and num >= 2, got {text!r}")
     return np.linspace(start, stop, num)
 
 
@@ -114,23 +115,43 @@ def _parse_deltas(text: str) -> list[float]:
     deltas = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     if not deltas or any(not 0.0 <= d <= 1.0 for d in deltas):
         raise ValueError(f"deltas must be a comma list within [0, 1], got {text!r}")
+    if len({f"{d:g}" for d in deltas}) != len(deltas):  # f"{d:g}" names d's columns
+        raise ValueError(f"deltas must be distinct to 6 significant digits, got {text!r}")
     return deltas
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+def _add_command(subs, name: str, handler, help: str, *, mean_snr: bool,
+                 threshold: bool, seed: bool, gnuplot: bool) -> argparse.ArgumentParser:
+    """A subcommand with the scenario and output flags its handler reads.
+
+    Its presets come from ``_PRESETS``.  A config file may still set any
+    scenario key, so that one file serves every command.
+    """
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(handler=handler)
+    presets = [preset for preset, keys in _PRESETS.items() if keys["command"] == name]
+    if presets:
+        sub.add_argument("--preset", choices=presets)
     sub.add_argument("--config", help="key-value config file; flags override it")
     sub.add_argument("--n-relays", type=int, default=None)
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--mean-snr", type=float, default=None, help="mean per-hop SNR, linear")
-    group.add_argument("--mean-snr-db", type=float, default=None, help="mean per-hop SNR, dB")
+    if mean_snr:
+        group = sub.add_mutually_exclusive_group()
+        group.add_argument("--mean-snr", type=float, default=None, help="mean per-hop SNR, linear")
+        group.add_argument("--mean-snr-db", type=float, default=None, help="mean per-hop SNR, dB")
     sub.add_argument("--mean-energy", type=float, default=None)
-    thr = sub.add_mutually_exclusive_group()
-    thr.add_argument("--outage-threshold", type=float, default=None, help="linear SNR threshold")
-    thr.add_argument("--rate", type=float, default=None, help="rate r; threshold = 2^(2r) - 1")
-    sub.add_argument("--seed", type=int, default=None)
+    if threshold:
+        thr = sub.add_mutually_exclusive_group()
+        thr.add_argument("--outage-threshold", type=float, default=None,
+                         help="linear SNR threshold")
+        thr.add_argument("--rate", type=float, default=None,
+                         help="rate r; threshold = 2^(2r) - 1")
+    if seed:
+        sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default="-", help="CSV output path, '-' for stdout")
-    sub.add_argument("--gnuplot", action="store_true",
-                     help="also write a <out>.gp plot script (needs --out)")
+    if gnuplot:
+        sub.add_argument("--gnuplot", action="store_true",
+                         help="also write a <out>.gp plot script (needs --out)")
+    return sub
 
 
 def _build_config(args, preset: dict) -> tuple[SystemConfig, int]:
@@ -145,16 +166,6 @@ def _checked_grid(grid: int) -> int:
     return grid
 
 
-def _preset_for(args) -> dict:
-    name = getattr(args, "preset", None)
-    if not name:
-        return {}
-    preset = _PRESETS[name]
-    if preset["command"] != args.command:
-        raise ValueError(f"preset {name!r} belongs to command {preset['command']!r}")
-    return preset
-
-
 # ---------------------------------------------------------------------------
 #  Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -164,7 +175,7 @@ _Table = tuple[list[str], list[list], tuple | None]
 
 
 def cmd_tradeoff_capacity(args) -> _Table:
-    preset = _preset_for(args)
+    preset = _PRESETS.get(args.preset, {})
     config, seed = _build_config(args, preset)
     x_axis = args.x_axis or preset.get("x_axis", "energy")
     deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid))
@@ -206,7 +217,7 @@ def cmd_tradeoff_capacity(args) -> _Table:
 
 
 def cmd_tradeoff_outage(args) -> _Table:
-    config, _ = _build_config(args, _preset_for(args))
+    config, _ = _build_config(args, _PRESETS.get(args.preset, {}))
     if args.mean_snr is None and args.mean_snr_db is None and not args.config:
         # default geometry maximizes the Pareto policy's feasible delta range
         config = dataclasses.replace(config, mean_snr=2.0 * config.outage_threshold / _LN2)
@@ -233,9 +244,9 @@ def cmd_tradeoff_outage(args) -> _Table:
 
 
 def cmd_capacity_vs_snr(args) -> _Table:
-    preset = _preset_for(args)
+    preset = _PRESETS.get(args.preset, {})
     config, _ = _build_config(args, preset)
-    snr_db_grid = _parse_grid(args.snr_db or preset.get("snr_db", "0:30:16"))
+    snr_db_grid = _parse_grid(args.snr_db, "--snr-db")
     deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
     header = ["snr_db"]
     for delta in deltas:
@@ -259,9 +270,9 @@ def cmd_capacity_vs_snr(args) -> _Table:
 
 
 def cmd_outage_vs_snr(args) -> _Table:
-    preset = _preset_for(args)
+    preset = _PRESETS.get(args.preset, {})
     config, _ = _build_config(args, preset)
-    ratio_db_grid = _parse_grid(args.ratio_db or preset.get("ratio_db", "0:30:16"))
+    ratio_db_grid = _parse_grid(args.ratio_db, "--ratio-db")
     deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
     two_relay = config.n_relays == 2
     header = ["ratio_db"]
@@ -298,13 +309,7 @@ def _pareto_outage_at_delta(config: SystemConfig, delta: float) -> float:
 def cmd_montecarlo(args) -> _Table:
     config, seed = _build_config(args, {})
     scheme = _scheme_from_args(args)
-    mc = MonteCarloConfig(
-        n_frames=args.frames,
-        seed=seed,
-        batch_size=args.batch_size,
-        n_workers=args.workers,
-    )
-    result = run(config, scheme, mc)
+    result = run(config, scheme, MonteCarloConfig(args.frames, seed, n_workers=args.workers))
     header = [
         "scheme", "n_frames", "seed",
         "capacity_mean", "capacity_stderr",
@@ -354,38 +359,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    cap = subs.add_parser("tradeoff-capacity", help="capacity-energy tradeoff curves")
-    _add_config_flags(cap)
-    cap.add_argument("--preset", choices=["fig3", "fig4"])
+    cap = _add_command(subs, "tradeoff-capacity", cmd_tradeoff_capacity,
+                       "capacity-energy tradeoff curves",
+                       mean_snr=True, threshold=False, seed=True, gnuplot=True)
     cap.add_argument("--grid", type=int, default=21, help="number of delta grid points")
     cap.add_argument("--x-axis", choices=["energy", "delta"], default=None)
     cap.add_argument("--with-mc", action="store_true", help="add Monte Carlo overlay columns")
     cap.add_argument("--frames", type=int, default=100_000, help="MC frames per overlay point")
-    cap.set_defaults(handler=cmd_tradeoff_capacity)
 
-    out = subs.add_parser("tradeoff-outage", help="no-outage versus energy tradeoff curves")
-    _add_config_flags(out)
-    out.add_argument("--preset", choices=["fig5"])
+    out = _add_command(subs, "tradeoff-outage", cmd_tradeoff_outage,
+                       "no-outage versus energy tradeoff curves",
+                       mean_snr=True, threshold=True, seed=False, gnuplot=True)
     out.add_argument("--grid", type=int, default=21)
-    out.set_defaults(handler=cmd_tradeoff_outage)
 
-    cvs = subs.add_parser("capacity-vs-snr", help="scheme capacities over an SNR grid")
-    _add_config_flags(cvs)
-    cvs.add_argument("--preset", choices=["fig6"])
-    cvs.add_argument("--snr-db", default=None, help="SNR grid 'start:stop:num' in dB")
+    # the grid sets the mean SNR of these two, so they take no --mean-snr
+    cvs = _add_command(subs, "capacity-vs-snr", cmd_capacity_vs_snr,
+                       "scheme capacities over an SNR grid",
+                       mean_snr=False, threshold=False, seed=False, gnuplot=True)
+    cvs.add_argument("--snr-db", default="0:30:16", help="SNR grid 'start:stop:num' in dB")
     cvs.add_argument("--deltas", default=None, help="comma list of tradeoff factors")
-    cvs.set_defaults(handler=cmd_capacity_vs_snr)
 
-    ovs = subs.add_parser("outage-vs-snr", help="scheme outage over an SNR/threshold grid")
-    _add_config_flags(ovs)
-    ovs.add_argument("--preset", choices=["fig7", "fig8"])
-    ovs.add_argument("--ratio-db", default=None,
+    ovs = _add_command(subs, "outage-vs-snr", cmd_outage_vs_snr,
+                       "scheme outage over an SNR/threshold grid",
+                       mean_snr=False, threshold=True, seed=False, gnuplot=True)
+    ovs.add_argument("--ratio-db", default="0:30:16",
                      help="mean SNR over threshold, 'start:stop:num' in dB")
     ovs.add_argument("--deltas", default=None)
-    ovs.set_defaults(handler=cmd_outage_vs_snr)
 
-    mc = subs.add_parser("montecarlo", help="one Monte Carlo run, single CSV row")
-    _add_config_flags(mc)
+    mc = _add_command(subs, "montecarlo", cmd_montecarlo, "one Monte Carlo run, single CSV row",
+                      mean_snr=True, threshold=True, seed=True, gnuplot=False)
     mc.add_argument("--scheme", required=True,
                     choices=["time-sharing", "threshold-checking",
                              "weighted-difference", "pareto"])
@@ -395,9 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--zeta", type=float, default=None)
     mc.add_argument("--metric", choices=["capacity", "outage"], default="capacity")
     mc.add_argument("--frames", type=int, default=1_000_000)
-    mc.add_argument("--batch-size", type=int, default=MonteCarloConfig.batch_size)
     mc.add_argument("--workers", type=int, default=MonteCarloConfig.n_workers)
-    mc.set_defaults(handler=cmd_montecarlo)
 
     return parser
 
@@ -405,12 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    gnuplot = getattr(args, "gnuplot", False)  # montecarlo writes no plot
     try:
-        if args.gnuplot and args.out == "-":
+        if gnuplot and args.out == "-":
             raise ValueError("--gnuplot needs --out PATH: the plot script reads the CSV file")
         header, rows, plot = args.handler(args)
         _write_csv(args.out, header, rows)
-        if args.gnuplot and plot:
+        if gnuplot:
             _write_gnuplot(args.out, header, *plot)
         sys.stdout.flush()
         return 0

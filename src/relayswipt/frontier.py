@@ -18,9 +18,10 @@ frontier asks for many of them more than once: each weight solve grows its
 bracket through the same zeta = 1, 2, 4, ..., and a point integrates again
 the rungs its solve's last step computed.  Inside a ``_shared_integrals()``
 scope each is evaluated once.  ``capacity_frontier`` opens a scope for its
-own call when none is open, and the CLI's ``capacity-vs-snr`` opens one for
-the whole command; the memo is dropped when its scope ends, so nothing is
-kept between calls or commands.
+own call, and the CLI's ``capacity-vs-snr`` opens one for the whole
+command.  As with ``simulate._shared_frames``, a scope opened inside another
+starts an empty memo, and each memo is dropped when its scope ends, so
+nothing is kept between calls or commands.
 
 The outage frontier needs no integration: both coordinates have closed
 forms, and only the weight solve is numerical.
@@ -39,6 +40,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from .closedform import (
     TradeoffPoint,
+    _require_two_relays,
     c_max,
     c_min,
     delta_range_outage,
@@ -161,13 +163,7 @@ _integral_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def _shared_integrals():
-    """Evaluate each quadrature rung once inside the scope.
-
-    A scope opened inside another one joins it.
-    """
-    if _integral_memo.get() is not None:
-        yield
-        return
+    """Evaluate each quadrature rung once inside the scope."""
     token = _integral_memo.set({})
     try:
         yield
@@ -216,8 +212,7 @@ def pareto_capacity_point(
     Raises:
         ToleranceNotMetError: if the integrator cannot certify ``tol``.
     """
-    if config.n_relays != 2:
-        raise ValueError("the capacity frontier is defined for exactly 2 relays")
+    _require_two_relays(config)
     if math.isnan(zeta) or zeta < 0.0:
         raise ValueError(f"zeta must be >= 0, got {zeta!r}")
     if math.isinf(zeta):
@@ -243,8 +238,7 @@ def solve_zeta_for_energy(
     integrator bug and raises BracketError).  Terminates when the forward
     map is within 1e-4 * mean_energy of the target.
     """
-    if config.n_relays != 2:
-        raise ValueError("the Pareto policies are defined for exactly 2 relays")
+    _require_two_relays(config)
     eps = config.mean_energy
     if metric is Metric.CAPACITY:
         floor = eps
@@ -331,8 +325,7 @@ def capacity_frontier(
     Defaults to 21 uniform points on [0, 1].  Endpoints are exact; interior
     points solve for the weight matching the energy implied by delta.
     """
-    if config.n_relays != 2:
-        raise ValueError("the capacity frontier is defined for exactly 2 relays")
+    _require_two_relays(config)
     if deltas is None:
         deltas = np.linspace(0.0, 1.0, 21)
     points, zetas = [], []
@@ -349,9 +342,7 @@ def capacity_frontier(
 
 def outage_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
     """No-outage Pareto frontier over [delta_lo, 1], from closed forms only."""
-    if config.n_relays != 2:
-        raise ValueError("the outage frontier is defined for exactly 2 relays")
-    delta_lo, _ = delta_range_outage(config)
+    delta_lo, _ = delta_range_outage(config)  # raises first for n_relays != 2
     if deltas is None:
         deltas = np.linspace(delta_lo, 1.0, 21)
     points, zetas = [], []

@@ -1,4 +1,7 @@
+import argparse
+
 import relayswipt
+from relayswipt.cli import build_parser
 
 # Every name the package exports.  A name belongs here if the CLI, the Monte
 # Carlo engine or the frontier uses it, or if it is a quantity of the paper.
@@ -22,3 +25,41 @@ def test_public_surface_is_pinned():
     assert len(PUBLIC_NAMES) == 44
     for name in PUBLIC_NAMES:
         assert getattr(relayswipt, name) is not None
+
+
+# Every flag of each subcommand.  A command takes a flag only if it reads it;
+# a config file may still set any scenario key.
+CLI_FLAGS = {
+    "tradeoff-capacity": [
+        "--config", "--frames", "--gnuplot", "--grid", "--mean-energy", "--mean-snr",
+        "--mean-snr-db", "--n-relays", "--out", "--preset", "--seed", "--with-mc", "--x-axis",
+    ],
+    "tradeoff-outage": [
+        "--config", "--gnuplot", "--grid", "--mean-energy", "--mean-snr", "--mean-snr-db",
+        "--n-relays", "--out", "--outage-threshold", "--preset", "--rate",
+    ],
+    "capacity-vs-snr": [
+        "--config", "--deltas", "--gnuplot", "--mean-energy", "--n-relays", "--out",
+        "--preset", "--snr-db",
+    ],
+    "outage-vs-snr": [
+        "--config", "--deltas", "--gnuplot", "--mean-energy", "--n-relays", "--out",
+        "--outage-threshold", "--preset", "--rate", "--ratio-db",
+    ],
+    "montecarlo": [
+        "--config", "--frames", "--mean-energy", "--mean-snr", "--mean-snr-db", "--metric",
+        "--mu", "--n-relays", "--nu", "--out", "--outage-threshold", "--rate", "--scheme",
+        "--seed", "--tau", "--workers", "--zeta",
+    ],
+}
+
+
+def test_cli_flags_are_pinned():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        command: sorted(flag for action in sub._actions for flag in action.option_strings
+                        if not isinstance(action, argparse._HelpAction))
+        for command, sub in subs.choices.items()
+    }
+    assert flags == CLI_FLAGS
+    assert sum(map(len, CLI_FLAGS.values())) == 59

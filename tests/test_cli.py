@@ -375,14 +375,63 @@ def test_overflowing_scenario_is_a_usage_error(argv, name, capsys):
 
 @pytest.mark.parametrize("out", [[], ["--out", "-"]])
 @pytest.mark.parametrize("command", ["tradeoff-capacity", "tradeoff-outage",
-                                     "capacity-vs-snr", "outage-vs-snr", "montecarlo"])
+                                     "capacity-vs-snr", "outage-vs-snr"])
 def test_gnuplot_needs_an_output_path(command, out, capsys):
-    argv = [command, "--gnuplot"] + out
-    if command == "montecarlo":
-        argv += ["--scheme", "time-sharing", "--mu", "0.5", "--frames", "1000"]
-    assert main(argv) == 2
+    assert main([command, "--gnuplot"] + out) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--gnuplot needs --out PATH" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff-capacity", "--outage-threshold", "2"],
+    ["tradeoff-capacity", "--rate", "0.5"],
+    ["tradeoff-outage", "--seed", "3"],
+    ["capacity-vs-snr", "--mean-snr", "5"],
+    ["capacity-vs-snr", "--mean-snr-db", "40"],
+    ["capacity-vs-snr", "--outage-threshold", "2"],
+    ["capacity-vs-snr", "--rate", "0.5"],
+    ["capacity-vs-snr", "--seed", "3"],
+    ["outage-vs-snr", "--mean-snr", "5"],
+    ["outage-vs-snr", "--mean-snr-db", "40"],
+    ["outage-vs-snr", "--seed", "3"],
+    ["montecarlo", "--batch-size", "1000"],
+    ["montecarlo", "--gnuplot"],
+    ["montecarlo", "--gnuplot", "--out", "-"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    if argv[0] == "montecarlo":
+        argv = argv + ["--scheme", "time-sharing", "--mu", "0.5", "--frames", "1000"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity-vs-snr", "--snr-db", "nan:10:3"],
+    ["capacity-vs-snr", "--snr-db", "0:inf:3"],
+    ["capacity-vs-snr", "--snr-db", "0:10"],
+    ["outage-vs-snr", "--ratio-db=-inf:10:3"],
+    ["outage-vs-snr", "--ratio-db", "10:0:3"],
+    ["outage-vs-snr", "--ratio-db", "0:10:x"],
+])
+def test_a_malformed_grid_names_its_flag(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    flag, _, text = argv[1].partition("=")
+    text = text or argv[2]
+    assert captured.out == "" and captured.err.startswith(f"error: {flag} ")
+    assert repr(text) in captured.err
+
+
+@pytest.mark.parametrize("deltas", ["1,0,0", "0.5,0.50", "0.1234561,0.1234564"])
+@pytest.mark.parametrize("command", ["capacity-vs-snr", "outage-vs-snr"])
+def test_deltas_with_a_repeated_column_label_are_refused(command, deltas, capsys):
+    assert main([command, "--deltas", deltas]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "distinct" in captured.err and repr(deltas) in captured.err
 
 
 def test_gnuplot_script(tmp_path):

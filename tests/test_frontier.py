@@ -185,18 +185,16 @@ def test_frontier_evaluates_each_rung_once(integral_calls):
     assert dict(integral_calls) == {key: 2 for key in first}
 
 
-def test_an_open_scope_is_joined_and_then_dropped(integral_calls):
+def test_a_nested_scope_starts_its_own_memo(integral_calls):
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
     with frontier._shared_integrals():
-        memo = frontier._integral_memo.get()
-        zeta = zeta_for_delta(config, 0.5, Metric.CAPACITY)
+        outer = frontier._integral_memo.get()
+        zeta_for_delta(config, 0.5, Metric.CAPACITY)
+        solved = dict(outer)
         capacity_frontier(config, [0.5])
-        assert frontier._integral_memo.get() is memo
-        pareto_capacity_point(config, zeta)
-    assert max(integral_calls.values()) == 1
-    assert frontier._integral_memo.get() is None
-    pareto_capacity_point(config, zeta)
-    assert max(integral_calls.values()) == 2
+        # the frontier's scope neither read nor kept the outer memo
+        assert frontier._integral_memo.get() is outer and outer == solved
+    assert all(integral_calls[key] == 2 for key in solved)
 
 
 def test_outage_frontier_endpoints_and_dominance():
