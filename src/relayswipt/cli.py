@@ -112,11 +112,15 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
 
 
 def _parse_deltas(text: str) -> list[float]:
-    deltas = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    """Parse the comma list of ``--deltas``; errors name the flag and quote ``text``."""
+    try:
+        deltas = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        deltas = []
     if not deltas or any(not 0.0 <= d <= 1.0 for d in deltas):
-        raise ValueError(f"deltas must be a comma list within [0, 1], got {text!r}")
+        raise ValueError(f"--deltas must be a comma list within [0, 1], got {text!r}")
     if len({f"{d:g}" for d in deltas}) != len(deltas):  # f"{d:g}" names d's columns
-        raise ValueError(f"deltas must be distinct to 6 significant digits, got {text!r}")
+        raise ValueError(f"--deltas must be distinct to 6 significant digits, got {text!r}")
     return deltas
 
 

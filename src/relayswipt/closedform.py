@@ -250,7 +250,7 @@ def c_tc(config: SystemConfig, energy: float) -> float:
 
 def _require_two_relays(config: SystemConfig) -> None:
     if config.n_relays != 2:
-        raise ValueError(f"this expression requires n_relays = 2, got {config.n_relays}")
+        raise ValueError(f"requires exactly 2 relays, got n_relays={config.n_relays}")
 
 
 def nu_from_energy(config: SystemConfig, energy: float) -> float:

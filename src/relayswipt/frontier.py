@@ -19,9 +19,20 @@ bracket through the same zeta = 1, 2, 4, ..., and a point integrates again
 the rungs its solve's last step computed.  Inside a ``_shared_integrals()``
 scope each is evaluated once.  ``capacity_frontier`` opens a scope for its
 own call, and the CLI's ``capacity-vs-snr`` opens one for the whole
-command.  As with ``simulate._shared_frames``, a scope opened inside another
-starts an empty memo, and each memo is dropped when its scope ends, so
-nothing is kept between calls or commands.
+command.  A scope holds two things:
+
+* the integrals it has evaluated, keyed by (config, zeta, rung);
+* the weight-independent half of each evaluation, for the config last
+  integrated: ``c_max`` and, per rung, the read-only SNR-gap grid and its
+  half (at most 0.9 MB over the four rungs).  Another config replaces them,
+  so a ``capacity-vs-snr`` command holds one cell's grids at a time.
+
+An evaluation then computes only t = gap/(zeta*eps), exp(-t) and the two
+weighted row sums, in place and in the operation order of the one-expression
+form, so every value is bit-identical with or without a scope.  As with
+``simulate._shared_frames``, a scope opened inside another starts empty, and
+what a scope holds is dropped when it ends, so nothing is kept between calls
+or commands.
 
 The outage frontier needs no integration: both coordinates have closed
 forms, and only the weight solve is numerical.
@@ -127,6 +138,53 @@ def _inner_grid(n_per_panel: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _gap_grids(config: SystemConfig, outer_nodes: int, inner_nodes: int):
+    """The capacity gap of the ordered SNR pair on one rung's nodes, and its half.
+
+    With (low, high) = ((gbar/2)(y/2), (gbar/2)(y/2 + v)) the gap is
+    0.5*log2((1 + high) / (1 + low)), taken via log1p for small gaps.  It
+    does not depend on the weight.
+    """
+    g = config.mean_snr
+    y, _ = _gl_nodes(outer_nodes)
+    v, _ = _inner_grid(inner_nodes)
+    snr_lo = g * y[:, None] / 4.0
+    snr_hi = snr_lo + g * v[None, :] / 2.0
+    gap = 0.5 / _LN2 * np.log1p((snr_hi - snr_lo) / (1.0 + snr_lo))
+    return gap, gap * 0.5
+
+
+class _ScenarioGrids:
+    """The weight-independent parts of the capacity integrals, for one config
+    at a time: its ``c_max`` and, per rung, the read-only ``_gap_grids``.
+    Asking for another config drops what the last one held."""
+
+    def __init__(self):
+        self.config = None
+        self.c_max = math.nan
+        self.rungs = {}
+
+    def at(self, config: SystemConfig) -> "_ScenarioGrids":
+        if config != self.config:
+            self.config, self.c_max, self.rungs = config, c_max(config), {}
+        return self
+
+    def rung(self, outer_nodes: int, inner_nodes: int):
+        grids = self.rungs.get((outer_nodes, inner_nodes))
+        if grids is None:
+            grids = _gap_grids(self.config, outer_nodes, inner_nodes)
+            for grid in grids:
+                grid.flags.writeable = False
+            self.rungs[outer_nodes, inner_nodes] = grids
+        return grids
+
+
+def _scenario_grids(config: SystemConfig) -> _ScenarioGrids:
+    """The open scope's grids, switched to ``config``; outside a scope, grids
+    that live for one call."""
+    return (_grid_memo.get() or _ScenarioGrids()).at(config)
+
+
 def _capacity_policy_integrals(config: SystemConfig, zeta: float,
                                outer_nodes: int, inner_nodes: int):
     """(average energy, average capacity) under the capacity Pareto policy.
@@ -138,36 +196,48 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float,
     eps * (1 + (1+t) e^-t / 2) and the better-SNR relay wins with
     probability 1 - e^-t / 2.  Only the correction terms are integrated
     numerically; the t-independent parts are eps and c_max exactly.
+    Inside a ``_shared_integrals()`` scope the gap grids and c_max are the
+    scope's.
     """
-    g = config.mean_snr
+    scenario = _scenario_grids(config)
+    gap, half_gap = scenario.rung(outer_nodes, inner_nodes)
     eps = config.mean_energy
-    y, wy = _gl_nodes(outer_nodes)
-    v, wv = _inner_grid(inner_nodes)
-    snr_lo = g * y[:, None] / 4.0
-    snr_hi = snr_lo + g * v[None, :] / 2.0
-    # capacity gap: 0.5*log2((1 + snr_hi) / (1 + snr_lo)), via log1p for small gaps
-    gap = 0.5 / _LN2 * np.log1p((snr_hi - snr_lo) / (1.0 + snr_lo))
-    t = gap / (zeta * eps)
-    damp = np.exp(-t)
-    energy_corr = ((0.5 * (1.0 + t) * damp) * wv[None, :]).sum(axis=1)
-    cap_corr = ((gap * 0.5 * damp) * wv[None, :]).sum(axis=1)
-    energy = eps * (1.0 + float(wy @ energy_corr))
-    capacity = c_max(config) - float(wy @ cap_corr)
+    _, wy = _gl_nodes(outer_nodes)
+    _, wv = _inner_grid(inner_nodes)
+    # The terms 0.5*(1 + t)*damp*wv and (gap*0.5)*damp*wv, with t = gap/(zeta*eps)
+    # and damp = exp(-t), in that order and in place.  Dividing by -(zeta*eps)
+    # gives -t exactly, and 1 - (-t) is 1 + t exactly.
+    neg_t = np.divide(gap, -(zeta * eps))
+    damp = np.exp(neg_t)
+    energy_terms = np.subtract(1.0, neg_t, out=neg_t)
+    energy_terms *= 0.5
+    energy_terms *= damp
+    energy_terms *= wv
+    cap_terms = np.multiply(half_gap, damp, out=damp)
+    cap_terms *= wv
+    energy = eps * (1.0 + float(wy @ energy_terms.sum(axis=1)))
+    capacity = scenario.c_max - float(wy @ cap_terms.sum(axis=1))
     return energy, capacity
 
 
 # (config, zeta, outer, inner) -> integrals, for the open _shared_integrals scope.
 _integral_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_integral_memo", default=None)
+# The open _shared_integrals scope's weight-independent grids.
+_grid_memo: contextvars.ContextVar[_ScenarioGrids | None] = contextvars.ContextVar(
+    "_grid_memo", default=None)
 
 
 @contextlib.contextmanager
 def _shared_integrals():
-    """Evaluate each quadrature rung once inside the scope."""
+    """Evaluate each quadrature rung once, and build each rung's gap grid
+    once per config, inside the scope."""
     token = _integral_memo.set({})
+    grid_token = _grid_memo.set(_ScenarioGrids())
     try:
         yield
     finally:
+        _grid_memo.reset(grid_token)
         _integral_memo.reset(token)
 
 
@@ -218,7 +288,7 @@ def pareto_capacity_point(
     if math.isinf(zeta):
         return tradeoff_point(config, 1.5 * config.mean_energy, c_min(config))
     if zeta == 0.0:
-        return tradeoff_point(config, config.mean_energy, c_max(config))
+        return tradeoff_point(config, config.mean_energy, _scenario_grids(config).c_max)
 
     ladder = f"quadrature ladder (max {_GL_LADDER[-1]} nodes)"
     return tradeoff_point(config, *_certified_integrals(config, zeta, tol, 2, ladder))

@@ -1,6 +1,7 @@
 """Shared oracles and helpers for the test suite."""
 
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -75,3 +76,18 @@ def integral_calls(monkeypatch):
 
     monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy)
     return calls
+
+
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """Each _gap_grids build, as (config, outer, inner, weak refs to the grids)."""
+    builds = []
+    gap_grids = frontier._gap_grids
+
+    def spy(config, outer_nodes, inner_nodes):
+        grids = gap_grids(config, outer_nodes, inner_nodes)
+        builds.append((config, outer_nodes, inner_nodes, [weakref.ref(g) for g in grids]))
+        return grids
+
+    monkeypatch.setattr(frontier, "_gap_grids", spy)
+    return builds

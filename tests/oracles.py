@@ -5,11 +5,18 @@ inversion (mu, tau or nu from the energy) composed with the parameter-form
 expression.  The functions below transcribe the single-expression forms
 instead, so that tests comparing the two routes catch a transcription slip
 in either.  They are test oracles and are not part of the package.
+
+``capacity_policy_integrals`` is the frontier's quadrature written as one
+expression per grid and evaluated afresh on every call; the library must
+give the same bits from its shared grids and in-place passes.
 """
 
 import math
 
-from relayswipt.closedform import c_min, delta_from_energy, energy_from_delta
+import numpy as np
+
+from relayswipt.closedform import c_max, c_min, delta_from_energy, energy_from_delta
+from relayswipt.frontier import _gl_nodes, _inner_grid
 from relayswipt.model import SystemConfig
 from relayswipt.specfun import exp_e1_scaled, harmonic
 
@@ -21,7 +28,7 @@ _PERTURB = 1e-6
 
 def _require_two_relays(config: SystemConfig) -> None:
     if config.n_relays != 2:
-        raise ValueError(f"this expression requires n_relays = 2, got {config.n_relays}")
+        raise ValueError(f"requires exactly 2 relays, got n_relays={config.n_relays}")
 
 
 def c_ts_composite(config: SystemConfig, energy: float) -> float:
@@ -139,3 +146,23 @@ def outage_wd_composite(config: SystemConfig, energy: float) -> float:
         return mid
     inner = math.exp(2.0 * config.outage_threshold / (config.mean_snr * tm))
     return ((1.0 - a) ** 2 + tm * tm * (a * (2.0 - inner) - 1.0)) / (1.0 - tm * tm)
+
+
+def capacity_policy_integrals(config: SystemConfig, zeta: float,
+                              outer_nodes: int, inner_nodes: int):
+    """(average energy, average capacity) under the capacity Pareto policy, on
+    the library's quadrature nodes, with every grid built for this call."""
+    g = config.mean_snr
+    eps = config.mean_energy
+    y, wy = _gl_nodes(outer_nodes)
+    v, wv = _inner_grid(inner_nodes)
+    snr_lo = g * y[:, None] / 4.0
+    snr_hi = snr_lo + g * v[None, :] / 2.0
+    gap = 0.5 / _LN2 * np.log1p((snr_hi - snr_lo) / (1.0 + snr_lo))
+    t = gap / (zeta * eps)
+    damp = np.exp(-t)
+    energy_corr = ((0.5 * (1.0 + t) * damp) * wv[None, :]).sum(axis=1)
+    cap_corr = ((gap * 0.5 * damp) * wv[None, :]).sum(axis=1)
+    energy = eps * (1.0 + float(wy @ energy_corr))
+    capacity = c_max(config) - float(wy @ cap_corr)
+    return energy, capacity

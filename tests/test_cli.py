@@ -124,6 +124,28 @@ def test_capacity_vs_snr_evaluates_each_rung_once(integral_calls, capsys):
     assert max(integral_calls.values()) == 1 and sum(integral_calls.values()) <= 387
 
 
+def test_capacity_vs_snr_holds_one_config_of_grids(grid_builds, monkeypatch, capsys):
+    """The command's scope keeps the gap grids of the config last integrated,
+    read-only, and drops them with the scope."""
+    live_after_call = []
+    integrals = frontier._capacity_policy_integrals
+
+    def evaluate(config, *args):
+        result = integrals(config, *args)
+        live = [(cfg, ref()) for cfg, *_, refs in grid_builds for ref in refs if ref() is not None]
+        assert all(cfg == config and not grid.flags.writeable for cfg, grid in live)
+        live_after_call.append(len(live))
+        return result
+
+    monkeypatch.setattr(frontier, "_capacity_policy_integrals", evaluate)
+    assert main(["capacity-vs-snr", "--snr-db=-20:25:16"]) == 0
+    assert len({config for config, *_ in grid_builds}) == 16
+    assert max(Counter((cfg, outer, inner) for cfg, outer, inner, _ in grid_builds).values()) == 1
+    assert 0 < max(live_after_call) <= 2 * len(frontier._GL_LADDER)
+    assert frontier._grid_memo.get() is None
+    assert all(ref() is None for *_, refs in grid_builds for ref in refs)
+
+
 def test_tradeoff_outage_fig5(tmp_path):
     out = tmp_path / "fig5.csv"
     assert main(["tradeoff-outage", "--preset", "fig5", "--grid", "9", "--out", str(out)]) == 0
@@ -432,6 +454,15 @@ def test_deltas_with_a_repeated_column_label_are_refused(command, deltas, capsys
     assert main([command, "--deltas", deltas]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "distinct" in captured.err and repr(deltas) in captured.err
+
+
+@pytest.mark.parametrize("deltas", ["0.5,x", "x", "0.5,,1e"])
+@pytest.mark.parametrize("command", ["capacity-vs-snr", "outage-vs-snr"])
+def test_a_malformed_delta_list_names_its_flag(command, deltas, capsys):
+    assert main([command, "--deltas", deltas]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --deltas ")
+    assert repr(deltas) in captured.err and "Traceback" not in captured.err
 
 
 def test_gnuplot_script(tmp_path):

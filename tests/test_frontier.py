@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relayswipt.closedform as cf
 import relayswipt.frontier as frontier
@@ -19,6 +22,7 @@ from relayswipt.model import SystemConfig, snr_from_db
 from relayswipt.schemes import Metric, ParetoOptimal
 from relayswipt.simulate import MonteCarloConfig, run
 
+import oracles
 from conftest import toy_model_states
 
 
@@ -195,6 +199,47 @@ def test_a_nested_scope_starts_its_own_memo(integral_calls):
         # the frontier's scope neither read nor kept the outer memo
         assert frontier._integral_memo.get() is outer and outer == solved
     assert all(integral_calls[key] == 2 for key in solved)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    snr_db=st.floats(-20.0, 60.0),
+    eps=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    zeta=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+    rung=st.sampled_from(frontier._GL_LADDER),
+)
+def test_integrals_are_bit_identical_to_the_one_expression_form(snr_db, eps, zeta, rung):
+    config = SystemConfig(2, snr_from_db(snr_db), eps, 1.0)
+    other = SystemConfig(2, snr_from_db(snr_db) * 2.0, eps, 1.0)
+    expected = {cfg: oracles.capacity_policy_integrals(cfg, zeta, *rung) for cfg in (config, other)}
+    assert frontier._capacity_policy_integrals(config, zeta, *rung) == expected[config]
+    with frontier._shared_integrals():
+        # builds the grids, reuses them, then builds them again after another config
+        for cfg in (config, config, other, config):
+            assert frontier._capacity_policy_integrals(cfg, zeta, *rung) == expected[cfg]
+
+
+def test_frontier_builds_each_grid_once(grid_builds, monkeypatch):
+    cmax_calls = Counter()
+    c_max = frontier.c_max
+
+    def count(config):
+        cmax_calls[config] += 1
+        return c_max(config)
+
+    monkeypatch.setattr(frontier, "c_max", count)
+    config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    capacity_frontier(config)
+    rungs = Counter((outer, inner) for _, outer, inner, _ in grid_builds)
+    assert rungs and max(rungs.values()) == 1 and set(rungs) <= set(frontier._GL_LADDER)
+    assert cmax_calls == Counter({config: 1})
+    # outside a scope every evaluation builds its own grid
+    per_point = []
+    for _ in range(2):
+        before = len(grid_builds)
+        pareto_capacity_point(config, 1.0)
+        per_point.append(len(grid_builds) - before)
+    assert per_point[0] == per_point[1] >= 2
 
 
 def test_outage_frontier_endpoints_and_dominance():
