@@ -32,7 +32,6 @@ from . import closedform as cf
 from .frontier import (
     BracketError,
     ToleranceNotMetError,
-    _shared_integrals,
     capacity_frontier,
     pareto_capacity_point,
     zeta_for_delta,
@@ -257,19 +256,17 @@ def cmd_capacity_vs_snr(args) -> _Table:
         for name in ("ts", "tc", "wd", "pareto"):
             header.append(f"c_{name}_d{delta:g}")
     rows = []
-    # a point reuses the rungs its weight solve integrated at the same weight
-    with _shared_integrals():
-        for snr_db in snr_db_grid:
-            point_config = dataclasses.replace(config, mean_snr=snr_from_db(snr_db))
-            row = [float(snr_db)]
-            for delta in deltas:
-                energy = cf.energy_from_delta(point_config, delta)
-                row.append(cf.c_ts(point_config, energy))
-                row.append(cf.c_tc(point_config, energy))
-                row.append(cf.c_wd(point_config, energy))
-                zeta = zeta_for_delta(point_config, delta, Metric.CAPACITY)
-                row.append(pareto_capacity_point(point_config, zeta).value)
-            rows.append(row)
+    for snr_db in snr_db_grid:
+        point_config = dataclasses.replace(config, mean_snr=snr_from_db(snr_db))
+        row = [float(snr_db)]
+        for delta in deltas:
+            energy = cf.energy_from_delta(point_config, delta)
+            row.append(cf.c_ts(point_config, energy))
+            row.append(cf.c_tc(point_config, energy))
+            row.append(cf.c_wd(point_config, energy))
+            zeta = zeta_for_delta(point_config, delta, Metric.CAPACITY)
+            row.append(pareto_capacity_point(point_config, zeta).value)
+        rows.append(row)
     return header, rows, ("snr_db", header[1:])
 
 

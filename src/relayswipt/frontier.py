@@ -16,23 +16,21 @@ only the energy.
 The integrals are a pure function of (config, zeta, rung), and one
 frontier asks for many of them more than once: each weight solve grows its
 bracket through the same zeta = 1, 2, 4, ..., and a point integrates again
-the rungs its solve's last step computed.  Inside a ``_shared_integrals()``
-scope each is evaluated once.  ``capacity_frontier`` opens a scope for its
-own call, and the CLI's ``capacity-vs-snr`` opens one for the whole
-command.  A scope holds two things:
+the rungs its solve's last step computed.  So the process holds one
+``_Scenario``, for the config last integrated:
 
-* the integrals it has evaluated, keyed by (config, zeta, rung);
-* the weight-independent half of each evaluation, for the config last
-  integrated: ``c_max`` and, per rung, the read-only SNR-gap grid and its
-  half (at most 0.9 MB over the four rungs).  Another config replaces them,
-  so a ``capacity-vs-snr`` command holds one cell's grids at a time.
+* its ``c_max`` and, per rung, the read-only SNR-gap grid and its half (at
+  most 0.9 MB over the four rungs);
+* the integrals evaluated so far, keyed by (zeta, rung), cleared when they
+  reach ``_MAX_HELD_INTEGRALS`` (a 21-point frontier holds about 270).
 
-An evaluation then computes only t = gap/(zeta*eps), exp(-t) and the two
-weighted row sums, in place and in the operation order of the one-expression
-form, so every value is bit-identical with or without a scope.  As with
-``simulate._shared_frames``, a scope opened inside another starts empty, and
-what a scope holds is dropped when it ends, so nothing is kept between calls
-or commands.
+Another config replaces it, so a ``capacity-vs-snr`` command holds one
+cell's scenario at a time, and a direct solve followed by a point at the
+solved weight integrates each rung once.  An evaluation computes only
+t = gap/(zeta*eps), exp(-t) and the two weighted row sums, in place and in
+the operation order of the one-expression form, so every value is
+bit-identical to a fresh evaluation.  The values are pure, so a race
+between threads can only repeat work.
 
 The outage frontier needs no integration: both coordinates have closed
 forms, and only the weight solve is numerical.
@@ -40,8 +38,6 @@ forms, and only the weight solve is numerical.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,6 +81,13 @@ _PANEL_EDGES = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0, 25.0, 60.0)
 _DEFAULT_TOL = 1e-4
 _SOLVER_BAND = 1e-4  # |energy(zeta) - target| < band * mean_energy terminates
 _MAX_BRACKET = 2.0**60
+# The held scenario's integrals are cleared when they reach this many.
+_MAX_HELD_INTEGRALS = 4096
+# exp(x) is exactly 0 for every x below this.
+_EXP_ZERO_BELOW = -746.0
+# A capacity gap is at most 512 bits at any finite mean SNR, so gap/(zeta*eps)
+# cannot overflow while zeta*eps is at least this.
+_NO_OVERFLOW_SCALE = 1e-300
 
 
 _LN2 = math.log(2.0)
@@ -119,15 +122,10 @@ class FrontierCurve:
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(n: int):
-    x, w = laggauss(n)
-    return x, w
-
-
-@lru_cache(maxsize=None)
-def _inner_grid(n_per_panel: int):
-    """Inner nodes over the panel decomposition with Exp(1) weight folded in."""
-    z, w = np.polynomial.legendre.leggauss(n_per_panel)
+def _rung_nodes(outer_nodes: int, inner_nodes: int):
+    """Read-only (y, wy, v, wv): Gauss-Laguerre in the outer dimension, and
+    the inner nodes over the panel decomposition with Exp(1) weight folded in."""
+    z, w = np.polynomial.legendre.leggauss(inner_nodes)
     nodes = []
     weights = []
     for a, b in zip(_PANEL_EDGES, _PANEL_EDGES[1:]):
@@ -135,7 +133,10 @@ def _inner_grid(n_per_panel: int):
         v = a + half * (z + 1.0)
         nodes.append(v)
         weights.append(half * w * np.exp(-v))
-    return np.concatenate(nodes), np.concatenate(weights)
+    grids = (*laggauss(outer_nodes), np.concatenate(nodes), np.concatenate(weights))
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
 
 
 def _gap_grids(config: SystemConfig, outer_nodes: int, inner_nodes: int):
@@ -146,43 +147,38 @@ def _gap_grids(config: SystemConfig, outer_nodes: int, inner_nodes: int):
     does not depend on the weight.
     """
     g = config.mean_snr
-    y, _ = _gl_nodes(outer_nodes)
-    v, _ = _inner_grid(inner_nodes)
+    y, _, v, _ = _rung_nodes(outer_nodes, inner_nodes)
     snr_lo = g * y[:, None] / 4.0
     snr_hi = snr_lo + g * v[None, :] / 2.0
     gap = 0.5 / _LN2 * np.log1p((snr_hi - snr_lo) / (1.0 + snr_lo))
     return gap, gap * 0.5
 
 
-class _ScenarioGrids:
-    """The weight-independent parts of the capacity integrals, for one config
-    at a time: its ``c_max`` and, per rung, the read-only ``_gap_grids``.
-    Asking for another config drops what the last one held."""
+class _Scenario:
+    """What the capacity integrals of one config share: its ``c_max``, each
+    rung's read-only ``_gap_grids``, and the integrals evaluated so far,
+    keyed by (zeta, outer, inner)."""
 
-    def __init__(self):
-        self.config = None
-        self.c_max = math.nan
-        self.rungs = {}
-
-    def at(self, config: SystemConfig) -> "_ScenarioGrids":
-        if config != self.config:
-            self.config, self.c_max, self.rungs = config, c_max(config), {}
-        return self
+    def __init__(self, config: SystemConfig):
+        self.config = config
+        self.c_max = c_max(config)
+        self.grids = {}
+        self.integrals = {}
 
     def rung(self, outer_nodes: int, inner_nodes: int):
-        grids = self.rungs.get((outer_nodes, inner_nodes))
+        grids = self.grids.get((outer_nodes, inner_nodes))
         if grids is None:
             grids = _gap_grids(self.config, outer_nodes, inner_nodes)
             for grid in grids:
                 grid.flags.writeable = False
-            self.rungs[outer_nodes, inner_nodes] = grids
+            self.grids[outer_nodes, inner_nodes] = grids
         return grids
 
 
-def _scenario_grids(config: SystemConfig) -> _ScenarioGrids:
-    """The open scope's grids, switched to ``config``; outside a scope, grids
-    that live for one call."""
-    return (_grid_memo.get() or _ScenarioGrids()).at(config)
+@lru_cache(maxsize=1)
+def _scenario(config: SystemConfig) -> _Scenario:
+    """The held scenario of ``config``; asking for another config replaces it."""
+    return _Scenario(config)
 
 
 def _capacity_policy_integrals(config: SystemConfig, zeta: float,
@@ -195,19 +191,24 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float,
     divided by zeta*eps, the selected relay's mean energy is
     eps * (1 + (1+t) e^-t / 2) and the better-SNR relay wins with
     probability 1 - e^-t / 2.  Only the correction terms are integrated
-    numerically; the t-independent parts are eps and c_max exactly.
-    Inside a ``_shared_integrals()`` scope the gap grids and c_max are the
-    scope's.
+    numerically; the t-independent parts are eps and c_max exactly, the
+    latter and the gap grids taken from the held scenario.
     """
-    scenario = _scenario_grids(config)
+    scenario = _scenario(config)
     gap, half_gap = scenario.rung(outer_nodes, inner_nodes)
     eps = config.mean_energy
-    _, wy = _gl_nodes(outer_nodes)
-    _, wv = _inner_grid(inner_nodes)
+    _, wy, _, wv = _rung_nodes(outer_nodes, inner_nodes)
     # The terms 0.5*(1 + t)*damp*wv and (gap*0.5)*damp*wv, with t = gap/(zeta*eps)
     # and damp = exp(-t), in that order and in place.  Dividing by -(zeta*eps)
     # gives -t exactly, and 1 - (-t) is 1 + t exactly.
-    neg_t = np.divide(gap, -(zeta * eps))
+    if zeta * eps >= _NO_OVERFLOW_SCALE:
+        neg_t = np.divide(gap, -(zeta * eps))
+    else:
+        # -t may overflow to -inf, where (1 + t)*exp(-t) would be inf*0; flooring
+        # -t where exp already gives 0 leaves the terms of every finite t unchanged
+        with np.errstate(over="ignore", divide="ignore"):
+            neg_t = np.divide(gap, -(zeta * eps))
+        np.maximum(neg_t, _EXP_ZERO_BELOW, out=neg_t)
     damp = np.exp(neg_t)
     energy_terms = np.subtract(1.0, neg_t, out=neg_t)
     energy_terms *= 0.5
@@ -220,27 +221,6 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float,
     return energy, capacity
 
 
-# (config, zeta, outer, inner) -> integrals, for the open _shared_integrals scope.
-_integral_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "_integral_memo", default=None)
-# The open _shared_integrals scope's weight-independent grids.
-_grid_memo: contextvars.ContextVar[_ScenarioGrids | None] = contextvars.ContextVar(
-    "_grid_memo", default=None)
-
-
-@contextlib.contextmanager
-def _shared_integrals():
-    """Evaluate each quadrature rung once, and build each rung's gap grid
-    once per config, inside the scope."""
-    token = _integral_memo.set({})
-    grid_token = _grid_memo.set(_ScenarioGrids())
-    try:
-        yield
-    finally:
-        _grid_memo.reset(grid_token)
-        _integral_memo.reset(token)
-
-
 def _certified_integrals(config: SystemConfig, zeta: float, tol: float,
                          coords: int, name: str):
     """(energy, capacity) from the first rung of the quadrature ladder that
@@ -250,16 +230,15 @@ def _certified_integrals(config: SystemConfig, zeta: float, tol: float,
     Raises:
         ToleranceNotMetError: naming ``name``, if no rung does.
     """
-    memo = _integral_memo.get()
+    held = _scenario(config).integrals
     prev = None
     for outer, inner in _GL_LADDER:
-        if memo is None:
-            cur = _capacity_policy_integrals(config, zeta, outer, inner)
-        else:
-            key = (config, zeta, outer, inner)
-            cur = memo.get(key)
-            if cur is None:
-                cur = memo[key] = _capacity_policy_integrals(config, zeta, outer, inner)
+        key = (zeta, outer, inner)
+        cur = held.get(key)
+        if cur is None:
+            if len(held) >= _MAX_HELD_INTEGRALS:
+                held.clear()
+            cur = held[key] = _capacity_policy_integrals(config, zeta, outer, inner)
         if prev is not None and max(abs(c - p) for c, p in zip(cur[:coords], prev)) < tol:
             return cur
         prev = cur
@@ -288,7 +267,7 @@ def pareto_capacity_point(
     if math.isinf(zeta):
         return tradeoff_point(config, 1.5 * config.mean_energy, c_min(config))
     if zeta == 0.0:
-        return tradeoff_point(config, config.mean_energy, _scenario_grids(config).c_max)
+        return tradeoff_point(config, config.mean_energy, _scenario(config).c_max)
 
     ladder = f"quadrature ladder (max {_GL_LADDER[-1]} nodes)"
     return tradeoff_point(config, *_certified_integrals(config, zeta, tol, 2, ladder))
@@ -400,13 +379,12 @@ def capacity_frontier(
         deltas = np.linspace(0.0, 1.0, 21)
     points, zetas = [], []
     worst = 0.0
-    with _shared_integrals():
-        for delta in deltas:
-            zeta = zeta_for_delta(config, float(delta), Metric.CAPACITY, point_tol=tol / 4.0)
-            points.append(pareto_capacity_point(config, zeta, tol=tol))
-            zetas.append(zeta)
-            if 0.0 < zeta < math.inf:
-                worst = tol
+    for delta in deltas:
+        zeta = zeta_for_delta(config, float(delta), Metric.CAPACITY, point_tol=tol / 4.0)
+        points.append(pareto_capacity_point(config, zeta, tol=tol))
+        zetas.append(zeta)
+        if 0.0 < zeta < math.inf:
+            worst = tol
     return FrontierCurve(points=tuple(points), zetas=tuple(zetas), tolerance=worst)
 
 

@@ -64,6 +64,13 @@ def config100():
     return SystemConfig(2, 100.0, 1.0, 1.0)
 
 
+@pytest.fixture(autouse=True)
+def no_held_scenario():
+    """Start each test without the scenario an earlier test left held, so
+    that counts of evaluations and grid builds do not depend on test order."""
+    frontier._scenario.cache_clear()
+
+
 @pytest.fixture
 def integral_calls(monkeypatch):
     """Counts of _capacity_policy_integrals calls by (config, zeta, outer, inner)."""

@@ -8,7 +8,7 @@ in either.  They are test oracles and are not part of the package.
 
 ``capacity_policy_integrals`` is the frontier's quadrature written as one
 expression per grid and evaluated afresh on every call; the library must
-give the same bits from its shared grids and in-place passes.
+give the same bits from its held grids and in-place passes.
 """
 
 import math
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from relayswipt.closedform import c_max, c_min, delta_from_energy, energy_from_delta
-from relayswipt.frontier import _gl_nodes, _inner_grid
+from relayswipt.frontier import _rung_nodes
 from relayswipt.model import SystemConfig
 from relayswipt.specfun import exp_e1_scaled, harmonic
 
@@ -154,8 +154,7 @@ def capacity_policy_integrals(config: SystemConfig, zeta: float,
     the library's quadrature nodes, with every grid built for this call."""
     g = config.mean_snr
     eps = config.mean_energy
-    y, wy = _gl_nodes(outer_nodes)
-    v, wv = _inner_grid(inner_nodes)
+    y, wy, v, wv = _rung_nodes(outer_nodes, inner_nodes)
     snr_lo = g * y[:, None] / 4.0
     snr_hi = snr_lo + g * v[None, :] / 2.0
     gap = 0.5 / _LN2 * np.log1p((snr_hi - snr_lo) / (1.0 + snr_lo))

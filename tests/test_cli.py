@@ -125,8 +125,8 @@ def test_capacity_vs_snr_evaluates_each_rung_once(integral_calls, capsys):
 
 
 def test_capacity_vs_snr_holds_one_config_of_grids(grid_builds, monkeypatch, capsys):
-    """The command's scope keeps the gap grids of the config last integrated,
-    read-only, and drops them with the scope."""
+    """Only the scenario of the config last integrated is held: its gap grids
+    stay alive, read-only, and every other cell's are dropped."""
     live_after_call = []
     integrals = frontier._capacity_policy_integrals
 
@@ -142,8 +142,9 @@ def test_capacity_vs_snr_holds_one_config_of_grids(grid_builds, monkeypatch, cap
     assert len({config for config, *_ in grid_builds}) == 16
     assert max(Counter((cfg, outer, inner) for cfg, outer, inner, _ in grid_builds).values()) == 1
     assert 0 < max(live_after_call) <= 2 * len(frontier._GL_LADDER)
-    assert frontier._grid_memo.get() is None
-    assert all(ref() is None for *_, refs in grid_builds for ref in refs)
+    last = grid_builds[-1][0]
+    assert {cfg for cfg, *_, refs in grid_builds for ref in refs if ref() is not None} == {last}
+    assert last.mean_snr == snr_from_db(25.0)
 
 
 def test_tradeoff_outage_fig5(tmp_path):

@@ -182,23 +182,23 @@ def test_frontier_evaluates_each_rung_once(integral_calls):
     curve = capacity_frontier(config)
     assert max(integral_calls.values()) == 1
     assert sum(integral_calls.values()) <= 280
-    # the memo ends with the call: a second frontier integrates everything again
+    # the scenario is held after the call: a repeat evaluates nothing
     first = dict(integral_calls)
-    assert frontier._integral_memo.get() is None
     assert capacity_frontier(config) == curve
-    assert dict(integral_calls) == {key: 2 for key in first}
+    assert dict(integral_calls) == first
+    # another config in between replaces it, and the repeat evaluates everything again
+    capacity_frontier(SystemConfig(2, snr_from_db(20.0), 1.0, 1.0))
+    assert capacity_frontier(config) == curve
+    assert all(integral_calls[key] == 2 for key in first)
 
 
-def test_a_nested_scope_starts_its_own_memo(integral_calls):
+def test_a_point_reuses_the_rungs_its_solve_integrated(integral_calls):
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
-    with frontier._shared_integrals():
-        outer = frontier._integral_memo.get()
-        zeta_for_delta(config, 0.5, Metric.CAPACITY)
-        solved = dict(outer)
-        capacity_frontier(config, [0.5])
-        # the frontier's scope neither read nor kept the outer memo
-        assert frontier._integral_memo.get() is outer and outer == solved
-    assert all(integral_calls[key] == 2 for key in solved)
+    zeta = zeta_for_delta(config, 0.5, Metric.CAPACITY)
+    solved = dict(integral_calls)
+    pareto_capacity_point(config, zeta)
+    assert (config, zeta, *frontier._GL_LADDER[0]) in solved
+    assert max(integral_calls.values()) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,11 +212,54 @@ def test_integrals_are_bit_identical_to_the_one_expression_form(snr_db, eps, zet
     config = SystemConfig(2, snr_from_db(snr_db), eps, 1.0)
     other = SystemConfig(2, snr_from_db(snr_db) * 2.0, eps, 1.0)
     expected = {cfg: oracles.capacity_policy_integrals(cfg, zeta, *rung) for cfg in (config, other)}
-    assert frontier._capacity_policy_integrals(config, zeta, *rung) == expected[config]
-    with frontier._shared_integrals():
-        # builds the grids, reuses them, then builds them again after another config
-        for cfg in (config, config, other, config):
-            assert frontier._capacity_policy_integrals(cfg, zeta, *rung) == expected[cfg]
+    frontier._scenario.cache_clear()
+    # builds the grids, reuses them, then builds them again after another config
+    for cfg in (config, config, other, config):
+        assert frontier._capacity_policy_integrals(cfg, zeta, *rung) == expected[cfg]
+
+
+@pytest.mark.parametrize("zeta", [1e-310, 5e-324])
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+def test_a_tiny_weight_gives_the_best_snr_point(zeta, eps):
+    # zeta*eps is subnormal, or 0 at 5e-324 * 0.5: gap/(zeta*eps) overflows
+    config = SystemConfig(2, 10.0, eps, 1.0)
+    assert pareto_capacity_point(config, zeta) == pareto_capacity_point(config, 0.0)
+
+
+def test_a_floored_weight_keeps_every_finite_term():
+    # zeta*eps is below the overflow guard, yet t = gap/(zeta*eps) spans 1e-4..2e5,
+    # with nodes on both sides of where exp(-t) reaches 0
+    config = SystemConfig(2, 1e-297, 1.0, 1.0)
+    for rung in frontier._GL_LADDER:
+        assert (frontier._capacity_policy_integrals(config, 1e-301, *rung)
+                == oracles.capacity_policy_integrals(config, 1e-301, *rung))
+
+
+def test_cached_nodes_and_grids_are_read_only():
+    config = SystemConfig(2, 10.0, 1.0, 1.0)
+    pareto_capacity_point(config, 1.0)
+    held = [grid for grids in frontier._scenario(config).grids.values() for grid in grids]
+    nodes = [array for rung in frontier._GL_LADDER for array in frontier._rung_nodes(*rung)]
+    assert held and len(nodes) == 4 * len(frontier._GL_LADDER)
+    for array in held + nodes:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_held_integrals_stay_within_their_bound(integral_calls, monkeypatch):
+    monkeypatch.setattr(frontier, "_MAX_HELD_INTEGRALS", 6)
+    config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    held = frontier._scenario(config).integrals
+    zetas = [0.25 * k for k in range(1, 9)]
+    sizes, points = [], []
+    for zeta in zetas * 2:
+        points.append(pareto_capacity_point(config, zeta))
+        sizes.append(len(held))
+    assert max(sizes) <= 6 and any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert frontier._scenario(config).integrals is held
+    # the second pass evaluates again what a clear dropped, to the same bits
+    assert max(integral_calls.values()) == 2
+    assert points[len(zetas):] == points[:len(zetas)]
 
 
 def test_frontier_builds_each_grid_once(grid_builds, monkeypatch):
@@ -229,17 +272,13 @@ def test_frontier_builds_each_grid_once(grid_builds, monkeypatch):
 
     monkeypatch.setattr(frontier, "c_max", count)
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    zeta = solve_zeta_for_energy(config, 1.2, Metric.CAPACITY)
+    for z in (0.0, zeta, 1.0, 2.0, zeta):
+        pareto_capacity_point(config, z)
     capacity_frontier(config)
     rungs = Counter((outer, inner) for _, outer, inner, _ in grid_builds)
     assert rungs and max(rungs.values()) == 1 and set(rungs) <= set(frontier._GL_LADDER)
     assert cmax_calls == Counter({config: 1})
-    # outside a scope every evaluation builds its own grid
-    per_point = []
-    for _ in range(2):
-        before = len(grid_builds)
-        pareto_capacity_point(config, 1.0)
-        per_point.append(len(grid_builds) - before)
-    assert per_point[0] == per_point[1] >= 2
 
 
 def test_outage_frontier_endpoints_and_dominance():
