@@ -11,9 +11,18 @@ Subcommands map one-to-one to the bundled figure presets:
   threshold ratio.
 * ``montecarlo``: a single simulation run with full estimates.
 
+Weighted difference and the Pareto policies are defined for two relays only,
+so at N != 2 ``tradeoff-capacity``, ``capacity-vs-snr`` and ``outage-vs-snr``
+keep only the time-sharing and threshold-checking columns (and ``--with-mc``
+runs only those two).
+
 All numeric CSV fields are written with round-trip precision; rerunning a
 command with the same flags (including ``--seed``) reproduces the output
 byte for byte.  Exit codes: 0 success, 2 usage error, 1 numerical failure.
+
+``main(argv)`` builds its parser on the first call and reuses it for the
+rest of the process, so repeated in-process calls pay only for their
+numbers; a one-shot process builds it once either way.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import dataclasses
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -175,6 +185,9 @@ def _checked_grid(grid: int) -> int:
 # Each returns (header, rows, plot); ``main`` writes the CSV and, for
 # --gnuplot, a script plotting plot = (x column, y columns[, log y]) if set.
 _Table = tuple[list[str], list[list], tuple | None]
+# Columns of the capacity figures; weighted difference and the Pareto
+# frontier are defined for two relays only, so other N keep the first two.
+_CAPACITY_SCHEMES = ("ts", "tc", "wd", "pareto")
 
 
 def cmd_tradeoff_capacity(args) -> _Table:
@@ -182,33 +195,34 @@ def cmd_tradeoff_capacity(args) -> _Table:
     config, seed = _build_config(args, preset)
     x_axis = args.x_axis or preset.get("x_axis", "energy")
     deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid))
-    frontier = capacity_frontier(config, deltas)
-    header = ["delta", "energy", "c_ts", "c_tc", "c_wd", "c_pareto"]
+    two_relay = config.n_relays == 2
+    names = _CAPACITY_SCHEMES if two_relay else _CAPACITY_SCHEMES[:2]
+    if two_relay:
+        frontier = capacity_frontier(config, deltas)
+    header = ["delta", "energy"] + [f"c_{name}" for name in names]
     if args.with_mc:
-        for name in ("ts", "tc", "wd", "pareto"):
+        for name in names:
             header += [f"mc_c_{name}", f"mc_c_{name}_stderr",
                        f"mc_e_{name}", f"mc_e_{name}_stderr"]
     rows = []
     # every overlay run has the same (config, seed, n_frames): draw its frames once
     with _shared_frames():
-        for delta, point, zeta in zip(deltas, frontier.points, frontier.zetas):
+        for i, delta in enumerate(deltas):
             delta = float(delta)
             energy = cf.energy_from_delta(config, delta)
-            row = [
-                delta,
-                energy,
-                cf.c_ts(config, energy),
-                cf.c_tc(config, energy),
-                cf.c_wd(config, energy),
-                point.value,
-            ]
+            row = [delta, energy, cf.c_ts(config, energy), cf.c_tc(config, energy)]
+            if two_relay:
+                row += [cf.c_wd(config, energy), frontier.points[i].value]
             if args.with_mc:
                 schemes = [
                     TimeSharing(mu=cf.mu_from_energy(config, energy)),
                     ThresholdChecking(tau=cf.tau_from_energy(config, energy)),
-                    WeightedDifference(nu=cf.nu_from_energy(config, energy)),
-                    ParetoOptimal(zeta=zeta, metric=Metric.CAPACITY),
                 ]
+                if two_relay:
+                    schemes += [
+                        WeightedDifference(nu=cf.nu_from_energy(config, energy)),
+                        ParetoOptimal(zeta=frontier.zetas[i], metric=Metric.CAPACITY),
+                    ]
                 for scheme in schemes:
                     result = run(config, scheme, MonteCarloConfig(args.frames, seed))
                     row += [
@@ -216,7 +230,7 @@ def cmd_tradeoff_capacity(args) -> _Table:
                         result.energy.mean, result.energy.std_error,
                     ]
             rows.append(row)
-    return header, rows, (x_axis, ["c_ts", "c_tc", "c_wd", "c_pareto"])
+    return header, rows, (x_axis, header[2:2 + len(names)])
 
 
 def cmd_tradeoff_outage(args) -> _Table:
@@ -251,10 +265,11 @@ def cmd_capacity_vs_snr(args) -> _Table:
     config, _ = _build_config(args, preset)
     snr_db_grid = _parse_grid(args.snr_db, "--snr-db")
     deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
+    two_relay = config.n_relays == 2
+    names = _CAPACITY_SCHEMES if two_relay else _CAPACITY_SCHEMES[:2]
     header = ["snr_db"]
     for delta in deltas:
-        for name in ("ts", "tc", "wd", "pareto"):
-            header.append(f"c_{name}_d{delta:g}")
+        header += [f"c_{name}_d{delta:g}" for name in names]
     rows = []
     for snr_db in snr_db_grid:
         point_config = dataclasses.replace(config, mean_snr=snr_from_db(snr_db))
@@ -263,9 +278,10 @@ def cmd_capacity_vs_snr(args) -> _Table:
             energy = cf.energy_from_delta(point_config, delta)
             row.append(cf.c_ts(point_config, energy))
             row.append(cf.c_tc(point_config, energy))
-            row.append(cf.c_wd(point_config, energy))
-            zeta = zeta_for_delta(point_config, delta, Metric.CAPACITY)
-            row.append(pareto_capacity_point(point_config, zeta).value)
+            if two_relay:
+                row.append(cf.c_wd(point_config, energy))
+                zeta = zeta_for_delta(point_config, delta, Metric.CAPACITY)
+                row.append(pareto_capacity_point(point_config, zeta).value)
         rows.append(row)
     return header, rows, ("snr_db", header[1:])
 
@@ -403,9 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads: built on the first call, then reused.
+
+    A parse leaves the parser as it was and fills a fresh namespace, so
+    one parser serves every call of the process.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     gnuplot = getattr(args, "gnuplot", False)  # montecarlo writes no plot
     try:
         if gnuplot and args.out == "-":

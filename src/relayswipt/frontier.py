@@ -389,22 +389,38 @@ def capacity_frontier(
 
 
 def outage_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
-    """No-outage Pareto frontier over [delta_lo, 1], from closed forms only."""
+    """No-outage Pareto frontier over [delta_lo, 1], from closed forms only.
+
+    The weight solve meets each energy target only to within its band,
+    1e-4 * mean_energy, and a target within the band above the policy's
+    energy floor gets zeta = 0.  Where the policy's energy range is so
+    narrow that two grid targets lie within twice the band, their points
+    may collide or come out of order; that raises ValueError naming the
+    range, as does a delta below the feasible lower bound.
+    """
     delta_lo, _ = delta_range_outage(config)  # raises first for n_relays != 2
     if deltas is None:
         deltas = np.linspace(delta_lo, 1.0, 21)
+    band = _SOLVER_BAND * config.mean_energy
+    deltas = [float(delta) for delta in deltas]
     points, zetas = [], []
-    for delta in deltas:
-        delta = float(delta)
+    for i, delta in enumerate(deltas):
         if delta < delta_lo - 1e-12:
             raise ValueError(
                 f"delta {delta} below the feasible lower bound {delta_lo} of the outage frontier"
             )
         zeta = zeta_for_delta(config, delta, Metric.OUTAGE_INDICATOR)
-        points.append(
-            tradeoff_point(config, pareto_outage_energy(config, zeta),
-                           pareto_no_outage(config, zeta))
-        )
+        point = tradeoff_point(config, pareto_outage_energy(config, zeta),
+                               pareto_no_outage(config, zeta))
+        if points and point.energy <= points[-1].energy:
+            spacing = energy_from_delta(config, delta) - energy_from_delta(config, deltas[i - 1])
+            raise ValueError(
+                f"outage frontier points {i - 1} and {i} are not increasing in energy: the "
+                f"policy's energy range [{pareto_outage_energy_min(config)!r}, "
+                f"{1.5 * config.mean_energy!r}] is too narrow for this grid, whose targets lie "
+                f"{spacing:.3g} apart, within twice the weight solver's band of {band:.3g} "
+                f"(targets within the band above the range's floor snap to zeta = 0)"
+            )
+        points.append(point)
         zetas.append(zeta)
-    return FrontierCurve(points=tuple(points), zetas=tuple(zetas),
-                         tolerance=_SOLVER_BAND * config.mean_energy)
+    return FrontierCurve(points=tuple(points), zetas=tuple(zetas), tolerance=band)

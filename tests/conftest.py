@@ -39,6 +39,37 @@ def capacity_quadrature(mean_snr: float, n_relays: int) -> float:
     return val
 
 
+def capacity_n_relays_quadrature(mean_snr: float, n_relays: int, delta: float) -> tuple:
+    """Oracle for (time sharing, threshold checking) capacity at tradeoff factor delta.
+
+    In s = 2 * SNR / mean_snr each relay's SNR is Exp(1).  The best of N has
+    density N (1 - e^-s)^(N-1) e^-s; threshold checking picks it when it
+    clears s_tau, else the best-energy relay, whose SNR is then one Exp(1)
+    below s_tau, and its energy target puts Pr{all below s_tau} = delta.
+    """
+
+    def cap(s):
+        return 0.5 * math.log2(1.0 + 0.5 * mean_snr * s)
+
+    def best(s):
+        return cap(s) * n_relays * (-math.expm1(-s)) ** (n_relays - 1) * math.exp(-s)
+
+    def one(s):
+        return cap(s) * math.exp(-s)
+
+    def quad(f, a, b):
+        return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+
+    c_best, c_one = quad(best, 0.0, np.inf), quad(one, 0.0, np.inf)
+    c_ts = (1.0 - delta) * c_best + delta * c_one
+    q = delta ** (1.0 / n_relays)  # Pr{one SNR below s_tau}
+    if q == 1.0:
+        return c_ts, c_one
+    s_tau = -math.log1p(-q)
+    c_tc = quad(best, s_tau, np.inf) + q ** (n_relays - 1) * quad(one, 0.0, s_tau)
+    return c_ts, c_tc
+
+
 def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log10(xs), np.log10(ys), 1)[0])
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import math
@@ -9,13 +10,16 @@ from pathlib import Path
 
 import pytest
 
+import relayswipt.cli as cli
 import relayswipt.closedform as cf
 import relayswipt.frontier as frontier
 import relayswipt.simulate as simulate
-from relayswipt.cli import main
+from relayswipt.cli import build_parser, main
 from relayswipt.model import SystemConfig, snr_from_db
-from relayswipt.schemes import Metric, ParetoOptimal
+from relayswipt.schemes import Metric, ParetoOptimal, ThresholdChecking, TimeSharing
 from relayswipt.simulate import MonteCarloConfig, run
+
+from conftest import capacity_n_relays_quadrature
 
 
 def read_csv(path):
@@ -208,6 +212,52 @@ def test_outage_vs_snr_three_relays_omits_two_relay_schemes(tmp_path):
         )
 
 
+@pytest.mark.parametrize("argv, snr_db_column", [
+    (["tradeoff-capacity", "--n-relays", "3", "--grid", "5"], None),
+    (["capacity-vs-snr", "--n-relays", "3", "--snr-db=-10:30:5"], "snr_db"),
+])
+def test_capacity_commands_keep_time_sharing_and_threshold_checking_at_three_relays(
+        argv, snr_db_column, capsys):
+    """Weighted difference and the Pareto frontier need two relays; at N = 3
+    the capacity commands drop their columns and match a quadrature oracle."""
+    assert main(argv) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    header, data = rows[0], rows[1:]
+    assert not any("wd" in h or "pareto" in h for h in header)
+    checked = 0
+    for row in data:
+        snr_db = cell(header, row, snr_db_column) if snr_db_column else 10.0
+        for name in header:
+            if not name.startswith("c_"):
+                continue
+            scheme, _, delta = name[2:].partition("_d")
+            delta = float(delta) if delta else cell(header, row, "delta")
+            ts, tc = capacity_n_relays_quadrature(snr_from_db(snr_db), 3, delta)
+            assert cell(header, row, name) == pytest.approx(ts if scheme == "ts" else tc,
+                                                           rel=1e-9)
+            checked += 1
+    assert checked == 2 * len(data) * (1 if snr_db_column is None else 3)
+
+
+def test_with_mc_at_three_relays_runs_time_sharing_and_threshold_checking(capsys):
+    frames, seed = 3000, 5
+    assert main(["tradeoff-capacity", "--n-relays", "3", "--with-mc", "--grid", "3",
+                 "--frames", str(frames), "--seed", str(seed)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    header, data = rows[0], rows[1:]
+    assert header == ["delta", "energy", "c_ts", "c_tc"] + [
+        f"mc_{q}_{name}{se}" for name in ("ts", "tc") for q in ("c", "e") for se in ("", "_stderr")
+    ]
+    config = SystemConfig(3, snr_from_db(10.0), 1.0, 1.0)
+    for row in data:
+        energy = cell(header, row, "energy")
+        for name, scheme in (("ts", TimeSharing(mu=cf.mu_from_energy(config, energy))),
+                             ("tc", ThresholdChecking(tau=cf.tau_from_energy(config, energy)))):
+            result = run(config, scheme, MonteCarloConfig(frames, seed))
+            assert cell(header, row, f"mc_c_{name}") == result.capacity.mean
+            assert cell(header, row, f"mc_e_{name}") == result.energy.mean
+
+
 def test_outage_vs_snr_pareto_column(tmp_path):
     out = tmp_path / "out2.csv"
     assert main(["outage-vs-snr", "--ratio-db", "0:20:3", "--deltas", "0.5",
@@ -359,6 +409,12 @@ CLI_PINS = {
         (0, "61b26831bea372979b1db8c4c173855894e30561a1a8cbb632c4c7b83c7ce4ac"),
     (None, ("capacity-vs-snr", "--snr-db=-5:25:7")):
         (0, "6d093cca000cddd5a2b71f5e15f4dfd2ed2dae8762fa9f4452b282838d7802a0"),
+    # N = 3 keeps the ts and tc columns; recorded after their cells matched
+    # a quadrature oracle (test_capacity_commands_keep_time_sharing_...)
+    (None, ("tradeoff-capacity", "--n-relays", "3", "--grid", "5")):
+        (0, "e7147ed16e184bf023af0ec15114b3a6bc044699a1a8a992fa1ba40d318f7e13"),
+    (None, ("capacity-vs-snr", "--n-relays", "3", "--snr-db=-10:30:5")):
+        (0, "a7c6061d9f2c69ea9b3535e54e7c5dd79656e85923e00a1771919dde38db0dc2"),
 }
 
 
@@ -498,3 +554,100 @@ def test_with_mc_bytes_are_pinned(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "454d54438ca4c4fb3783ae5813281650dad698252c0cf6e9c2a117dcd9b9a342"
     )
+
+
+# ---------------------------------------------------------------------------
+#  One parser per process
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the process's parser before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        return exc.code
+
+
+def test_main_builds_its_parser_once(fresh_parser, monkeypatch, capsys):
+    builds = []
+
+    def spy():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    codes = [_exit_code(argv) for argv in (
+        ["outage-vs-snr", "--n-relays", "3", "--ratio-db", "0:10:3"],
+        ["tradeoff-outage", "--grid", "3"],
+        ["capacity-vs-snr", "--seed", "3"],
+        ["capacity-vs-snr", "--n-relays", "3", "--snr-db", "0:10:2"],
+        ["montecarlo", "--scheme", "time-sharing", "--mu", "0.5", "--frames", "1000"],
+        ["tradeoff-capacity", "--n-relays", "3", "--grid", "2"],
+    )]
+    assert codes == [0, 0, 2, 0, 0, 0]
+    assert len(builds) == 1
+
+
+def test_a_flag_does_not_outlive_its_call(fresh_parser, monkeypatch, tmp_path, capsys):
+    """Each call parses into a fresh namespace: ``--gnuplot``, ``--with-mc`` and
+    ``--out`` of one call are gone from the next, which sees the defaults."""
+    seen = []
+    build_config = cli._build_config
+
+    def spy(args, preset):
+        seen.append(args)
+        return build_config(args, preset)
+
+    monkeypatch.setattr(cli, "_build_config", spy)
+    out = tmp_path / "fig.csv"
+    first = ["tradeoff-capacity", "--n-relays", "3", "--grid", "2", "--with-mc",
+             "--frames", "1000", "--seed", "7", "--gnuplot", "--out", str(out)]
+    second = ["tradeoff-capacity", "--n-relays", "3", "--grid", "2"]
+    assert main(first) == 0 and main(second) == 0
+    assert seen[0].with_mc and seen[0].gnuplot and seen[0].out == str(out)
+    assert seen[0] is not seen[1]
+    assert vars(seen[1]) == vars(build_parser().parse_args(second))
+    assert (seen[1].with_mc, seen[1].gnuplot, seen[1].out) == (False, False, "-")
+    assert (seen[1].frames, seen[1].seed) == (100_000, None)
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(fresh_parser, capsys):
+    valid = ["outage-vs-snr", "--n-relays", "3", "--ratio-db", "0:20:5", "--deltas", "0.2,0.7"]
+    assert main(valid) == 0
+    alone = capsys.readouterr().out
+    cli._parser.cache_clear()
+    for argv in (
+        ["outage-vs-snr", "--seed", "3"],  # a flag the command does not read
+        ["outage-vs-snr", "--rate", "0.5", "--outage-threshold", "2"],  # exclusive pair
+        ["outage-vs-snr", "--n-relays", "x"],  # a bad value
+        ["montecarlo", "--mu", "0.5"],  # a required flag missing
+        ["outage-vs-snr", "--deltas", "x"],  # refused by the handler
+    ):
+        assert _exit_code(argv) == 2
+    capsys.readouterr()
+    assert main(valid) == 0
+    assert capsys.readouterr().out == alone
+
+
+def test_the_shared_parser_prints_the_help_of_a_fresh_one(fresh_parser, capsys):
+    assert main(["outage-vs-snr", "--ratio-db", "0:10:2"]) == 0
+    assert _exit_code(["tradeoff-capacity", "--x-axis", "bogus"]) == 2
+    shared, fresh = cli._parser(), build_parser()
+    assert shared is cli._parser() and shared is not fresh
+    assert shared.format_help() == fresh.format_help()
+
+    def subparsers(parser):
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return subs.choices
+
+    assert list(subparsers(shared)) == list(subparsers(fresh))
+    for name, sub in subparsers(shared).items():
+        assert sub.format_help() == subparsers(fresh)[name].format_help()

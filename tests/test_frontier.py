@@ -281,6 +281,25 @@ def test_frontier_builds_each_grid_once(grid_builds, monkeypatch):
     assert cmax_calls == Counter({config: 1})
 
 
+def test_outage_frontier_succeeds_or_names_its_narrow_range():
+    """Outside about -4..26.5 dB the policy's energy range is too narrow for
+    the default grid under the solver band: the error says so."""
+    refused = []
+    for snr_db in np.arange(-30.0, 60.25, 0.5):
+        config = SystemConfig(2, snr_from_db(snr_db), 1.0, 1.0)
+        try:
+            curve = outage_frontier(config)
+        except ValueError as exc:
+            assert "energy range" in str(exc) and "too narrow for this grid" in str(exc)
+            assert "snap to zeta = 0" in str(exc)
+            refused.append(snr_db)
+        else:
+            assert len(curve.points) == 21
+    assert refused and not any(-4.0 <= snr_db <= 26.5 for snr_db in refused)
+    with pytest.raises(ValueError, match="targets lie 0 apart"):
+        outage_frontier(SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0), [0.6, 0.6])
+
+
 def test_outage_frontier_endpoints_and_dominance():
     cfg = SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0)
     a = math.exp(-2.0 * cfg.outage_threshold / cfg.mean_snr)
