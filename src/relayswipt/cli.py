@@ -12,9 +12,8 @@ Subcommands map one-to-one to the bundled figure presets:
 * ``montecarlo``: a single simulation run with full estimates.
 
 Weighted difference and the Pareto policies are defined for two relays only,
-so at N != 2 ``tradeoff-capacity``, ``capacity-vs-snr`` and ``outage-vs-snr``
-keep only the time-sharing and threshold-checking columns (and ``--with-mc``
-runs only those two).
+so at N != 2 the figure commands keep only the time-sharing and
+threshold-checking columns (and ``--with-mc`` runs only those two).
 
 All numeric CSV fields are written with round-trip precision; rerunning a
 command with the same flags (including ``--seed``) reproduces the output
@@ -185,9 +184,9 @@ def _checked_grid(grid: int) -> int:
 # Each returns (header, rows, plot); ``main`` writes the CSV and, for
 # --gnuplot, a script plotting plot = (x column, y columns[, log y]) if set.
 _Table = tuple[list[str], list[list], tuple | None]
-# Columns of the capacity figures; weighted difference and the Pareto
-# frontier are defined for two relays only, so other N keep the first two.
-_CAPACITY_SCHEMES = ("ts", "tc", "wd", "pareto")
+# Scheme columns of the figures; weighted difference and the Pareto
+# policies are defined for two relays only, so other N keep the first two.
+_SCHEMES = ("ts", "tc", "wd", "pareto")
 
 
 def cmd_tradeoff_capacity(args) -> _Table:
@@ -196,7 +195,7 @@ def cmd_tradeoff_capacity(args) -> _Table:
     x_axis = args.x_axis or preset.get("x_axis", "energy")
     deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid))
     two_relay = config.n_relays == 2
-    names = _CAPACITY_SCHEMES if two_relay else _CAPACITY_SCHEMES[:2]
+    names = _SCHEMES if two_relay else _SCHEMES[:2]
     if two_relay:
         frontier = capacity_frontier(config, deltas)
     header = ["delta", "energy"] + [f"c_{name}" for name in names]
@@ -239,25 +238,24 @@ def cmd_tradeoff_outage(args) -> _Table:
         # default geometry maximizes the Pareto policy's feasible delta range
         config = dataclasses.replace(config, mean_snr=2.0 * config.outage_threshold / _LN2)
     deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid))
-    delta_lo, _ = cf.delta_range_outage(config)
-    header = ["delta", "energy", "noout_ts", "noout_tc", "noout_wd", "noout_pareto"]
+    two_relay = config.n_relays == 2
+    if two_relay:
+        delta_lo, _ = cf.delta_range_outage(config)
+    names = _SCHEMES if two_relay else _SCHEMES[:2]
+    header = ["delta", "energy"] + [f"noout_{name}" for name in names]
     rows = []
     for delta in deltas:
         delta = float(delta)
-        energy = cf.energy_from_delta(config, delta)
-        pareto = None
-        if delta >= delta_lo - 1e-12:
-            zeta = zeta_for_delta(config, delta, Metric.OUTAGE_INDICATOR)
-            pareto = cf.pareto_no_outage(config, zeta)
-        rows.append([
-            delta,
-            energy,
-            1.0 - cf.outage_ts(config, delta),
-            1.0 - cf.outage_tc(config, delta),
-            1.0 - cf.outage_wd(config, delta),
-            pareto,
-        ])
-    return header, rows, ("delta", ["noout_ts", "noout_tc", "noout_wd", "noout_pareto"])
+        row = [delta, cf.energy_from_delta(config, delta),
+               1.0 - cf.outage_ts(config, delta), 1.0 - cf.outage_tc(config, delta)]
+        if two_relay:
+            pareto = None
+            if delta >= delta_lo - 1e-12:
+                zeta = zeta_for_delta(config, delta, Metric.OUTAGE_INDICATOR)
+                pareto = cf.pareto_no_outage(config, zeta)
+            row += [1.0 - cf.outage_wd(config, delta), pareto]
+        rows.append(row)
+    return header, rows, ("delta", header[2:])
 
 
 def cmd_capacity_vs_snr(args) -> _Table:
@@ -266,7 +264,7 @@ def cmd_capacity_vs_snr(args) -> _Table:
     snr_db_grid = _parse_grid(args.snr_db, "--snr-db")
     deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
     two_relay = config.n_relays == 2
-    names = _CAPACITY_SCHEMES if two_relay else _CAPACITY_SCHEMES[:2]
+    names = _SCHEMES if two_relay else _SCHEMES[:2]
     header = ["snr_db"]
     for delta in deltas:
         header += [f"c_{name}_d{delta:g}" for name in names]

@@ -13,24 +13,23 @@ track it.  One node-doubling ladder certifies both uses: a frontier point
 needs both coordinates within its tolerance, the weight solve's forward map
 only the energy.
 
-The integrals are a pure function of (config, zeta, rung), and one
-frontier asks for many of them more than once: each weight solve grows its
-bracket through the same zeta = 1, 2, 4, ..., and a point integrates again
-the rungs its solve's last step computed.  So the process holds one
-``_Scenario``, for the config last integrated:
+The integrals are a pure function of (config, zeta, rung), and a frontier
+asks for many more than once: each weight solve grows its bracket through
+the same zeta = 1, 2, 4, ..., and a point integrates again the rungs its
+solve's last step computed.  So the process holds one ``_Scenario``, for
+the config last integrated (another config replaces it): its ``c_max``, per
+ladder step the read-only SNR-gap grid (at most 0.46 MB), the integrals so
+far, keyed by (zeta, step) and cleared at ``_MAX_HELD_INTEGRALS``, and the
+damping array exp(-t) of the last energy-only first step.
 
-* its ``c_max`` and, per rung, the read-only SNR-gap grid and its half (at
-  most 0.9 MB over the four rungs);
-* the integrals evaluated so far, keyed by (zeta, rung), cleared when they
-  reach ``_MAX_HELD_INTEGRALS`` (a 21-point frontier holds about 270).
-
-Another config replaces it, so a ``capacity-vs-snr`` command holds one
-cell's scenario at a time, and a direct solve followed by a point at the
-solved weight integrates each rung once.  An evaluation computes only
-t = gap/(zeta*eps), exp(-t) and the two weighted row sums, in place and in
-the operation order of the one-expression form, so every value is
-bit-identical to a fresh evaluation.  The values are pure, so a race
-between threads can only repeat work.
+Almost every certification ends at the second rung, so the first two rungs
+form one step: one divide, one exp and one set of multiplies over both
+grids, with the row sums split per rung.  The solve reads only the energy,
+so its first steps compute only that; a point at its weight finishes the
+capacities from the held damping array.  Every value is bit-identical to a
+fresh one-expression evaluation of one rung, as each operation runs in its
+order; the values are pure and the held array read-only, so a race between
+threads can only repeat work.
 
 The outage frontier needs no integration: both coordinates have closed
 forms, and only the weight solve is numerical.
@@ -73,6 +72,8 @@ __all__ = [
 
 # Quadrature ladder: (outer Laguerre nodes, inner Legendre nodes per panel).
 _GL_LADDER = ((48, 8), (64, 12), (96, 16), (128, 24))
+# The ladder's steps, each one pass over its rungs' concatenated grids.
+_LADDER_STEPS = (_GL_LADDER[:2], _GL_LADDER[2:3], _GL_LADDER[3:])
 # Geometric panel edges for the inner integral over the scaled SNR gap; the
 # policy's switching layer sits near zero at a zeta-dependent scale, and a
 # panel per decade keeps it resolved wherever it lands.  Mass beyond the last
@@ -139,40 +140,64 @@ def _rung_nodes(outer_nodes: int, inner_nodes: int):
     return grids
 
 
-def _gap_grids(config: SystemConfig, outer_nodes: int, inner_nodes: int):
-    """The capacity gap of the ordered SNR pair on one rung's nodes, and its half.
-
-    With (low, high) = ((gbar/2)(y/2), (gbar/2)(y/2 + v)) the gap is
-    0.5*log2((1 + high) / (1 + low)), taken via log1p for small gaps.  It
-    does not depend on the weight.
-    """
+def _gap_grid(config: SystemConfig, rungs) -> np.ndarray:
+    """The read-only capacity gap 0.5*log2((1 + high) / (1 + low)) of the
+    ordered SNR pair (low, high) = ((gbar/2)(y/2), (gbar/2)(y/2 + v)), via
+    log1p, on a ladder step's nodes, each rung's (outer, inner) grid flattened
+    in turn.  It does not depend on the weight."""
     g = config.mean_snr
-    y, _, v, _ = _rung_nodes(outer_nodes, inner_nodes)
-    snr_lo = g * y[:, None] / 4.0
-    snr_hi = snr_lo + g * v[None, :] / 2.0
-    gap = 0.5 / _LN2 * np.log1p((snr_hi - snr_lo) / (1.0 + snr_lo))
-    return gap, gap * 0.5
+    gaps = []
+    for outer_nodes, inner_nodes in rungs:
+        y, _, v, _ = _rung_nodes(outer_nodes, inner_nodes)
+        snr_lo = g * y[:, None] / 4.0
+        snr_hi = snr_lo + g * v[None, :] / 2.0
+        gaps.append(np.log1p((snr_hi - snr_lo) / (1.0 + snr_lo)).ravel())
+    gap = np.concatenate(gaps)
+    gap *= 0.5 / _LN2
+    gap.flags.writeable = False
+    return gap
+
+
+@lru_cache(maxsize=None)
+def _step_weights(rungs) -> np.ndarray:
+    """Read-only wv of a ladder step's rungs, repeated per outer node, as its grid."""
+    wv = np.concatenate([np.tile(_rung_nodes(*rung)[3], rung[0]) for rung in rungs])
+    wv.flags.writeable = False
+    return wv
+
+
+def _rung_sums(terms: np.ndarray, rungs) -> list[float]:
+    """Per rung, wy @ (rows * wv).sum(axis=1) of its rows of ``terms``, weighted in place."""
+    terms *= _step_weights(rungs)
+    sums, start = [], 0
+    for outer_nodes, inner_nodes in rungs:
+        _, wy, _, wv = _rung_nodes(outer_nodes, inner_nodes)
+        rows = terms[start:start + wy.size * wv.size].reshape(wy.size, wv.size)
+        sums.append(float(wy @ rows.sum(axis=1)))
+        start += rows.size
+    return sums
 
 
 class _Scenario:
-    """What the capacity integrals of one config share: its ``c_max``, each
-    rung's read-only ``_gap_grids``, and the integrals evaluated so far,
-    keyed by (zeta, outer, inner)."""
+    """What the capacity integrals of one config share (module docstring)."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.c_max = c_max(config)
         self.grids = {}
         self.integrals = {}
+        self.damped = (None, None)
 
-    def rung(self, outer_nodes: int, inner_nodes: int):
-        grids = self.grids.get((outer_nodes, inner_nodes))
-        if grids is None:
-            grids = _gap_grids(self.config, outer_nodes, inner_nodes)
-            for grid in grids:
-                grid.flags.writeable = False
-            self.grids[outer_nodes, inner_nodes] = grids
-        return grids
+    def step(self, rungs):
+        if rungs not in self.grids:
+            self.grids[rungs] = _gap_grid(self.config, rungs)
+        return self.grids[rungs]
+
+    def capacities(self, rungs, damp: np.ndarray, out=None):
+        """Each rung's average capacity from the step's damping array exp(-t)."""
+        cap_terms = np.multiply(self.step(rungs), 0.5, out=out)
+        cap_terms *= damp
+        return [self.c_max - total for total in _rung_sums(cap_terms, rungs)]
 
 
 @lru_cache(maxsize=1)
@@ -181,9 +206,9 @@ def _scenario(config: SystemConfig) -> _Scenario:
     return _Scenario(config)
 
 
-def _capacity_policy_integrals(config: SystemConfig, zeta: float,
-                               outer_nodes: int, inner_nodes: int):
-    """(average energy, average capacity) under the capacity Pareto policy.
+def _capacity_policy_integrals(config: SystemConfig, zeta: float, rungs, coords: int):
+    """Per rung of ladder step ``rungs``, (average energy, average capacity) under
+    the capacity Pareto policy, or (energy,) if ``coords`` is 1 at the first step.
 
     Integrates over the ordered SNR pair (low, high) = ((gbar/2)(y/2),
     (gbar/2)(y/2 + v)) with Exp(1) weights in y and v.  The expectation over
@@ -195,9 +220,8 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float,
     latter and the gap grids taken from the held scenario.
     """
     scenario = _scenario(config)
-    gap, half_gap = scenario.rung(outer_nodes, inner_nodes)
+    gap = scenario.step(rungs)
     eps = config.mean_energy
-    _, wy, _, wv = _rung_nodes(outer_nodes, inner_nodes)
     # The terms 0.5*(1 + t)*damp*wv and (gap*0.5)*damp*wv, with t = gap/(zeta*eps)
     # and damp = exp(-t), in that order and in place.  Dividing by -(zeta*eps)
     # gives -t exactly, and 1 - (-t) is 1 + t exactly.
@@ -213,35 +237,41 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float,
     energy_terms = np.subtract(1.0, neg_t, out=neg_t)
     energy_terms *= 0.5
     energy_terms *= damp
-    energy_terms *= wv
-    cap_terms = np.multiply(half_gap, damp, out=damp)
-    cap_terms *= wv
-    energy = eps * (1.0 + float(wy @ energy_terms.sum(axis=1)))
-    capacity = scenario.c_max - float(wy @ cap_terms.sum(axis=1))
-    return energy, capacity
+    energies = [eps * (1.0 + total) for total in _rung_sums(energy_terms, rungs)]
+    if coords == 1 and rungs == _LADDER_STEPS[0]:  # later steps are rare: they give both
+        damp.flags.writeable = False
+        scenario.damped = (zeta, damp)
+        return tuple((energy,) for energy in energies)
+    return tuple(zip(energies, scenario.capacities(rungs, damp, out=energy_terms)))
 
 
 def _certified_integrals(config: SystemConfig, zeta: float, tol: float,
                          coords: int, name: str):
-    """(energy, capacity) from the first rung of the quadrature ladder that
-    agrees with the rung below it to within ``tol`` on its first ``coords``
-    coordinates.
+    """(energy, capacity), or (energy,) if ``coords`` is 1, of the first ladder
+    rung within ``tol`` of the rung below it on its first ``coords`` coordinates.
 
     Raises:
         ToleranceNotMetError: naming ``name``, if no rung does.
     """
-    held = _scenario(config).integrals
+    scenario = _scenario(config)
+    held = scenario.integrals
     prev = None
-    for outer, inner in _GL_LADDER:
-        key = (zeta, outer, inner)
+    for rungs in _LADDER_STEPS:
+        key = (zeta, rungs)
         cur = held.get(key)
-        if cur is None:
+        if cur is None or len(cur[0]) < coords:
             if len(held) >= _MAX_HELD_INTEGRALS:
                 held.clear()
-            cur = held[key] = _capacity_policy_integrals(config, zeta, outer, inner)
-        if prev is not None and max(abs(c - p) for c, p in zip(cur[:coords], prev)) < tol:
-            return cur
-        prev = cur
+            damped_zeta, damp = scenario.damped
+            if cur is not None and damped_zeta == zeta:  # finish from their damping array
+                cur = tuple(zip((e for e, in cur), scenario.capacities(rungs, damp)))
+            else:
+                cur = _capacity_policy_integrals(config, zeta, rungs, coords)
+            held[key] = cur
+        for rung in cur:
+            if prev is not None and max(abs(c - p) for c, p in zip(rung[:coords], prev)) < tol:
+                return rung
+            prev = rung
     raise ToleranceNotMetError(f"{name} did not reach tol={tol}")
 
 

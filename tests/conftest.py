@@ -70,6 +70,37 @@ def capacity_n_relays_quadrature(mean_snr: float, n_relays: int, delta: float) -
     return c_ts, c_tc
 
 
+def outage_n_relays_quadrature(mean_snr: float, threshold: float, n_relays: int,
+                               delta: float) -> tuple:
+    """Oracle for (time sharing, threshold checking) outage at tradeoff factor delta.
+
+    In s = 2 * SNR / mean_snr each relay's SNR is Exp(1) and the outage
+    threshold is s_th = 2 * threshold / mean_snr.  Time sharing picks the best
+    of N with probability 1 - delta, else the best-energy relay, whose SNR is
+    one Exp(1); threshold checking is as in ``capacity_n_relays_quadrature``.
+    """
+
+    def best(s):
+        return n_relays * (-math.expm1(-s)) ** (n_relays - 1) * math.exp(-s)
+
+    def one(s):
+        return math.exp(-s)
+
+    def quad(f, a, b):
+        return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400)[0] if b > a else 0.0
+
+    s_th = 2.0 * threshold / mean_snr
+    out_ts = (1.0 - delta) * quad(best, 0.0, s_th) + delta * quad(one, 0.0, s_th)
+    q = delta ** (1.0 / n_relays)  # Pr{one SNR below s_tau}
+    if q == 1.0:
+        return out_ts, quad(one, 0.0, s_th)
+    s_tau = -math.log1p(-q)
+    # the best clears s_tau but not s_th, or all fall below s_tau and the
+    # best-energy relay, one Exp(1) below s_tau, is also below s_th
+    out_tc = quad(best, s_tau, s_th) + q ** (n_relays - 1) * quad(one, 0.0, min(s_th, s_tau))
+    return out_ts, out_tc
+
+
 def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log10(xs), np.log10(ys), 1)[0])
 
@@ -104,13 +135,15 @@ def no_held_scenario():
 
 @pytest.fixture
 def integral_calls(monkeypatch):
-    """Counts of _capacity_policy_integrals calls by (config, zeta, outer, inner)."""
+    """Counts of rung exponentiations by (config, zeta, outer, inner): each
+    _capacity_policy_integrals call exponentiates every rung of its ladder step once."""
     calls = Counter()
     integrals = frontier._capacity_policy_integrals
 
-    def spy(config, zeta, outer_nodes, inner_nodes):
-        calls[config, zeta, outer_nodes, inner_nodes] += 1
-        return integrals(config, zeta, outer_nodes, inner_nodes)
+    def spy(config, zeta, rungs, coords):
+        for outer_nodes, inner_nodes in rungs:
+            calls[config, zeta, outer_nodes, inner_nodes] += 1
+        return integrals(config, zeta, rungs, coords)
 
     monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy)
     return calls
@@ -118,14 +151,14 @@ def integral_calls(monkeypatch):
 
 @pytest.fixture
 def grid_builds(monkeypatch):
-    """Each _gap_grids build, as (config, outer, inner, weak refs to the grids)."""
+    """Each _gap_grid build, as (config, ladder step, [weak ref to the grid])."""
     builds = []
-    gap_grids = frontier._gap_grids
+    gap_grid = frontier._gap_grid
 
-    def spy(config, outer_nodes, inner_nodes):
-        grids = gap_grids(config, outer_nodes, inner_nodes)
-        builds.append((config, outer_nodes, inner_nodes, [weakref.ref(g) for g in grids]))
-        return grids
+    def spy(config, rungs):
+        grid = gap_grid(config, rungs)
+        builds.append((config, rungs, [weakref.ref(grid)]))
+        return grid
 
-    monkeypatch.setattr(frontier, "_gap_grids", spy)
+    monkeypatch.setattr(frontier, "_gap_grid", spy)
     return builds

@@ -19,7 +19,7 @@ from relayswipt.model import SystemConfig, snr_from_db
 from relayswipt.schemes import Metric, ParetoOptimal, ThresholdChecking, TimeSharing
 from relayswipt.simulate import MonteCarloConfig, run
 
-from conftest import capacity_n_relays_quadrature
+from conftest import capacity_n_relays_quadrature, outage_n_relays_quadrature
 
 
 def read_csv(path):
@@ -144,8 +144,8 @@ def test_capacity_vs_snr_holds_one_config_of_grids(grid_builds, monkeypatch, cap
     monkeypatch.setattr(frontier, "_capacity_policy_integrals", evaluate)
     assert main(["capacity-vs-snr", "--snr-db=-20:25:16"]) == 0
     assert len({config for config, *_ in grid_builds}) == 16
-    assert max(Counter((cfg, outer, inner) for cfg, outer, inner, _ in grid_builds).values()) == 1
-    assert 0 < max(live_after_call) <= 2 * len(frontier._GL_LADDER)
+    assert max(Counter((cfg, rungs) for cfg, rungs, _ in grid_builds).values()) == 1
+    assert 0 < max(live_after_call) <= len(frontier._LADDER_STEPS)
     last = grid_builds[-1][0]
     assert {cfg for cfg, *_, refs in grid_builds for ref in refs if ref() is not None} == {last}
     assert last.mean_snr == snr_from_db(25.0)
@@ -237,6 +237,35 @@ def test_capacity_commands_keep_time_sharing_and_threshold_checking_at_three_rel
                                                            rel=1e-9)
             checked += 1
     assert checked == 2 * len(data) * (1 if snr_db_column is None else 3)
+
+
+@pytest.mark.parametrize("n_relays, snr_db, flags", [
+    (3, None, []),
+    (3, 10.0, []),
+    (3, -10.0, ["--rate", "0.5"]),
+    (4, 25.0, ["--outage-threshold", "3"]),
+    (8, 3.0, ["--mean-energy", "1e3"]),
+])
+def test_tradeoff_outage_keeps_time_sharing_and_threshold_checking_beyond_two_relays(
+        n_relays, snr_db, flags, capsys):
+    """At N != 2 the command drops weighted difference and the Pareto policy,
+    and its cells match an order-statistics quadrature oracle."""
+    given = dict(zip(flags[::2], map(float, flags[1::2])))
+    threshold = (2.0 ** (2.0 * given["--rate"]) - 1.0 if "--rate" in given
+                 else given.get("--outage-threshold", 1.0))
+    if snr_db is not None:
+        flags = flags + [f"--mean-snr-db={snr_db}"]
+    assert main(["tradeoff-outage", "--n-relays", str(n_relays), "--grid", "9"] + flags) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    header, data = rows[0], rows[1:]
+    assert header == ["delta", "energy", "noout_ts", "noout_tc"] and len(data) == 9
+    # without a mean SNR the command takes the default geometry 2*threshold/ln 2
+    mean_snr = 2.0 * threshold / math.log(2.0) if snr_db is None else snr_from_db(snr_db)
+    for row in data:
+        ts, tc = outage_n_relays_quadrature(mean_snr, threshold, n_relays,
+                                            cell(header, row, "delta"))
+        assert cell(header, row, "noout_ts") == pytest.approx(1.0 - ts, rel=1e-9, abs=1e-14)
+        assert cell(header, row, "noout_tc") == pytest.approx(1.0 - tc, rel=1e-9, abs=1e-14)
 
 
 def test_with_mc_at_three_relays_runs_time_sharing_and_threshold_checking(capsys):
@@ -415,6 +444,10 @@ CLI_PINS = {
         (0, "e7147ed16e184bf023af0ec15114b3a6bc044699a1a8a992fa1ba40d318f7e13"),
     (None, ("capacity-vs-snr", "--n-relays", "3", "--snr-db=-10:30:5")):
         (0, "a7c6061d9f2c69ea9b3535e54e7c5dd79656e85923e00a1771919dde38db0dc2"),
+    # recorded after its cells matched an order-statistics oracle
+    # (test_tradeoff_outage_keeps_time_sharing_and_threshold_checking_beyond_two_relays)
+    (None, ("tradeoff-outage", "--n-relays", "3", "--grid", "5")):
+        (0, "82dcee129b014f2e32b262ee24f65925db4aba0aaad2f770e36eb1a025b7d94f"),
 }
 
 

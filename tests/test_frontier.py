@@ -192,13 +192,47 @@ def test_frontier_evaluates_each_rung_once(integral_calls):
     assert all(integral_calls[key] == 2 for key in first)
 
 
-def test_a_point_reuses_the_rungs_its_solve_integrated(integral_calls):
+def _count_exps(monkeypatch):
+    """Sizes of the arrays np.exp is called on from now on."""
+    sizes = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    return sizes
+
+
+def test_a_point_reuses_the_rungs_its_solve_integrated(integral_calls, monkeypatch):
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
     zeta = zeta_for_delta(config, 0.5, Metric.CAPACITY)
     solved = dict(integral_calls)
-    pareto_capacity_point(config, zeta)
+    exps = _count_exps(monkeypatch)
+    point = pareto_capacity_point(config, zeta)
     assert (config, zeta, *frontier._GL_LADDER[0]) in solved
-    assert max(integral_calls.values()) == 1
+    # the capacities are finished from the solve's last damping array
+    assert exps == [] and dict(integral_calls) == solved
+    frontier._scenario.cache_clear()
+    assert pareto_capacity_point(config, zeta) == point and exps
+
+
+def test_a_held_damping_array_serves_only_its_own_weight(monkeypatch):
+    config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    zetas = [solve_zeta_for_energy(config, energy, Metric.CAPACITY) for energy in (1.2, 1.3)]
+    exps = _count_exps(monkeypatch)
+    # the array held is the second solve's: the first weight's point exponentiates again
+    last = pareto_capacity_point(config, zetas[1])
+    assert exps == []
+    first = pareto_capacity_point(config, zetas[0])
+    assert exps
+    assert [pareto_capacity_point(config, z) for z in zetas] == [first, last]
+    # another config's solve in between replaces the scenario, array included
+    solve_zeta_for_energy(SystemConfig(2, snr_from_db(20.0), 1.0, 1.0), 1.2, Metric.CAPACITY)
+    assert pareto_capacity_point(config, zetas[1]) == last
+    frontier._scenario.cache_clear()
+    assert [pareto_capacity_point(config, z) for z in zetas] == [first, last]
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,16 +240,45 @@ def test_a_point_reuses_the_rungs_its_solve_integrated(integral_calls):
     snr_db=st.floats(-20.0, 60.0),
     eps=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
     zeta=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
-    rung=st.sampled_from(frontier._GL_LADDER),
+    step=st.sampled_from(frontier._LADDER_STEPS),
 )
-def test_integrals_are_bit_identical_to_the_one_expression_form(snr_db, eps, zeta, rung):
+def test_integrals_are_bit_identical_to_the_one_expression_form(snr_db, eps, zeta, step):
     config = SystemConfig(2, snr_from_db(snr_db), eps, 1.0)
     other = SystemConfig(2, snr_from_db(snr_db) * 2.0, eps, 1.0)
-    expected = {cfg: oracles.capacity_policy_integrals(cfg, zeta, *rung) for cfg in (config, other)}
+    expected = {cfg: tuple(oracles.capacity_policy_integrals(cfg, zeta, *rung) for rung in step)
+                for cfg in (config, other)}
     frontier._scenario.cache_clear()
-    # builds the grids, reuses them, then builds them again after another config
+    # builds the grids, reuses them, then builds them again after another config;
+    # each rung of a step has its own bits, and an energy-only step the same energies
     for cfg in (config, config, other, config):
-        assert frontier._capacity_policy_integrals(cfg, zeta, *rung) == expected[cfg]
+        assert frontier._capacity_policy_integrals(cfg, zeta, step, 2) == expected[cfg]
+        energies = frontier._capacity_policy_integrals(cfg, zeta, step, 1)
+        assert [rung[0] for rung in energies] == [energy for energy, _ in expected[cfg]]
+
+
+def _assert_finished_capacities_keep_their_bits(config, zeta):
+    """An energy-only solve step, then a point at its weight, give the bits of
+    the one-expression form on both rungs of the first step."""
+    first = frontier._LADDER_STEPS[0]
+    expected = tuple(oracles.capacity_policy_integrals(config, zeta, *rung) for rung in first)
+    assert frontier._certified_integrals(config, zeta, math.inf, 1, "energy") == expected[1][:1]
+    assert frontier._scenario(config).damped[0] == zeta
+    with pytest.MonkeyPatch.context() as patch:
+        exps = _count_exps(patch)
+        assert frontier._certified_integrals(config, zeta, math.inf, 2, "point") == expected[1]
+    assert exps == [] and frontier._scenario(config).integrals[zeta, first] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    snr_db=st.floats(-20.0, 60.0),
+    eps=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    zeta=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+)
+def test_a_capacity_finished_from_the_held_damping_array_keeps_its_bits(snr_db, eps, zeta):
+    frontier._scenario.cache_clear()
+    _assert_finished_capacities_keep_their_bits(SystemConfig(2, snr_from_db(snr_db), eps, 1.0),
+                                                zeta)
 
 
 @pytest.mark.parametrize("zeta", [1e-310, 5e-324])
@@ -230,17 +293,21 @@ def test_a_floored_weight_keeps_every_finite_term():
     # zeta*eps is below the overflow guard, yet t = gap/(zeta*eps) spans 1e-4..2e5,
     # with nodes on both sides of where exp(-t) reaches 0
     config = SystemConfig(2, 1e-297, 1.0, 1.0)
-    for rung in frontier._GL_LADDER:
-        assert (frontier._capacity_policy_integrals(config, 1e-301, *rung)
-                == oracles.capacity_policy_integrals(config, 1e-301, *rung))
+    for step in frontier._LADDER_STEPS:
+        assert (frontier._capacity_policy_integrals(config, 1e-301, step, 2)
+                == tuple(oracles.capacity_policy_integrals(config, 1e-301, *rung) for rung in step))
+    _assert_finished_capacities_keep_their_bits(config, 1e-301)
 
 
 def test_cached_nodes_and_grids_are_read_only():
     config = SystemConfig(2, 10.0, 1.0, 1.0)
     pareto_capacity_point(config, 1.0)
-    held = [grid for grids in frontier._scenario(config).grids.values() for grid in grids]
+    solve_zeta_for_energy(config, 1.2, Metric.CAPACITY)
+    scenario = frontier._scenario(config)
+    held = [*scenario.grids.values(), scenario.damped[1]]
     nodes = [array for rung in frontier._GL_LADDER for array in frontier._rung_nodes(*rung)]
-    assert held and len(nodes) == 4 * len(frontier._GL_LADDER)
+    nodes += [frontier._step_weights(rungs) for rungs in scenario.grids]
+    assert len(held) > 1 and len(nodes) == 4 * len(frontier._GL_LADDER) + len(scenario.grids)
     for array in held + nodes:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -262,6 +329,31 @@ def test_held_integrals_stay_within_their_bound(integral_calls, monkeypatch):
     assert points[len(zetas):] == points[:len(zetas)]
 
 
+def test_held_arrays_stay_within_the_rungs_and_one_damping_array():
+    """The first two rungs live only in their step's concatenated grid, and
+    the scenario holds one damping array, of the first step: with the
+    config-independent step weights, the frontier holds no more than a gap
+    grid and its half per rung (184,320 B over two rungs, 921,600 B over
+    four) plus one damping array."""
+    def held_bytes(config):
+        scenario = frontier._scenario(config)
+        arrays = [*scenario.grids.values(), scenario.damped[1]]
+        arrays += [frontier._step_weights(rungs) for rungs in scenario.grids]
+        assert all(array.base is None for array in arrays)  # no views of other arrays
+        return len(scenario.grids), sum(array.nbytes for array in arrays)
+
+    damping = 11_520 * 8
+    config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    capacity_frontier(config)
+    steps, size = held_bytes(config)
+    assert steps == 1 and size <= 184_320 + damping
+    config = SystemConfig(2, snr_from_db(30.0), 1.0, 1.0)
+    with pytest.raises(ToleranceNotMetError):
+        capacity_frontier(config)
+    steps, size = held_bytes(config)
+    assert steps == 3 and size <= 921_600 + damping
+
+
 def test_frontier_builds_each_grid_once(grid_builds, monkeypatch):
     cmax_calls = Counter()
     c_max = frontier.c_max
@@ -276,8 +368,8 @@ def test_frontier_builds_each_grid_once(grid_builds, monkeypatch):
     for z in (0.0, zeta, 1.0, 2.0, zeta):
         pareto_capacity_point(config, z)
     capacity_frontier(config)
-    rungs = Counter((outer, inner) for _, outer, inner, _ in grid_builds)
-    assert rungs and max(rungs.values()) == 1 and set(rungs) <= set(frontier._GL_LADDER)
+    steps = Counter(rungs for _, rungs, _ in grid_builds)
+    assert steps and max(steps.values()) == 1 and set(steps) <= set(frontier._LADDER_STEPS)
     assert cmax_calls == Counter({config: 1})
 
 
