@@ -42,7 +42,6 @@ from .frontier import (
     BracketError,
     ToleranceNotMetError,
     capacity_frontier,
-    pareto_capacity_point,
     zeta_for_delta,
 )
 from .model import SystemConfig, _read_config_file, _resolve_scenario, snr_from_db
@@ -181,17 +180,24 @@ def _checked_grid(grid: int) -> int:
 # ---------------------------------------------------------------------------
 #  Subcommand handlers
 # ---------------------------------------------------------------------------
-# Each returns (header, rows, plot); ``main`` writes the CSV and, for
-# --gnuplot, a script plotting plot = (x column, y columns[, log y]) if set.
+# Each takes the parsed flags and the preset and (config, seed) ``main``
+# resolved for them, and returns (header, rows, plot); ``main`` writes the CSV
+# and, for --gnuplot, a script plotting plot = (x column, y columns[, log y]).
 _Table = tuple[list[str], list[list], tuple | None]
 # Scheme columns of the figures; weighted difference and the Pareto
 # policies are defined for two relays only, so other N keep the first two.
 _SCHEMES = ("ts", "tc", "wd", "pareto")
+# The same schemes, in the same order, by montecarlo's --scheme choice: its weight
+# flag and its rule.
+_MC_SCHEMES = {
+    "time-sharing": ("mu", TimeSharing),
+    "threshold-checking": ("tau", ThresholdChecking),
+    "weighted-difference": ("nu", WeightedDifference),
+    "pareto": ("zeta", ParetoOptimal),
+}
 
 
-def cmd_tradeoff_capacity(args) -> _Table:
-    preset = _PRESETS.get(args.preset, {})
-    config, seed = _build_config(args, preset)
+def cmd_tradeoff_capacity(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
     x_axis = args.x_axis or preset.get("x_axis", "energy")
     deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid))
     two_relay = config.n_relays == 2
@@ -213,17 +219,11 @@ def cmd_tradeoff_capacity(args) -> _Table:
             if two_relay:
                 row += [cf.c_wd(config, energy), frontier.points[i].value]
             if args.with_mc:
-                schemes = [
-                    TimeSharing(mu=cf.mu_from_energy(config, energy)),
-                    ThresholdChecking(tau=cf.tau_from_energy(config, energy)),
-                ]
+                weights = [cf.mu_from_energy(config, energy), cf.tau_from_energy(config, energy)]
                 if two_relay:
-                    schemes += [
-                        WeightedDifference(nu=cf.nu_from_energy(config, energy)),
-                        ParetoOptimal(zeta=frontier.zetas[i], metric=Metric.CAPACITY),
-                    ]
-                for scheme in schemes:
-                    result = run(config, scheme, MonteCarloConfig(args.frames, seed))
+                    weights += [cf.nu_from_energy(config, energy), frontier.zetas[i]]
+                for (_, scheme), weight in zip(_MC_SCHEMES.values(), weights):
+                    result = run(config, scheme(weight), MonteCarloConfig(args.frames, seed))
                     row += [
                         result.capacity.mean, result.capacity.std_error,
                         result.energy.mean, result.energy.std_error,
@@ -232,8 +232,7 @@ def cmd_tradeoff_capacity(args) -> _Table:
     return header, rows, (x_axis, header[2:2 + len(names)])
 
 
-def cmd_tradeoff_outage(args) -> _Table:
-    config, _ = _build_config(args, _PRESETS.get(args.preset, {}))
+def cmd_tradeoff_outage(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
     if args.mean_snr is None and args.mean_snr_db is None and not args.config:
         # default geometry maximizes the Pareto policy's feasible delta range
         config = dataclasses.replace(config, mean_snr=2.0 * config.outage_threshold / _LN2)
@@ -249,18 +248,13 @@ def cmd_tradeoff_outage(args) -> _Table:
         row = [delta, cf.energy_from_delta(config, delta),
                1.0 - cf.outage_ts(config, delta), 1.0 - cf.outage_tc(config, delta)]
         if two_relay:
-            pareto = None
-            if delta >= delta_lo - 1e-12:
-                zeta = zeta_for_delta(config, delta, Metric.OUTAGE_INDICATOR)
-                pareto = cf.pareto_no_outage(config, zeta)
+            pareto = _pareto_no_outage(config, delta) if delta >= delta_lo - 1e-12 else None
             row += [1.0 - cf.outage_wd(config, delta), pareto]
         rows.append(row)
     return header, rows, ("delta", header[2:])
 
 
-def cmd_capacity_vs_snr(args) -> _Table:
-    preset = _PRESETS.get(args.preset, {})
-    config, _ = _build_config(args, preset)
+def cmd_capacity_vs_snr(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
     snr_db_grid = _parse_grid(args.snr_db, "--snr-db")
     deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
     two_relay = config.n_relays == 2
@@ -278,15 +272,12 @@ def cmd_capacity_vs_snr(args) -> _Table:
             row.append(cf.c_tc(point_config, energy))
             if two_relay:
                 row.append(cf.c_wd(point_config, energy))
-                zeta = zeta_for_delta(point_config, delta, Metric.CAPACITY)
-                row.append(pareto_capacity_point(point_config, zeta).value)
+                row.append(capacity_frontier(point_config, [delta]).points[0].value)
         rows.append(row)
     return header, rows, ("snr_db", header[1:])
 
 
-def cmd_outage_vs_snr(args) -> _Table:
-    preset = _PRESETS.get(args.preset, {})
-    config, _ = _build_config(args, preset)
+def cmd_outage_vs_snr(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
     ratio_db_grid = _parse_grid(args.ratio_db, "--ratio-db")
     deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
     two_relay = config.n_relays == 2
@@ -305,24 +296,23 @@ def cmd_outage_vs_snr(args) -> _Table:
             row.append(cf.outage_tc(point_config, delta))
             if two_relay:
                 row.append(cf.outage_wd(point_config, delta))
-                row.append(_pareto_outage_at_delta(point_config, delta))
+                row.append(1.0 - _pareto_no_outage(point_config, delta))
         rows.append(row)
     return header, rows, ("ratio_db", header[1:], True)
 
 
-def _pareto_outage_at_delta(config: SystemConfig, delta: float) -> float:
-    """Outage of the outage-metric Pareto policy at a requested factor.
+def _pareto_no_outage(config: SystemConfig, delta: float) -> float:
+    """No-outage probability of the outage-metric Pareto policy at a factor.
 
     Factors below the policy's feasible lower bound are lifted to it: the
     policy then transfers more energy than requested at no outage cost.
     """
     delta_lo, _ = cf.delta_range_outage(config)
     zeta = zeta_for_delta(config, max(delta, delta_lo), Metric.OUTAGE_INDICATOR)
-    return 1.0 - cf.pareto_no_outage(config, zeta)
+    return cf.pareto_no_outage(config, zeta)
 
 
-def cmd_montecarlo(args) -> _Table:
-    config, seed = _build_config(args, {})
+def cmd_montecarlo(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
     scheme = _scheme_from_args(args)
     result = run(config, scheme, MonteCarloConfig(args.frames, seed, n_workers=args.workers))
     header = [
@@ -343,22 +333,13 @@ def cmd_montecarlo(args) -> _Table:
 
 
 def _scheme_from_args(args) -> SchemeParam:
-    if args.scheme == "time-sharing":
-        if args.mu is None:
-            raise ValueError("--mu is required for --scheme time-sharing")
-        return TimeSharing(mu=args.mu)
-    if args.scheme == "threshold-checking":
-        if args.tau is None:
-            raise ValueError("--tau is required for --scheme threshold-checking")
-        return ThresholdChecking(tau=args.tau)
-    if args.scheme == "weighted-difference":
-        if args.nu is None:
-            raise ValueError("--nu is required for --scheme weighted-difference")
-        return WeightedDifference(nu=args.nu)
-    metric = Metric.CAPACITY if args.metric == "capacity" else Metric.OUTAGE_INDICATOR
-    if args.zeta is None:
-        raise ValueError("--zeta is required for --scheme pareto")
-    return ParetoOptimal(zeta=args.zeta, metric=metric)
+    flag, scheme = _MC_SCHEMES[args.scheme]
+    weight = getattr(args, flag)
+    if weight is None:
+        raise ValueError(f"--{flag} is required for --scheme {args.scheme}")
+    if scheme is ParetoOptimal and args.metric == "outage":
+        return ParetoOptimal(zeta=weight, metric=Metric.OUTAGE_INDICATOR)
+    return scheme(weight)  # the Pareto policy's metric defaults to capacity
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = _add_command(subs, "montecarlo", cmd_montecarlo, "one Monte Carlo run, single CSV row",
                       mean_snr=True, threshold=True, seed=True, gnuplot=False)
-    mc.add_argument("--scheme", required=True,
-                    choices=["time-sharing", "threshold-checking",
-                             "weighted-difference", "pareto"])
-    mc.add_argument("--mu", type=float, default=None)
-    mc.add_argument("--tau", type=float, default=None)
-    mc.add_argument("--nu", type=float, default=None)
-    mc.add_argument("--zeta", type=float, default=None)
+    mc.add_argument("--scheme", required=True, choices=list(_MC_SCHEMES))
+    for flag, _ in _MC_SCHEMES.values():
+        mc.add_argument(f"--{flag}", type=float, default=None)
     mc.add_argument("--metric", choices=["capacity", "outage"], default="capacity")
     mc.add_argument("--frames", type=int, default=1_000_000)
     mc.add_argument("--workers", type=int, default=MonteCarloConfig.n_workers)
@@ -433,7 +410,8 @@ def main(argv=None) -> int:
     try:
         if gnuplot and args.out == "-":
             raise ValueError("--gnuplot needs --out PATH: the plot script reads the CSV file")
-        header, rows, plot = args.handler(args)
+        preset = _PRESETS.get(getattr(args, "preset", None), {})  # montecarlo takes none
+        header, rows, plot = args.handler(args, preset, *_build_config(args, preset))
         _write_csv(args.out, header, rows)
         if gnuplot:
             _write_gnuplot(args.out, header, *plot)

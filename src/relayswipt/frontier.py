@@ -32,7 +32,13 @@ order; the values are pure and the held array read-only, so a race between
 threads can only repeat work.
 
 The outage frontier needs no integration: both coordinates have closed
-forms, and only the weight solve is numerical.
+forms, and only the weight solve is numerical.  Both frontiers take each
+weight from that solve, which meets an energy target within a band of
+1e-4 * mean_energy (zeta = 0 within the band above the policy's energy
+floor).  A grid whose targets lie within twice the band, such as delta
+steps below 4e-4 on the capacity frontier, may give points that collide or
+swap; either frontier then raises ValueError naming the policy's energy
+range, the target spacing and the band.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from .closedform import (
     TradeoffPoint,
+    _check_weight,
     _require_two_relays,
     c_max,
     c_min,
@@ -292,8 +299,7 @@ def pareto_capacity_point(
         ToleranceNotMetError: if the integrator cannot certify ``tol``.
     """
     _require_two_relays(config)
-    if math.isnan(zeta) or zeta < 0.0:
-        raise ValueError(f"zeta must be >= 0, got {zeta!r}")
+    zeta = _check_weight("zeta", zeta)
     if math.isinf(zeta):
         return tradeoff_point(config, 1.5 * config.mean_energy, c_min(config))
     if zeta == 0.0:
@@ -393,6 +399,31 @@ def zeta_for_delta(
     return solve_zeta_for_energy(config, energy, metric, point_tol=point_tol)
 
 
+def _pareto_frontier(config: SystemConfig, deltas, metric: Metric, tol: float,
+                     floor: float, point):
+    """``point(zeta)`` and ``zeta`` at each factor, ``zeta_for_delta`` solving to tol / 4.
+
+    Raises ValueError naming the policy's energy range [floor, 1.5 * eps], the
+    target spacing and the solver band where two points collide or swap.
+    """
+    band = _SOLVER_BAND * config.mean_energy
+    deltas = [float(delta) for delta in deltas]
+    points, zetas = [], []
+    for i, delta in enumerate(deltas):
+        zetas.append(zeta_for_delta(config, delta, metric, point_tol=tol / 4.0))
+        points.append(point(zetas[-1]))
+        if i and points[i].energy <= points[i - 1].energy:
+            spacing = energy_from_delta(config, delta) - energy_from_delta(config, deltas[i - 1])
+            raise ValueError(
+                f"{'capacity' if metric is Metric.CAPACITY else 'outage'} frontier points "
+                f"{i - 1} and {i} are not increasing in energy: the policy's energy range "
+                f"[{floor!r}, {1.5 * config.mean_energy!r}] is too narrow for this grid, whose "
+                f"targets lie {spacing:.3g} apart, within twice the weight solver's band of "
+                f"{band:.3g} (targets within the band above the range's floor snap to zeta = 0)"
+            )
+    return tuple(points), tuple(zetas)
+
+
 def capacity_frontier(
     config: SystemConfig,
     deltas=None,
@@ -407,50 +438,29 @@ def capacity_frontier(
     _require_two_relays(config)
     if deltas is None:
         deltas = np.linspace(0.0, 1.0, 21)
-    points, zetas = [], []
-    worst = 0.0
-    for delta in deltas:
-        zeta = zeta_for_delta(config, float(delta), Metric.CAPACITY, point_tol=tol / 4.0)
-        points.append(pareto_capacity_point(config, zeta, tol=tol))
-        zetas.append(zeta)
-        if 0.0 < zeta < math.inf:
-            worst = tol
-    return FrontierCurve(points=tuple(points), zetas=tuple(zetas), tolerance=worst)
+    points, zetas = _pareto_frontier(config, deltas, Metric.CAPACITY, tol, config.mean_energy,
+                                     lambda zeta: pareto_capacity_point(config, zeta, tol=tol))
+    worst = tol if any(0.0 < zeta < math.inf for zeta in zetas) else 0.0
+    return FrontierCurve(points=points, zetas=zetas, tolerance=worst)
 
 
 def outage_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
     """No-outage Pareto frontier over [delta_lo, 1], from closed forms only.
 
-    The weight solve meets each energy target only to within its band,
-    1e-4 * mean_energy, and a target within the band above the policy's
-    energy floor gets zeta = 0.  Where the policy's energy range is so
-    narrow that two grid targets lie within twice the band, their points
-    may collide or come out of order; that raises ValueError naming the
-    range, as does a delta below the feasible lower bound.
+    A delta below the feasible lower bound raises ValueError.  Outside about
+    -4..26.5 dB the policy's energy range is too narrow for the default grid.
     """
     delta_lo, _ = delta_range_outage(config)  # raises first for n_relays != 2
     if deltas is None:
         deltas = np.linspace(delta_lo, 1.0, 21)
-    band = _SOLVER_BAND * config.mean_energy
     deltas = [float(delta) for delta in deltas]
-    points, zetas = [], []
-    for i, delta in enumerate(deltas):
+    for delta in deltas:
         if delta < delta_lo - 1e-12:
             raise ValueError(
                 f"delta {delta} below the feasible lower bound {delta_lo} of the outage frontier"
             )
-        zeta = zeta_for_delta(config, delta, Metric.OUTAGE_INDICATOR)
-        point = tradeoff_point(config, pareto_outage_energy(config, zeta),
-                               pareto_no_outage(config, zeta))
-        if points and point.energy <= points[-1].energy:
-            spacing = energy_from_delta(config, delta) - energy_from_delta(config, deltas[i - 1])
-            raise ValueError(
-                f"outage frontier points {i - 1} and {i} are not increasing in energy: the "
-                f"policy's energy range [{pareto_outage_energy_min(config)!r}, "
-                f"{1.5 * config.mean_energy!r}] is too narrow for this grid, whose targets lie "
-                f"{spacing:.3g} apart, within twice the weight solver's band of {band:.3g} "
-                f"(targets within the band above the range's floor snap to zeta = 0)"
-            )
-        points.append(point)
-        zetas.append(zeta)
-    return FrontierCurve(points=tuple(points), zetas=tuple(zetas), tolerance=band)
+    points, zetas = _pareto_frontier(
+        config, deltas, Metric.OUTAGE_INDICATOR, _DEFAULT_TOL, pareto_outage_energy_min(config),
+        lambda zeta: tradeoff_point(config, pareto_outage_energy(config, zeta),
+                                    pareto_no_outage(config, zeta)))
+    return FrontierCurve(points=points, zetas=zetas, tolerance=_SOLVER_BAND * config.mean_energy)

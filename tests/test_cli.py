@@ -342,6 +342,24 @@ def test_montecarlo_usage_errors(capsys):
     assert main(["tradeoff-capacity", "--grid", "1"]) == 2
 
 
+@pytest.mark.parametrize("scheme, flag", [
+    ("time-sharing", "mu"), ("threshold-checking", "tau"),
+    ("weighted-difference", "nu"), ("pareto", "zeta"),
+])
+def test_a_missing_weight_flag_names_itself(scheme, flag, capsys):
+    assert main(["montecarlo", "--scheme", scheme, "--frames", "1000"]) == 2
+    assert capsys.readouterr().err == f"error: --{flag} is required for --scheme {scheme}\n"
+
+
+def test_capacity_commands_refuse_relay_counts_past_the_closed_forms(capsys):
+    assert main(["tradeoff-capacity", "--n-relays", "60", "--grid", "3"]) == 2
+    assert main(["capacity-vs-snr", "--n-relays", "20", "--snr-db", "0:10:2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: capacity closed forms need n_relays <= 19, got n_relays={n}"
+                   for n in (60, 20)]
+    assert main(["tradeoff-capacity", "--n-relays", "19", "--grid", "3"]) == 0
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg_file = tmp_path / "scenario.cfg"
     cfg_file.write_text(

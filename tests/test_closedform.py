@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import relayswipt.closedform as cf
-from relayswipt.model import SystemConfig
+from relayswipt.model import SystemConfig, snr_from_db
 from relayswipt.simulate import MonteCarloConfig, run
 from relayswipt.schemes import Metric, TimeSharing
 
 import oracles
-from conftest import capacity_quadrature
+from conftest import capacity_n_relays_quadrature, capacity_quadrature
 
 LN2 = math.log(2.0)
 
@@ -458,3 +458,29 @@ def test_tradeoff_point_validation(config10):
     assert point.delta == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         cf.tradeoff_point(config10, 1.6, 0.9)
+    # delta is undefined for one relay: the module's N = 1 error, not delta 0
+    with pytest.raises(ValueError, match="need n_relays >= 2"):
+        cf.tradeoff_point(SystemConfig(1, 10.0, 1.0, 1.0), 1.0, 0.9)
+
+
+def test_best_snr_sum_is_refused_past_its_accurate_relay_counts(monkeypatch):
+    """The alternating sum behind c_max, c_ts and c_tc cancels as N grows.  At
+    the bound it stays within 1e-9 of the best-of-N quadrature over -20..60 dB
+    (the worst cell is near -7 dB); one relay more does not, and is refused."""
+    n = cf._MAX_SUM_RELAYS
+
+    def worst_error(n_relays):
+        errors = []
+        for snr_db in [*np.arange(-20.0, 60.5, 1.0), -7.45]:
+            config = SystemConfig(n_relays, snr_from_db(snr_db), 1.0, 1.0)
+            want = capacity_n_relays_quadrature(config.mean_snr, n_relays, 0.0)[0]
+            errors.append(abs(cf.c_max(config) - want) / want)
+        return max(errors)
+
+    assert worst_error(n) < 1e-9
+    config = SystemConfig(n + 1, 10.0, 1.0, 1.0)
+    for call in (cf.c_max, lambda c: cf.c_ts(c, 2.0), lambda c: cf.c_tc(c, 2.0)):
+        with pytest.raises(ValueError, match=f"n_relays <= {n}, got n_relays={n + 1}"):
+            call(config)
+    monkeypatch.setattr(cf, "_MAX_SUM_RELAYS", n + 1)
+    assert worst_error(n + 1) > 1e-9

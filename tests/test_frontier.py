@@ -392,6 +392,33 @@ def test_outage_frontier_succeeds_or_names_its_narrow_range():
         outage_frontier(SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0), [0.6, 0.6])
 
 
+def test_capacity_frontier_names_a_collision():
+    """Targets within twice the solver band end in the error that names the
+    policy's energy range, the target spacing and the band, as on the outage
+    frontier, not in FrontierCurve's generic check."""
+    config = SystemConfig(2, 10.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=(
+            r"^capacity frontier points 0 and 1 are not increasing in energy: the policy's "
+            r"energy range \[1\.0, 1\.5\] is too narrow for this grid, whose targets lie "
+            r"5e-10 apart, within twice the weight solver's band of 0\.0001 ")):
+        capacity_frontier(config, [0.5, 0.5 + 1e-9])
+
+
+def test_both_frontiers_solve_and_evaluate_through_module_names(monkeypatch):
+    """Each point takes one ``zeta_for_delta`` and one point call, looked up in
+    the module at call time, so a wrapper of those names sees every point."""
+    calls = Counter()
+    for name in ("zeta_for_delta", "pareto_capacity_point", "pareto_no_outage"):
+        def spy(*args, _name=name, _original=getattr(frontier, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(frontier, name, spy)
+    capacity_frontier(SystemConfig(2, 10.0, 1.0, 1.0), [0.0, 0.5, 1.0])
+    assert calls == Counter(zeta_for_delta=3, pareto_capacity_point=3)
+    outage_frontier(SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0), [0.6, 0.8])
+    assert calls == Counter(zeta_for_delta=5, pareto_capacity_point=3, pareto_no_outage=2)
+
+
 def test_outage_frontier_endpoints_and_dominance():
     cfg = SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0)
     a = math.exp(-2.0 * cfg.outage_threshold / cfg.mean_snr)
