@@ -8,7 +8,7 @@ Subcommands map one-to-one to the bundled figure presets:
 * ``capacity-vs-snr`` (fig6): per-scheme capacity over an SNR grid for fixed
   tradeoff factors.
 * ``outage-vs-snr`` (fig7, fig8): outage probability versus the SNR-to-
-  threshold ratio.
+  threshold ratio, by the same sweep with the mean SNR scaled by the threshold.
 * ``montecarlo``: a single simulation run with full estimates.
 
 Weighted difference and the Pareto policies are defined for two relays only,
@@ -30,6 +30,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -254,51 +255,49 @@ def cmd_tradeoff_outage(args, preset: dict, config: SystemConfig, seed: int) -> 
     return header, rows, ("delta", header[2:])
 
 
-def cmd_capacity_vs_snr(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
-    snr_db_grid = _parse_grid(args.snr_db, "--snr-db")
+def _snr_sweep(args, preset: dict, config: SystemConfig, grid, scale: float, prefix: str, cells):
+    """Scheme columns and rows over ``grid`` (dB) and ``--deltas``, a grid point x at mean
+    SNR ``scale * snr_from_db(x)``; per factor, the first cells ``cells(point_config, delta)``
+    yields, one per scheme column, so a two-relay cell is never evaluated at N != 2."""
     deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
-    two_relay = config.n_relays == 2
-    names = _SCHEMES if two_relay else _SCHEMES[:2]
-    header = ["snr_db"]
-    for delta in deltas:
-        header += [f"c_{name}_d{delta:g}" for name in names]
+    names = _SCHEMES if config.n_relays == 2 else _SCHEMES[:2]
+    header = [f"{prefix}_{name}_d{delta:g}" for delta in deltas for name in names]
     rows = []
-    for snr_db in snr_db_grid:
-        point_config = dataclasses.replace(config, mean_snr=snr_from_db(snr_db))
-        row = [float(snr_db)]
+    for x in grid:
+        point_config = dataclasses.replace(config, mean_snr=scale * snr_from_db(x))
+        row = [float(x)]
         for delta in deltas:
-            energy = cf.energy_from_delta(point_config, delta)
-            row.append(cf.c_ts(point_config, energy))
-            row.append(cf.c_tc(point_config, energy))
-            if two_relay:
-                row.append(cf.c_wd(point_config, energy))
-                row.append(capacity_frontier(point_config, [delta]).points[0].value)
+            row += itertools.islice(cells(point_config, delta), len(names))
         rows.append(row)
-    return header, rows, ("snr_db", header[1:])
+    return header, rows
+
+
+def _capacity_cells(config: SystemConfig, delta: float):
+    energy = cf.energy_from_delta(config, delta)
+    yield cf.c_ts(config, energy)
+    yield cf.c_tc(config, energy)
+    yield cf.c_wd(config, energy)
+    yield capacity_frontier(config, [delta]).points[0].value
+
+
+def _outage_cells(config: SystemConfig, delta: float):
+    yield cf.outage_ts(config, delta)
+    yield cf.outage_tc(config, delta)
+    yield cf.outage_wd(config, delta)
+    yield 1.0 - _pareto_no_outage(config, delta)
+
+
+def cmd_capacity_vs_snr(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
+    grid = _parse_grid(args.snr_db, "--snr-db")
+    header, rows = _snr_sweep(args, preset, config, grid, 1.0, "c", _capacity_cells)
+    return ["snr_db"] + header, rows, ("snr_db", header)
 
 
 def cmd_outage_vs_snr(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
-    ratio_db_grid = _parse_grid(args.ratio_db, "--ratio-db")
-    deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
-    two_relay = config.n_relays == 2
-    header = ["ratio_db"]
-    for delta in deltas:
-        header += [f"out_ts_d{delta:g}", f"out_tc_d{delta:g}"]
-        if two_relay:
-            header += [f"out_wd_d{delta:g}", f"out_pareto_d{delta:g}"]
-    rows = []
-    for ratio_db in ratio_db_grid:
-        gbar = config.outage_threshold * snr_from_db(ratio_db)
-        point_config = dataclasses.replace(config, mean_snr=gbar)
-        row = [float(ratio_db)]
-        for delta in deltas:
-            row.append(cf.outage_ts(point_config, delta))
-            row.append(cf.outage_tc(point_config, delta))
-            if two_relay:
-                row.append(cf.outage_wd(point_config, delta))
-                row.append(1.0 - _pareto_no_outage(point_config, delta))
-        rows.append(row)
-    return header, rows, ("ratio_db", header[1:], True)
+    grid = _parse_grid(args.ratio_db, "--ratio-db")
+    header, rows = _snr_sweep(args, preset, config, grid, config.outage_threshold, "out",
+                              _outage_cells)
+    return ["ratio_db"] + header, rows, ("ratio_db", header, True)
 
 
 def _pareto_no_outage(config: SystemConfig, delta: float) -> float:

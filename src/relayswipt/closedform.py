@@ -88,7 +88,7 @@ class TradeoffPoint:
 
 def tradeoff_point(config: SystemConfig, energy: float, value: float) -> TradeoffPoint:
     """Build a TradeoffPoint, validating energy bounds and deriving delta (N >= 2)."""
-    delta = _energy_fraction(config, energy)
+    delta = delta_from_energy(config, energy)
     return TradeoffPoint(energy=float(energy), value=float(value), delta=delta)
 
 
@@ -134,17 +134,6 @@ def _require_multi_relay(config: SystemConfig) -> None:
         raise ValueError("tradeoff curves need n_relays >= 2 (energy range is degenerate for N=1)")
 
 
-def _energy_fraction(config: SystemConfig, energy: float) -> float:
-    """Normalized position of energy in the feasible range, clamped to [0, 1]."""
-    _require_multi_relay(config)
-    lo, hi = energy_bounds(config)
-    slack = _REL_SLACK * hi
-    if math.isnan(energy) or not (lo - slack <= energy <= hi + slack):
-        raise ValueError(f"energy {energy!r} outside feasible range [{lo}, {hi}]")
-    frac = (energy - lo) / (hi - lo)
-    return min(max(frac, 0.0), 1.0)
-
-
 def _check_weight(name: str, value: float) -> float:
     """A policy parameter (tau, nu or zeta): >= 0, math.inf allowed."""
     value = float(value)
@@ -161,8 +150,14 @@ def _check_delta(delta: float) -> float:
 
 
 def delta_from_energy(config: SystemConfig, energy: float) -> float:
-    """Tradeoff factor delta = (energy/eps - 1) / (H_N - 1), in [0, 1]."""
-    return _energy_fraction(config, energy)
+    """Tradeoff factor delta = (energy/eps - 1) / (H_N - 1), clamped to [0, 1]."""
+    _require_multi_relay(config)
+    lo, hi = energy_bounds(config)
+    slack = _REL_SLACK * hi
+    if math.isnan(energy) or not (lo - slack <= energy <= hi + slack):
+        raise ValueError(f"energy {energy!r} outside feasible range [{lo}, {hi}]")
+    frac = (energy - lo) / (hi - lo)
+    return min(max(frac, 0.0), 1.0)
 
 
 def energy_from_delta(config: SystemConfig, delta: float) -> float:
@@ -183,7 +178,7 @@ def mu_from_energy(config: SystemConfig, energy: float) -> float:
 
     mu = (H_N*eps - energy) / (eps*(H_N - 1)); equals 1 - delta.
     """
-    return 1.0 - _energy_fraction(config, energy)
+    return 1.0 - delta_from_energy(config, energy)
 
 
 def c_ts(config: SystemConfig, energy: float) -> float:
@@ -203,7 +198,7 @@ def tau_from_energy(config: SystemConfig, energy: float) -> float:
     Returns math.inf at the top of the energy range, where the policy
     degenerates to pure best-energy selection.
     """
-    rho = _energy_fraction(config, energy)
+    rho = delta_from_energy(config, energy)
     if rho >= 1.0:
         return math.inf
     n = config.n_relays
@@ -264,7 +259,7 @@ def nu_from_energy(config: SystemConfig, energy: float) -> float:
     Returns math.inf at the top of the range (pure best-energy selection).
     """
     _require_two_relays(config)
-    rho = _energy_fraction(config, energy)
+    rho = delta_from_energy(config, energy)
     if rho >= 1.0:
         return math.inf
     eps = config.mean_energy

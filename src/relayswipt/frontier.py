@@ -10,8 +10,9 @@ Gauss-Laguerre; the inner SNR-gap dimension uses composite Gauss-Legendre
 panels on a fixed geometric grid, because the policy's switching layer sits
 near zero gap at a scale proportional to zeta and uniform nodes cannot
 track it.  One node-doubling ladder certifies both uses: a frontier point
-needs both coordinates within its tolerance, the weight solve's forward map
-only the energy.
+needs both coordinates within its tolerance (1e-4 absolute, which only
+``pareto_capacity_point`` lets a caller change), the weight solve's forward
+map only the energy, to a quarter of that.
 
 The integrals are a pure function of (config, zeta, rung), and a frontier
 asks for many more than once: each weight solve grows its bracket through
@@ -87,6 +88,8 @@ _LADDER_STEPS = (_GL_LADDER[:2], _GL_LADDER[2:3], _GL_LADDER[3:])
 # edge is below exp(-60).
 _PANEL_EDGES = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0, 25.0, 60.0)
 _DEFAULT_TOL = 1e-4
+# The weight solve certifies each energy to a quarter of a point's tolerance.
+_SOLVE_TOL = _DEFAULT_TOL / 4
 _SOLVER_BAND = 1e-4  # |energy(zeta) - target| < band * mean_energy terminates
 _MAX_BRACKET = 2.0**60
 # The held scenario's integrals are cleared when they reach this many.
@@ -309,13 +312,7 @@ def pareto_capacity_point(
     return tradeoff_point(config, *_certified_integrals(config, zeta, tol, 2, ladder))
 
 
-def solve_zeta_for_energy(
-    config: SystemConfig,
-    energy_target: float,
-    metric: Metric,
-    *,
-    point_tol: float = 2.5e-5,
-) -> float:
+def solve_zeta_for_energy(config: SystemConfig, energy_target: float, metric: Metric) -> float:
     """Invert the monotone map zeta -> average energy by bisection.
 
     The bracket is grown geometrically from [0, 1]; samples gathered while
@@ -329,7 +326,7 @@ def solve_zeta_for_energy(
         floor = eps
 
         def forward(z: float) -> float:
-            return _certified_integrals(config, z, point_tol, 1, "energy integral")[0]
+            return _certified_integrals(config, z, _SOLVE_TOL, 1, "energy integral")[0]
 
     elif metric is Metric.OUTAGE_INDICATOR:
         floor = pareto_outage_energy_min(config)
@@ -351,7 +348,7 @@ def solve_zeta_for_energy(
             f"energy target {energy_target!r} outside feasible range [{floor}, {ceiling})"
         )
 
-    mono_slack = max(4.0 * point_tol, 1e-9) * eps
+    mono_slack = 4.0 * _SOLVE_TOL * eps
     lo, hi = 0.0, 1.0
     prev = floor
     while True:
@@ -379,13 +376,7 @@ def solve_zeta_for_energy(
     raise ToleranceNotMetError(f"bisection stalled solving for energy {energy_target}")
 
 
-def zeta_for_delta(
-    config: SystemConfig,
-    delta: float,
-    metric: Metric,
-    *,
-    point_tol: float = 2.5e-5,
-) -> float:
+def zeta_for_delta(config: SystemConfig, delta: float, metric: Metric) -> float:
     """Pareto weight whose policy transfers the energy of tradeoff factor delta.
 
     delta = 1 is the best-energy limit, math.inf.  Below that the weight is
@@ -396,12 +387,11 @@ def zeta_for_delta(
     energy = energy_from_delta(config, delta)
     if delta == 1.0:
         return math.inf
-    return solve_zeta_for_energy(config, energy, metric, point_tol=point_tol)
+    return solve_zeta_for_energy(config, energy, metric)
 
 
-def _pareto_frontier(config: SystemConfig, deltas, metric: Metric, tol: float,
-                     floor: float, point):
-    """``point(zeta)`` and ``zeta`` at each factor, ``zeta_for_delta`` solving to tol / 4.
+def _pareto_frontier(config: SystemConfig, deltas, metric: Metric, floor: float, point):
+    """``point(zeta)`` and ``zeta`` at each factor, from ``zeta_for_delta``.
 
     Raises ValueError naming the policy's energy range [floor, 1.5 * eps], the
     target spacing and the solver band where two points collide or swap.
@@ -410,7 +400,7 @@ def _pareto_frontier(config: SystemConfig, deltas, metric: Metric, tol: float,
     deltas = [float(delta) for delta in deltas]
     points, zetas = [], []
     for i, delta in enumerate(deltas):
-        zetas.append(zeta_for_delta(config, delta, metric, point_tol=tol / 4.0))
+        zetas.append(zeta_for_delta(config, delta, metric))
         points.append(point(zetas[-1]))
         if i and points[i].energy <= points[i - 1].energy:
             spacing = energy_from_delta(config, delta) - energy_from_delta(config, deltas[i - 1])
@@ -424,23 +414,19 @@ def _pareto_frontier(config: SystemConfig, deltas, metric: Metric, tol: float,
     return tuple(points), tuple(zetas)
 
 
-def capacity_frontier(
-    config: SystemConfig,
-    deltas=None,
-    *,
-    tol: float = _DEFAULT_TOL,
-) -> FrontierCurve:
+def capacity_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
     """Capacity Pareto frontier over a grid of tradeoff factors.
 
     Defaults to 21 uniform points on [0, 1].  Endpoints are exact; interior
-    points solve for the weight matching the energy implied by delta.
+    points solve for the weight matching the energy implied by delta, and
+    are integrated to ``pareto_capacity_point``'s default tol.
     """
     _require_two_relays(config)
     if deltas is None:
         deltas = np.linspace(0.0, 1.0, 21)
-    points, zetas = _pareto_frontier(config, deltas, Metric.CAPACITY, tol, config.mean_energy,
-                                     lambda zeta: pareto_capacity_point(config, zeta, tol=tol))
-    worst = tol if any(0.0 < zeta < math.inf for zeta in zetas) else 0.0
+    points, zetas = _pareto_frontier(config, deltas, Metric.CAPACITY, config.mean_energy,
+                                     lambda zeta: pareto_capacity_point(config, zeta))
+    worst = _DEFAULT_TOL if any(0.0 < zeta < math.inf for zeta in zetas) else 0.0
     return FrontierCurve(points=points, zetas=zetas, tolerance=worst)
 
 
@@ -460,7 +446,7 @@ def outage_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
                 f"delta {delta} below the feasible lower bound {delta_lo} of the outage frontier"
             )
     points, zetas = _pareto_frontier(
-        config, deltas, Metric.OUTAGE_INDICATOR, _DEFAULT_TOL, pareto_outage_energy_min(config),
+        config, deltas, Metric.OUTAGE_INDICATOR, pareto_outage_energy_min(config),
         lambda zeta: tradeoff_point(config, pareto_outage_energy(config, zeta),
                                     pareto_no_outage(config, zeta)))
     return FrontierCurve(points=points, zetas=zetas, tolerance=_SOLVER_BAND * config.mean_energy)

@@ -127,7 +127,10 @@ def validate_scheme(scheme: SchemeParam, n_relays: int) -> None:
 
 def select(snr, energy, scheme: SchemeParam, coin: float = 0.0,
            outage_threshold: float = 1.0) -> int:
-    """Apply any scheme to a single frame of per-relay SNRs and energies."""
+    """Apply any scheme to a single frame of per-relay SNRs and energies.
+
+    ``coin`` is the time-sharing uniform, in [0, 1) as the engine draws it.
+    """
     snr = np.asarray(snr, dtype=float)
     energy = np.asarray(energy, dtype=float)
     if snr.ndim != 1 or energy.shape != snr.shape or snr.size < 1:
@@ -136,6 +139,10 @@ def select(snr, energy, scheme: SchemeParam, coin: float = 0.0,
         raise ValueError("frame entries must be finite")
     if np.any(snr < 0.0) or np.any(energy < 0.0):
         raise ValueError("frame entries must be nonnegative")
+    if not 0.0 <= coin < 1.0:
+        raise ValueError(f"coin must be in [0, 1), got {coin!r}")
+    if math.isnan(outage_threshold):
+        raise ValueError("outage_threshold must not be NaN")
     return int(select_indices(scheme, snr[None, :], energy[None, :],
                               np.array([coin]), outage_threshold)[0])
 

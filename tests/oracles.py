@@ -7,8 +7,9 @@ instead, so that tests comparing the two routes catch a transcription slip
 in either.  They are test oracles and are not part of the package.
 
 ``capacity_policy_integrals`` is the frontier's quadrature written as one
-expression per grid and evaluated afresh on every call; the library must
-give the same bits from its held grids and in-place passes.
+expression per grid and evaluated afresh on every call, on nodes it builds
+itself from numpy; the library must give the same bits from its own node
+tables, held grids and in-place passes.
 """
 
 import math
@@ -16,7 +17,6 @@ import math
 import numpy as np
 
 from relayswipt.closedform import c_max, c_min, delta_from_energy, energy_from_delta
-from relayswipt.frontier import _rung_nodes
 from relayswipt.model import SystemConfig
 from relayswipt.specfun import exp_e1_scaled, harmonic
 
@@ -24,6 +24,8 @@ _LN2 = math.log(2.0)
 # the library's bridge of the weighted-difference removable singularity
 _SINGULAR_TOL = 1e-8
 _PERTURB = 1e-6
+# the frontier's geometric panels over the scaled SNR gap
+_PANEL_EDGES = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0, 25.0, 60.0)
 
 
 def _require_two_relays(config: SystemConfig) -> None:
@@ -151,10 +153,17 @@ def outage_wd_composite(config: SystemConfig, energy: float) -> float:
 def capacity_policy_integrals(config: SystemConfig, zeta: float,
                               outer_nodes: int, inner_nodes: int):
     """(average energy, average capacity) under the capacity Pareto policy, on
-    the library's quadrature nodes, with every grid built for this call."""
+    the library's quadrature rule (Gauss-Laguerre in y, Gauss-Legendre panels in
+    v with the Exp(1) weight folded in), with every node and grid built for this call."""
     g = config.mean_snr
     eps = config.mean_energy
-    y, wy, v, wv = _rung_nodes(outer_nodes, inner_nodes)
+    y, wy = np.polynomial.laguerre.laggauss(outer_nodes)
+    z, w = np.polynomial.legendre.leggauss(inner_nodes)
+    edges = np.array(_PANEL_EDGES)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    v = edges[:-1, None] + half * (z + 1.0)
+    wv = (half * w * np.exp(-v)).ravel()
+    v = v.ravel()
     snr_lo = g * y[:, None] / 4.0
     snr_hi = snr_lo + g * v[None, :] / 2.0
     gap = 0.5 / _LN2 * np.log1p((snr_hi - snr_lo) / (1.0 + snr_lo))

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 
 import relayswipt
 from relayswipt.cli import build_parser
@@ -25,6 +26,49 @@ def test_public_surface_is_pinned():
     assert len(PUBLIC_NAMES) == 44
     for name in PUBLIC_NAMES:
         assert getattr(relayswipt, name) is not None
+
+
+# The parameter names of every function in ``relayswipt.__all__`` (classes
+# excluded).  A knob
+# added to or removed from a function shows up here, as a flag does below.
+PUBLIC_SIGNATURES = {
+    "array_gain": ["scheme", "config", "delta"],
+    "asymptotic_outage": ["scheme", "config", "delta"],
+    "c_max": ["config"],
+    "c_min": ["config"],
+    "c_tc": ["config", "energy"],
+    "c_ts": ["config", "energy"],
+    "c_wd": ["config", "energy"],
+    "capacity_frontier": ["config", "deltas"],
+    "delta_from_energy": ["config", "energy"],
+    "delta_range_outage": ["config"],
+    "energy_bounds": ["config"],
+    "energy_from_delta": ["config", "delta"],
+    "exp_e1_scaled": ["x"],
+    "harmonic": ["n"],
+    "mu_from_energy": ["config", "energy"],
+    "nu_from_energy": ["config", "energy"],
+    "outage_frontier": ["config", "deltas"],
+    "outage_tc": ["config", "delta"],
+    "outage_ts": ["config", "delta"],
+    "outage_wd": ["config", "delta"],
+    "pareto_capacity_point": ["config", "zeta", "tol"],
+    "pareto_no_outage": ["config", "zeta"],
+    "pareto_outage_energy": ["config", "zeta"],
+    "pareto_outage_energy_min": ["config"],
+    "run": ["config", "scheme", "mc"],
+    "select": ["snr", "energy", "scheme", "coin", "outage_threshold"],
+    "snr_from_db": ["db"],
+    "solve_zeta_for_energy": ["config", "energy_target", "metric"],
+    "tau_from_energy": ["config", "energy"],
+}
+
+
+def test_public_signatures_are_pinned():
+    functions = {name: getattr(relayswipt, name) for name in relayswipt.__all__}
+    signatures = {name: list(inspect.signature(fn).parameters) for name, fn in functions.items()
+                  if callable(fn) and not isinstance(fn, type)}
+    assert signatures == PUBLIC_SIGNATURES
 
 
 # Every flag of each subcommand.  A command takes a flag only if it reads it;

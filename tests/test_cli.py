@@ -299,6 +299,46 @@ def test_outage_vs_snr_pareto_column(tmp_path):
         assert cell(header, row, "out_pareto_d0.5") <= cell(header, row, "out_wd_d0.5") + 1e-9
 
 
+def _table(argv, capsys):
+    """The CSV ``main(argv)`` writes to stdout, as a header and its rows."""
+    assert main(argv) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    return rows[0], rows[1:]
+
+
+def test_the_vs_snr_figures_agree_with_the_tradeoff_figures_cell_for_cell(capsys):
+    """At N = 2, the same mean SNR and the same factor, a vs-SNR cell is the
+    tradeoff figure's cell: the same closed form and the same Pareto weight."""
+    compared = Counter()
+    header, data = _table(["capacity-vs-snr", "--snr-db", "10:20:2", "--deltas", "0.25,0.5"],
+                          capsys)
+    for row in data:
+        snr_db = f"{cell(header, row, 'snr_db'):g}"
+        th, tdata = _table(["tradeoff-capacity", "--mean-snr-db", snr_db, "--grid", "5"], capsys)
+        for trow in tdata:
+            suffix = f"_d{cell(th, trow, 'delta'):g}"
+            if "c_ts" + suffix in header:
+                for name in ("c_ts", "c_tc", "c_wd", "c_pareto"):
+                    assert cell(header, row, name + suffix) == cell(th, trow, name)
+                compared["capacity"] += 1
+    header, data = _table(["outage-vs-snr", "--ratio-db", "0:10:3", "--outage-threshold", "1",
+                           "--deltas", "0,0.25,0.5,0.75,1"], capsys)
+    for row in data:
+        ratio_db = f"{cell(header, row, 'ratio_db'):g}"
+        th, tdata = _table(["tradeoff-outage", "--mean-snr-db", ratio_db,
+                            "--outage-threshold", "1", "--grid", "5"], capsys)
+        for trow in tdata:
+            suffix = f"_d{cell(th, trow, 'delta'):g}"
+            for name in ("ts", "tc", "wd"):
+                out = cell(header, row, f"out_{name}{suffix}")
+                assert cell(th, trow, f"noout_{name}") == 1.0 - out
+            if trow[th.index("noout_pareto")]:  # empty below the policy's delta_lo
+                noout = cell(th, trow, "noout_pareto")
+                assert cell(header, row, "out_pareto" + suffix) == 1.0 - noout
+                compared["outage pareto"] += 1
+    assert compared == {"capacity": 4, "outage pareto": 5}
+
+
 def test_montecarlo_row_and_determinism(tmp_path):
     out1, out2 = tmp_path / "mc1.csv", tmp_path / "mc2.csv"
     args = ["montecarlo", "--scheme", "time-sharing", "--mu", "0.5",

@@ -97,6 +97,25 @@ def test_select_validates_the_frame():
             select([1.0, 2.0], [1.0, bad], BEST_SNR)
 
 
+@pytest.mark.parametrize("coin", [1.0, 1.5, -0.5, math.nan, math.inf])
+def test_select_rejects_a_coin_outside_the_unit_interval(coin):
+    # mu = 1 always picks the best-SNR relay and mu = 0 never does, whatever the
+    # coin; an out-of-range coin would otherwise pick the other relay
+    f = ([5.0, 1.0], [0.1, 9.0])
+    for mu in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"coin must be in \[0, 1\)"):
+            select(*f, TimeSharing(mu=mu), coin=coin)
+    assert select(*f, TimeSharing(mu=1.0), coin=0.0) == 0
+    assert select(*f, TimeSharing(mu=0.0), coin=0.0) == 1
+
+
+def test_select_rejects_a_nan_outage_threshold():
+    scheme = ParetoOptimal(zeta=1.0, metric=Metric.OUTAGE_INDICATOR)
+    with pytest.raises(ValueError, match="outage_threshold"):
+        select([5.0, 1.0], [0.1, 9.0], scheme, outage_threshold=math.nan)
+    assert select([5.0, 1.0], [0.1, 9.0], scheme, outage_threshold=0.0) == 1  # a 0 stays valid
+
+
 def test_argmax_examples():
     assert select([1.0, 3.0, 2.0], [0.0, 0.0, 0.0], BEST_SNR) == 1
     assert select([0.0, 0.0], [4.0, 4.0], BEST_ENERGY) == 0  # tie -> lowest index
