@@ -16,9 +16,9 @@ Conventions used throughout:
 Functions raise ValueError when an argument leaves its stated domain, and
 for tradeoff curves with a single relay (N = 1), where the energy range
 collapses and the tradeoff factor is undefined.  ``c_max``, ``c_ts`` and
-``c_tc`` also raise it above N = 19: their alternating order-statistics sum
-cancels as N grows, and 19 is the largest N it keeps within 1e-9 of a
-best-of-N quadrature at every mean SNR in -20..60 dB.
+``c_tc`` also raise it above N = 21: their alternating order-statistics sum
+cancels as N grows, and 21 is the largest N it keeps within 1e-9 of a
+best-of-N quadrature on a 1 dB grid over -20..60 dB.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ _LN2 = math.log(2.0)
 _REL_SLACK = 1e-9
 _SINGULAR_TOL = 1e-8
 _PERTURB = 1e-6
-# Largest N whose best-SNR sum is within 1e-9 relative over -20..60 dB: worst
-# 8.2e-10 at N = 19, 1.4e-9 at N = 20, near -7 dB (tau > 0 cancels less).
-_MAX_SUM_RELAYS = 19
+# Largest N whose best-SNR sum is within 1e-9 relative on a 1 dB grid over
+# -20..60 dB: worst 4.8e-10 at N = 21, 1.02e-9 at N = 22, near 13 dB, set by
+# E1's rounding just above x = 1 (tau > 0 cancels less).
+_MAX_SUM_RELAYS = 21
 
 SchemeName = Literal["ts", "tc", "wd"]
 

@@ -392,12 +392,49 @@ def test_a_missing_weight_flag_names_itself(scheme, flag, capsys):
 
 
 def test_capacity_commands_refuse_relay_counts_past_the_closed_forms(capsys):
+    bound = cf._MAX_SUM_RELAYS
     assert main(["tradeoff-capacity", "--n-relays", "60", "--grid", "3"]) == 2
-    assert main(["capacity-vs-snr", "--n-relays", "20", "--snr-db", "0:10:2"]) == 2
+    assert main(["capacity-vs-snr", "--n-relays", str(bound + 1), "--snr-db", "0:10:2"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: capacity closed forms need n_relays <= 19, got n_relays={n}"
-                   for n in (60, 20)]
-    assert main(["tradeoff-capacity", "--n-relays", "19", "--grid", "3"]) == 0
+    assert err == [f"error: capacity closed forms need n_relays <= {bound}, got n_relays={n}"
+                   for n in (60, bound + 1)]
+    assert main(["tradeoff-capacity", "--n-relays", str(bound), "--grid", "3"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff-capacity", "--n-relays", "21", "--grid", "5"],
+    ["capacity-vs-snr", "--n-relays", "21", "--snr-db=-20:60:17"],
+])
+def test_capacity_commands_match_the_oracle_at_twenty_one_relays(argv, capsys):
+    """At the largest N the closed forms answer, every cell stays within 1e-9
+    of the best-of-N quadrature (worst 1.1e-10 on these grids)."""
+    assert main(argv) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    header, data = rows[0], rows[1:]
+    errors = []
+    for row in data:
+        snr_db = cell(header, row, "snr_db") if "snr_db" in header else 10.0
+        for name in (h for h in header if h.startswith("c_")):
+            scheme, _, delta = name[2:].partition("_d")
+            delta = float(delta) if delta else cell(header, row, "delta")
+            ts, tc = capacity_n_relays_quadrature(snr_from_db(snr_db), 21, delta)
+            want = ts if scheme == "ts" else tc
+            errors.append(abs(cell(header, row, name) - want) / want)
+    assert len(errors) == 2 * len(data) * (1 if "delta" in header else 3)
+    assert max(errors) < 1e-9
+
+
+@pytest.mark.parametrize("error", [frontier.ToleranceNotMetError, frontier.BracketError])
+def test_numerical_failure_exits_one(error, monkeypatch, capsys):
+    """A frontier that cannot certify its result ends the run with exit 1 and
+    no CSV, apart from the usage errors' exit 2."""
+    def fail(*args, **kwargs):
+        raise error("weight solve did not converge")
+    monkeypatch.setattr(cli, "capacity_frontier", fail)
+    assert main(["tradeoff-capacity", "--grid", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: weight solve did not converge\n"
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -501,11 +538,15 @@ CLI_PINS = {
     (None, ("tradeoff-capacity", "--n-relays", "3", "--grid", "5")):
         (0, "e7147ed16e184bf023af0ec15114b3a6bc044699a1a8a992fa1ba40d318f7e13"),
     (None, ("capacity-vs-snr", "--n-relays", "3", "--snr-db=-10:30:5")):
-        (0, "a7c6061d9f2c69ea9b3535e54e7c5dd79656e85923e00a1771919dde38db0dc2"),
+        (0, "28dc3006efcf8435626684ebf240a0a1cb00adca26bc2b1de73e5e182e236e07"),
     # recorded after its cells matched an order-statistics oracle
     # (test_tradeoff_outage_keeps_time_sharing_and_threshold_checking_beyond_two_relays)
     (None, ("tradeoff-outage", "--n-relays", "3", "--grid", "5")):
         (0, "82dcee129b014f2e32b262ee24f65925db4aba0aaad2f770e36eb1a025b7d94f"),
+    # the largest N the capacity closed forms answer; recorded after its cells
+    # matched a quadrature oracle (test_capacity_commands_match_the_oracle_at_...)
+    (None, ("tradeoff-capacity", "--n-relays", "21", "--grid", "5")):
+        (0, "cbd54d6fe313a88a17909695a32504186ac244542317966e4cb956f236e5be16"),
 }
 
 

@@ -201,6 +201,11 @@ def test_nu_inversion_values(config10):
     assert cf.energy_wd_of_nu(config10, 1.0) == pytest.approx(0.5 * (3.0 - 100.0 / 144.0), rel=1e-14)
 
 
+def test_energy_wd_of_nu_at_infinity_is_the_best_energy_mean():
+    config = SystemConfig(2, 10.0, 3.0, 1.0)
+    assert cf.energy_wd_of_nu(config, math.inf) == 1.5 * config.mean_energy
+
+
 def test_nu_round_trip(config10):
     for energy in np.linspace(1.0 + 1e-9, 1.5 - 1e-9, 50):
         energy = float(energy)

@@ -392,6 +392,12 @@ def test_outage_frontier_succeeds_or_names_its_narrow_range():
         outage_frontier(SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0), [0.6, 0.6])
 
 
+def test_outage_frontier_refuses_a_delta_below_its_feasible_bound():
+    config = SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0)  # feasible deltas [0.5, 1]
+    with pytest.raises(ValueError, match="delta 0.25 below the feasible lower bound 0.5 "):
+        outage_frontier(config, [0.25, 1.0])
+
+
 def test_capacity_frontier_names_a_collision():
     """Targets within twice the solver band end in the error that names the
     policy's energy range, the target spacing and the band, as on the outage

@@ -129,3 +129,10 @@ def test_load_config_file_rejects_bad_input(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError):
         _resolve_scenario(_read_config_file(path))
+
+
+def test_load_config_file_names_a_duplicate_key(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("n_relays = 2\nmean_snr = 10\nmean_energy = 1\nmean_snr: 20\n")
+    with pytest.raises(ValueError, match=r"dup\.cfg:4: duplicate key 'mean_snr'$"):
+        _read_config_file(path)

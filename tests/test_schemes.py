@@ -263,6 +263,12 @@ def test_select_indices_rejects_bad_shapes():
     assert select_indices(scheme, snr, energy, coins).shape == (4,)
 
 
+def test_time_sharing_batch_needs_coins():
+    snr = energy = np.ones((4, 2))
+    with pytest.raises(ValueError, match="^time sharing needs per-frame coins$"):
+        select_indices(TimeSharing(mu=0.5), snr, energy)
+
+
 _NAN_SCHEMES = [
     TimeSharing(mu=0.0),
     TimeSharing(mu=1.0),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,39 @@ def test_e1_strictly_decreasing_and_convex(x1, gap1, gap2):
     assert v1 > v2 > v3
     mid = exp_integral_e1(0.5 * (x1 + x3))
     assert mid <= 0.5 * (v1 + v3) * (1 + 1e-12)
+
+
+def test_e1_matches_mpmath_on_1e_8_to_1e6():
+    """Series up to 1 and continued fraction above hold 2e-14 relative over
+    [1e-8, 1e6], densely sampled just above 1, where the fraction converges
+    slowest (worst about 1.5e-14), and on [99, 120], where an asymptotic
+    series once took over (3.3e-13 at x = 100).  Where E1 is subnormal or
+    underflows, the last ulp counts."""
+    rng = np.random.default_rng(0)
+    xs = [*np.logspace(-8, 6, 281), *np.linspace(99.0, 120.0, 85),
+          *rng.uniform(1.0, 1.2, 400), 1.0, math.nextafter(1.0, 2.0)]
+    with mpmath.workdps(50):
+        for x in map(float, xs):
+            e1 = mpmath.e1(x)
+            scaled = float(mpmath.exp(x) * e1)
+            assert exp_e1_scaled(x) == pytest.approx(scaled, rel=2e-14, abs=0.0)
+            assert math.isclose(exp_integral_e1(x), float(e1), rel_tol=2e-14,
+                                abs_tol=math.ulp(0.0))
+
+
+@given(st.floats(min_value=1e-300, max_value=1e300))
+@settings(max_examples=300, deadline=None)
+def test_exp_e1_scaled_within_abramowitz_stegun_bounds(x):
+    """A&S 5.1.19-5.1.20: max(1/(x+1), ln(1+2/x)/2) < exp(x) E1(x) <=
+    min(1/x, ln(1+1/x)), to rounding where the bounds meet at large x."""
+    value = exp_e1_scaled(x)
+    lower = max(1.0 / (x + 1.0), 0.5 * math.log1p(2.0 / x))
+    upper = min(1.0 / x, math.log1p(1.0 / x))
+    assert lower * (1.0 - 1e-15) <= value <= upper * (1.0 + 1e-15)
+
+
+def test_exp_e1_scaled_is_zero_at_infinity():
+    assert exp_e1_scaled(math.inf) == 0.0
 
 
 def test_exp_e1_scaled_matches_product():
