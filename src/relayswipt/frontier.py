@@ -14,23 +14,23 @@ needs both coordinates within its tolerance (1e-4 absolute, which only
 ``pareto_capacity_point`` lets a caller change), the weight solve's forward
 map only the energy, to a quarter of that.
 
-The integrals are a pure function of (config, zeta, rung), and a frontier
-asks for many more than once: each weight solve grows its bracket through
-the same zeta = 1, 2, 4, ..., and a point integrates again the rungs its
-solve's last step computed.  So the process holds one ``_Scenario``, for
-the config last integrated (another config replaces it): its ``c_max``, per
-ladder step the read-only SNR-gap grid (at most 0.46 MB), the integrals so
-far, keyed by (zeta, step) and cleared at ``_MAX_HELD_INTEGRALS``, and the
-damping array exp(-t) of the last energy-only first step.
+The integrals are a pure function of (config, zeta, rung).  A frontier
+solves all its weights in one walk of the bisection tree: the bracket
+zeta = 1, 2, 4, ... grows once for every target, and each dyadic midpoint
+splits the targets it does not meet, so each weight is evaluated once and
+each target ends on the weight its lone bisection gives.  A call holds one
+``_Scenario`` per config, shared by the calls inside it and gone with it:
+its ``c_max``, per ladder step the read-only SNR-gap grid (at most 0.46 MB),
+and the last weight's integrals and damping array exp(-t).
 
 Almost every certification ends at the second rung, so the first two rungs
 form one step: one divide, one exp and one set of multiplies over both
 grids, with the row sums split per rung.  The solve reads only the energy,
-so its first steps compute only that; a point at its weight finishes the
-capacities from the held damping array.  Every value is bit-identical to a
-fresh one-expression evaluation of one rung, as each operation runs in its
-order; the values are pure and the held array read-only, so a race between
-threads can only repeat work.
+so its first steps compute only that; a point, integrated as soon as its
+weight is found, finishes the capacities from the held damping array.
+Every value is bit-identical to a fresh one-expression evaluation of one
+rung, as each operation runs in its order; the values are pure and the held
+array read-only, so a race between threads can only repeat work.
 
 The outage frontier needs no integration: both coordinates have closed
 forms, and only the weight solve is numerical.  Both frontiers take each
@@ -45,8 +45,9 @@ range, the target spacing and the band.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
@@ -92,8 +93,6 @@ _DEFAULT_TOL = 1e-4
 _SOLVE_TOL = _DEFAULT_TOL / 4
 _SOLVER_BAND = 1e-4  # |energy(zeta) - target| < band * mean_energy terminates
 _MAX_BRACKET = 2.0**60
-# The held scenario's integrals are cleared when they reach this many.
-_MAX_HELD_INTEGRALS = 4096
 # exp(x) is exactly 0 for every x below this.
 _EXP_ZERO_BELOW = -746.0
 # A capacity gap is at most 512 bits at any finite mean SNR, so gap/(zeta*eps)
@@ -137,8 +136,7 @@ def _rung_nodes(outer_nodes: int, inner_nodes: int):
     """Read-only (y, wy, v, wv): Gauss-Laguerre in the outer dimension, and
     the inner nodes over the panel decomposition with Exp(1) weight folded in."""
     z, w = np.polynomial.legendre.leggauss(inner_nodes)
-    nodes = []
-    weights = []
+    nodes, weights = [], []
     for a, b in zip(_PANEL_EDGES, _PANEL_EDGES[1:]):
         half = 0.5 * (b - a)
         v = a + half * (z + 1.0)
@@ -189,14 +187,16 @@ def _rung_sums(terms: np.ndarray, rungs) -> list[float]:
 
 
 class _Scenario:
-    """What the capacity integrals of one config share (module docstring)."""
+    """What the capacity integrals of one config share within a call (module docstring)."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
-        self.c_max = c_max(config)
         self.grids = {}
-        self.integrals = {}
-        self.damped = (None, None)
+        self.last = (None, {}, None)  # (zeta, its integrals by step, a damping array)
+
+    @cached_property
+    def c_max(self) -> float:
+        return c_max(self.config)
 
     def step(self, rungs):
         if rungs not in self.grids:
@@ -210,10 +210,12 @@ class _Scenario:
         return [self.c_max - total for total in _rung_sums(cap_terms, rungs)]
 
 
-@lru_cache(maxsize=1)
+_live_scenarios = weakref.WeakValueDictionary()  # each goes with its last holder
+
+
 def _scenario(config: SystemConfig) -> _Scenario:
-    """The held scenario of ``config``; asking for another config replaces it."""
-    return _Scenario(config)
+    """The scenario a running call holds for ``config``, else a new one for the caller to hold."""
+    return _live_scenarios.get(config) or _live_scenarios.setdefault(config, _Scenario(config))
 
 
 def _capacity_policy_integrals(config: SystemConfig, zeta: float, rungs, coords: int):
@@ -227,7 +229,7 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float, rungs, coords:
     eps * (1 + (1+t) e^-t / 2) and the better-SNR relay wins with
     probability 1 - e^-t / 2.  Only the correction terms are integrated
     numerically; the t-independent parts are eps and c_max exactly, the
-    latter and the gap grids taken from the held scenario.
+    latter and the gap grids taken from the scenario, which holds the result.
     """
     scenario = _scenario(config)
     gap = scenario.step(rungs)
@@ -248,36 +250,31 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float, rungs, coords:
     energy_terms *= 0.5
     energy_terms *= damp
     energies = [eps * (1.0 + total) for total in _rung_sums(energy_terms, rungs)]
+    last = scenario.last  # read once: another thread may replace it
+    steps, held_damp = last[1:] if last[0] == zeta else ({}, None)
     if coords == 1 and rungs == _LADDER_STEPS[0]:  # later steps are rare: they give both
         damp.flags.writeable = False
-        scenario.damped = (zeta, damp)
-        return tuple((energy,) for energy in energies)
-    return tuple(zip(energies, scenario.capacities(rungs, damp, out=energy_terms)))
+        integrals, held_damp = tuple((energy,) for energy in energies), damp
+    else:
+        integrals = tuple(zip(energies, scenario.capacities(rungs, damp, out=energy_terms)))
+    scenario.last = (zeta, {**steps, rungs: integrals}, held_damp)
+    return integrals
 
 
-def _certified_integrals(config: SystemConfig, zeta: float, tol: float,
-                         coords: int, name: str):
+def _certified_integrals(scenario: _Scenario, zeta: float, tol: float, coords: int, name: str):
     """(energy, capacity), or (energy,) if ``coords`` is 1, of the first ladder
-    rung within ``tol`` of the rung below it on its first ``coords`` coordinates.
-
-    Raises:
-        ToleranceNotMetError: naming ``name``, if no rung does.
-    """
-    scenario = _scenario(config)
-    held = scenario.integrals
+    rung within ``tol`` of the rung below it on its first ``coords`` coordinates,
+    reusing what ``scenario`` holds of ``zeta``; raises ToleranceNotMetError
+    naming ``name`` if no rung does."""
     prev = None
     for rungs in _LADDER_STEPS:
-        key = (zeta, rungs)
-        cur = held.get(key)
-        if cur is None or len(cur[0]) < coords:
-            if len(held) >= _MAX_HELD_INTEGRALS:
-                held.clear()
-            damped_zeta, damp = scenario.damped
-            if cur is not None and damped_zeta == zeta:  # finish from their damping array
-                cur = tuple(zip((e for e, in cur), scenario.capacities(rungs, damp)))
-            else:
-                cur = _capacity_policy_integrals(config, zeta, rungs, coords)
-            held[key] = cur
+        held, steps, damp = scenario.last
+        cur = steps.get(rungs) if held == zeta else None
+        if cur is None:
+            cur = _capacity_policy_integrals(scenario.config, zeta, rungs, coords)
+        elif len(cur[0]) < coords:  # finish an energy-only step from its damping array
+            cur = tuple(zip((e for e, in cur), scenario.capacities(rungs, damp)))
+            scenario.last = (zeta, {**steps, rungs: cur}, damp)
         for rung in cur:
             if prev is not None and max(abs(c - p) for c, p in zip(rung[:coords], prev)) < tol:
                 return rung
@@ -285,12 +282,8 @@ def _certified_integrals(config: SystemConfig, zeta: float, tol: float,
     raise ToleranceNotMetError(f"{name} did not reach tol={tol}")
 
 
-def pareto_capacity_point(
-    config: SystemConfig,
-    zeta: float,
-    *,
-    tol: float = _DEFAULT_TOL,
-) -> TradeoffPoint:
+def pareto_capacity_point(config: SystemConfig, zeta: float, *,
+                          tol: float = _DEFAULT_TOL) -> TradeoffPoint:
     """One point of the capacity Pareto frontier at weight zeta.
 
     zeta = 0 is pure best-SNR selection, (eps, c_max); zeta = math.inf is
@@ -306,10 +299,66 @@ def pareto_capacity_point(
     if math.isinf(zeta):
         return tradeoff_point(config, 1.5 * config.mean_energy, c_min(config))
     if zeta == 0.0:
-        return tradeoff_point(config, config.mean_energy, _scenario(config).c_max)
-
+        return tradeoff_point(config, config.mean_energy, c_max(config))
     ladder = f"quadrature ladder (max {_GL_LADDER[-1]} nodes)"
-    return tradeoff_point(config, *_certified_integrals(config, zeta, tol, 2, ladder))
+    return tradeoff_point(config, *_certified_integrals(_scenario(config), zeta, tol, 2, ladder))
+
+
+def _walk(config: SystemConfig, targets, metric: Metric):
+    """Yield (i, zeta) as the weight of each ``targets[i]`` is found, from one walk of
+    the bisection tree (``solve_zeta_for_energy``).  A capacity walk holds its scenario
+    until it ends, for the point its caller integrates at each weight it yields."""
+    _require_two_relays(config)
+    eps = config.mean_energy
+    if metric is Metric.CAPACITY:
+        floor, scenario = eps, _scenario(config)
+
+        def forward(z: float) -> float:
+            return _certified_integrals(scenario, z, _SOLVE_TOL, 1, "energy integral")[0]
+    elif metric is Metric.OUTAGE_INDICATOR:
+        floor, forward = pareto_outage_energy_min(config), partial(pareto_outage_energy, config)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    band, ceiling = _SOLVER_BAND * eps, 1.5 * eps
+    # checked before the ceiling: where the floor lies within the band of the
+    # ceiling, a target that rounds up to the ceiling is still met by zeta = 0
+    pending = []
+    for i, t in enumerate(targets):
+        if floor - band <= t <= floor + band:
+            yield i, 0.0
+        elif floor - band <= t < ceiling:
+            pending.append((t, i))
+        else:
+            raise ValueError(f"energy target {t!r} outside feasible range [{floor}, {ceiling})")
+    pending.sort()
+    lo, prev, hi = 0.0, floor, 1.0
+    while pending:
+        f_hi = forward(hi)
+        if f_hi < prev - 4.0 * _SOLVE_TOL * eps:
+            raise BracketError(
+                f"energy({hi}) = {f_hi} < energy at smaller zeta {prev}; map not monotone")
+        count = sum(target <= f_hi for target, _ in pending)
+        brackets, pending = [(lo, hi, pending[:count], 1)], pending[count:]
+        while brackets:  # depth first; each midpoint splits the targets it does not meet
+            a, b, group, step = brackets.pop()
+            if not group:
+                continue
+            mid = 0.5 * (a + b)
+            f_mid = forward(mid)
+            below, above = [], []
+            for item in group:
+                if abs(f_mid - item[0]) < band:
+                    yield item[1], mid
+                else:
+                    (above if f_mid < item[0] else below).append(item)
+            # a bracket too narrow to split has its midpoint at an end and stalls there
+            if (below or above) and (step == 200 or not a < mid < b):
+                stalled = (below or above)[0][0]
+                raise ToleranceNotMetError(f"bisection stalled solving for energy {stalled}")
+            brackets += [(mid, b, above, step + 1), (a, mid, below, step + 1)]
+        prev, lo, hi = f_hi, hi, hi * 2.0
+        if pending and hi > _MAX_BRACKET:
+            raise BracketError(f"could not bracket energy target {pending[0][0]}")
 
 
 def solve_zeta_for_energy(config: SystemConfig, energy_target: float, metric: Metric) -> float:
@@ -318,62 +367,11 @@ def solve_zeta_for_energy(config: SystemConfig, energy_target: float, metric: Me
     The bracket is grown geometrically from [0, 1]; samples gathered while
     growing it are checked for monotonicity (a violation would indicate an
     integrator bug and raises BracketError).  Terminates when the forward
-    map is within 1e-4 * mean_energy of the target.
+    map is within 1e-4 * mean_energy of the target; ToleranceNotMetError
+    after 200 halvings.  This is a frontier's walk with one target: it holds
+    nothing after it returns.
     """
-    _require_two_relays(config)
-    eps = config.mean_energy
-    if metric is Metric.CAPACITY:
-        floor = eps
-
-        def forward(z: float) -> float:
-            return _certified_integrals(config, z, _SOLVE_TOL, 1, "energy integral")[0]
-
-    elif metric is Metric.OUTAGE_INDICATOR:
-        floor = pareto_outage_energy_min(config)
-
-        def forward(z: float) -> float:
-            return pareto_outage_energy(config, z)
-
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-
-    band = _SOLVER_BAND * eps
-    ceiling = 1.5 * eps
-    # checked before the ceiling: where the floor lies within the band of the
-    # ceiling, a target that rounds up to the ceiling is still met by zeta = 0
-    if floor - band <= energy_target <= floor + band:
-        return 0.0
-    if not floor - band <= energy_target < ceiling:
-        raise ValueError(
-            f"energy target {energy_target!r} outside feasible range [{floor}, {ceiling})"
-        )
-
-    mono_slack = 4.0 * _SOLVE_TOL * eps
-    lo, hi = 0.0, 1.0
-    prev = floor
-    while True:
-        f_hi = forward(hi)
-        if f_hi < prev - mono_slack:
-            raise BracketError(
-                f"energy({hi}) = {f_hi} < energy at smaller zeta {prev}; map not monotone"
-            )
-        if f_hi >= energy_target:
-            break
-        prev = f_hi
-        lo, hi = hi, hi * 2.0
-        if hi > _MAX_BRACKET:
-            raise BracketError(f"could not bracket energy target {energy_target}")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = forward(mid)
-        if abs(f_mid - energy_target) < band:
-            return mid
-        if f_mid < energy_target:
-            lo = mid
-        else:
-            hi = mid
-    raise ToleranceNotMetError(f"bisection stalled solving for energy {energy_target}")
+    return next(_walk(config, [energy_target], metric))[1]
 
 
 def zeta_for_delta(config: SystemConfig, delta: float, metric: Metric) -> float:
@@ -385,32 +383,30 @@ def zeta_for_delta(config: SystemConfig, delta: float, metric: Metric) -> float:
     delta outside [0, 1].
     """
     energy = energy_from_delta(config, delta)
-    if delta == 1.0:
-        return math.inf
-    return solve_zeta_for_energy(config, energy, metric)
+    return math.inf if delta == 1.0 else solve_zeta_for_energy(config, energy, metric)
 
 
 def _pareto_frontier(config: SystemConfig, deltas, metric: Metric, floor: float, point):
-    """``point(zeta)`` and ``zeta`` at each factor, from ``zeta_for_delta``.
-
-    Raises ValueError naming the policy's energy range [floor, 1.5 * eps], the
-    target spacing and the solver band where two points collide or swap.
-    """
-    band = _SOLVER_BAND * config.mean_energy
+    """``point(zeta)`` and ``zeta`` at each factor, the weight ``zeta_for_delta``
+    gives, those below delta = 1 from one walk.  Raises ValueError naming the policy's
+    energy range [floor, 1.5 * eps], the target spacing and the solver band where two
+    points collide or swap."""
     deltas = [float(delta) for delta in deltas]
-    points, zetas = [], []
-    for i, delta in enumerate(deltas):
-        zetas.append(zeta_for_delta(config, delta, metric))
-        points.append(point(zetas[-1]))
-        if i and points[i].energy <= points[i - 1].energy:
-            spacing = energy_from_delta(config, delta) - energy_from_delta(config, deltas[i - 1])
+    targets = [energy_from_delta(config, delta) for delta in deltas]
+    interior = [i for i, delta in enumerate(deltas) if delta != 1.0]
+    zetas, points = [math.inf] * len(deltas), [None] * len(deltas)
+    for k, zeta in _walk(config, [targets[i] for i in interior], metric):
+        zetas[interior[k]], points[interior[k]] = zeta, point(zeta)
+    points = [point(math.inf) if p is None else p for p in points]
+    for i in range(1, len(points)):
+        if points[i].energy <= points[i - 1].energy:
             raise ValueError(
                 f"{'capacity' if metric is Metric.CAPACITY else 'outage'} frontier points "
                 f"{i - 1} and {i} are not increasing in energy: the policy's energy range "
                 f"[{floor!r}, {1.5 * config.mean_energy!r}] is too narrow for this grid, whose "
-                f"targets lie {spacing:.3g} apart, within twice the weight solver's band of "
-                f"{band:.3g} (targets within the band above the range's floor snap to zeta = 0)"
-            )
+                f"targets lie {targets[i] - targets[i - 1]:.3g} apart, within twice the weight "
+                f"solver's band of {_SOLVER_BAND * config.mean_energy:.3g} (targets within the "
+                f"band above the range's floor snap to zeta = 0)")
     return tuple(points), tuple(zetas)
 
 
@@ -433,20 +429,24 @@ def capacity_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
 def outage_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
     """No-outage Pareto frontier over [delta_lo, 1], from closed forms only.
 
-    A delta below the feasible lower bound raises ValueError.  Outside about
-    -4..26.5 dB the policy's energy range is too narrow for the default grid.
+    A delta below the feasible lower bound raises ValueError.  By default the
+    grid has as many uniform points on [delta_lo, 1] as keep consecutive energy
+    targets two solver bands apart, 2 to 21, or only delta = 1 where the energy
+    floor is not below 1.5 * eps as computed.  ``tolerance`` is the solver band,
+    the error of each point's energy.
     """
     delta_lo, _ = delta_range_outage(config)  # raises first for n_relays != 2
-    if deltas is None:
-        deltas = np.linspace(delta_lo, 1.0, 21)
-    deltas = [float(delta) for delta in deltas]
+    eps, floor = config.mean_energy, pareto_outage_energy_min(config)
+    if deltas is None and floor < 1.5 * eps:
+        spaces = (1.5 * eps - energy_from_delta(config, delta_lo)) / (2.0 * _SOLVER_BAND * eps)
+        deltas = np.linspace(delta_lo, 1.0, min(21, max(2, 1 + int(spaces))))
+    deltas = [float(delta) for delta in ([1.0] if deltas is None else deltas)]
     for delta in deltas:
         if delta < delta_lo - 1e-12:
             raise ValueError(
-                f"delta {delta} below the feasible lower bound {delta_lo} of the outage frontier"
-            )
+                f"delta {delta} below the feasible lower bound {delta_lo} of the outage frontier")
     points, zetas = _pareto_frontier(
-        config, deltas, Metric.OUTAGE_INDICATOR, pareto_outage_energy_min(config),
+        config, deltas, Metric.OUTAGE_INDICATOR, floor,
         lambda zeta: tradeoff_point(config, pareto_outage_energy(config, zeta),
                                     pareto_no_outage(config, zeta)))
-    return FrontierCurve(points=points, zetas=zetas, tolerance=_SOLVER_BAND * config.mean_energy)
+    return FrontierCurve(points=points, zetas=zetas, tolerance=_SOLVER_BAND * eps)

@@ -64,20 +64,16 @@ def test_tradeoff_capacity_deterministic_bytes(tmp_path):
 
 
 def test_with_mc_reuses_the_frontier_weights(tmp_path, monkeypatch):
-    targets = []
-    solve = frontier.solve_zeta_for_energy
-
-    def counting_solve(config, energy_target, metric, **kwargs):
-        targets.append(energy_target)
-        return solve(config, energy_target, metric, **kwargs)
-
-    monkeypatch.setattr(frontier, "solve_zeta_for_energy", counting_solve)
+    walks, solves = [], []
+    walk = frontier._walk
+    monkeypatch.setattr(frontier, "_walk", lambda *args: walks.append(args[1]) or walk(*args))
+    monkeypatch.setattr(frontier, "solve_zeta_for_energy", lambda *args: solves.append(args))
     out = tmp_path / "mc.csv"
     grid, frames, seed = 5, 2000, 3
     assert main(["tradeoff-capacity", "--with-mc", "--grid", str(grid), "--frames", str(frames),
                  "--seed", str(seed), "--out", str(out)]) == 0
-    # one solve per grid point below delta = 1, none repeated for the overlay
-    assert len(targets) == len(set(targets)) == grid - 1
+    # one walk over the grid points below delta = 1, no solve repeated for the overlay
+    assert len(walks) == 1 and len(walks[0]) == len(set(walks[0])) == grid - 1 and not solves
     monkeypatch.undo()
     header, data = read_csv(out)
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
@@ -129,8 +125,8 @@ def test_capacity_vs_snr_evaluates_each_rung_once(integral_calls, capsys):
 
 
 def test_capacity_vs_snr_holds_one_config_of_grids(grid_builds, monkeypatch, capsys):
-    """Only the scenario of the config last integrated is held: its gap grids
-    stay alive, read-only, and every other cell's are dropped."""
+    """Only the scenario of the config being integrated is held: its gap grids
+    stay alive, read-only, and every other cell's are dropped, the last one's too."""
     live_after_call = []
     integrals = frontier._capacity_policy_integrals
 
@@ -146,9 +142,8 @@ def test_capacity_vs_snr_holds_one_config_of_grids(grid_builds, monkeypatch, cap
     assert len({config for config, *_ in grid_builds}) == 16
     assert max(Counter((cfg, rungs) for cfg, rungs, _ in grid_builds).values()) == 1
     assert 0 < max(live_after_call) <= len(frontier._LADDER_STEPS)
-    last = grid_builds[-1][0]
-    assert {cfg for cfg, *_, refs in grid_builds for ref in refs if ref() is not None} == {last}
-    assert last.mean_snr == snr_from_db(25.0)
+    assert grid_builds[-1][0].mean_snr == snr_from_db(25.0)
+    assert not [ref for *_, refs in grid_builds for ref in refs if ref() is not None]
 
 
 def test_tradeoff_outage_fig5(tmp_path):

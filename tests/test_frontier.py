@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -182,14 +183,102 @@ def test_frontier_evaluates_each_rung_once(integral_calls):
     curve = capacity_frontier(config)
     assert max(integral_calls.values()) == 1
     assert sum(integral_calls.values()) <= 280
-    # the scenario is held after the call: a repeat evaluates nothing
+    # nothing is held after the call: a repeat evaluates every rung again, to the same bits
     first = dict(integral_calls)
     assert capacity_frontier(config) == curve
-    assert dict(integral_calls) == first
-    # another config in between replaces it, and the repeat evaluates everything again
-    capacity_frontier(SystemConfig(2, snr_from_db(20.0), 1.0, 1.0))
-    assert capacity_frontier(config) == curve
-    assert all(integral_calls[key] == 2 for key in first)
+    assert integral_calls == Counter({key: 2 for key in first})
+
+
+# Kernel calls of a default 21-point frontier when a process-wide memo shared
+# every (weight, ladder step) between the weight solves; the walk must not need
+# more.  None: the energy integral does not certify, and the frontier refuses.
+_MEMO_KERNEL_CALLS = {
+    (-10.0, 1e-3): 133, (-10.0, 1.0): 139, (-10.0, 1e3): 146,
+    (0.0, 1e-3): 144, (0.0, 1.0): 127, (0.0, 1e3): 160,
+    (10.0, 1e-3): 136, (10.0, 1.0): 134, (10.0, 1e3): 191,
+    (20.0, 1e-3): 137, (20.0, 1.0): 125, (20.0, 1e3): None,
+}
+
+
+@pytest.mark.parametrize("snr_db, eps", sorted(_MEMO_KERNEL_CALLS))
+def test_frontier_makes_no_more_kernel_calls_than_a_shared_memo(snr_db, eps, monkeypatch):
+    steps = Counter()
+    integrals = frontier._capacity_policy_integrals
+
+    def spy(config, zeta, rungs, coords):
+        steps[zeta, rungs] += 1
+        return integrals(config, zeta, rungs, coords)
+
+    monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy)
+    config = SystemConfig(2, snr_from_db(snr_db), eps, 1.0)
+    if _MEMO_KERNEL_CALLS[snr_db, eps] is None:
+        with pytest.raises(ToleranceNotMetError, match="energy integral did not reach"):
+            capacity_frontier(config)
+    else:
+        capacity_frontier(config)
+        assert sum(steps.values()) <= _MEMO_KERNEL_CALLS[snr_db, eps]
+    assert max(steps.values()) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    snr_db=st.floats(-10.0, 15.0),
+    eps=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+    metric=st.sampled_from(Metric),
+    # fractions of the policy's energy range: the first strategy lands within the
+    # solver band above the floor, the second anywhere, in brackets from (0, 1] up
+    fractions=st.lists(st.one_of(st.floats(0.0, 2e-4), st.floats(0.0, 0.999)),
+                       min_size=1, max_size=5),
+    repeats=st.integers(0, 2),
+    deltas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+def test_one_walk_gives_each_target_the_weight_of_its_lone_bisection(
+        snr_db, eps, metric, fractions, repeats, deltas):
+    config = SystemConfig(2, snr_from_db(snr_db), eps, 1.0)
+    floor = eps if metric is Metric.CAPACITY else cf.pareto_outage_energy_min(config)
+    # unsorted, with repeats
+    targets = [floor + f * (1.5 * eps - floor) for f in fractions]
+    targets += targets[:repeats]
+    lone = [solve_zeta_for_energy(config, target, metric) for target in targets]
+    walked = dict(frontier._walk(config, targets, metric))
+    assert [walked[i] for i in range(len(targets))] == lone
+    # both frontiers, on a sorted grid whose targets lie more than two solver bands apart
+    delta_lo = 0.0 if metric is Metric.CAPACITY else cf.delta_range_outage(config)[0]
+    grid = []
+    for delta in sorted(delta_lo + d * (1.0 - delta_lo) for d in deltas):
+        if not grid or delta - grid[-1] > 5e-4:
+            grid.append(delta)
+    build = capacity_frontier if metric is Metric.CAPACITY else outage_frontier
+    assert build(config, grid).zetas == tuple(zeta_for_delta(config, d, metric) for d in grid)
+
+
+def test_no_array_outlives_a_frontier_call(grid_builds, monkeypatch):
+    """Gap grids, damping arrays and the scenario itself go with the call that made them."""
+    refs = []
+    integrals, exp = frontier._capacity_policy_integrals, np.exp
+
+    def spy_integrals(config, *args):
+        refs.append(weakref.ref(frontier._scenario(config)))  # the one the running call holds
+        return integrals(config, *args)
+
+    def spy_exp(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        if isinstance(out, np.ndarray):
+            refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy_integrals)
+    monkeypatch.setattr(np, "exp", spy_exp)
+    config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    for call in (lambda: capacity_frontier(config),
+                 lambda: solve_zeta_for_energy(config, 1.2, Metric.CAPACITY),
+                 lambda: pareto_capacity_point(config, 0.7)):
+        del refs[:], grid_builds[:]
+        call()
+        assert grid_builds and len(refs) > 1
+        assert not [ref for *_, grid_refs in grid_builds for ref in grid_refs if ref() is not None]
+        assert not [ref for ref in refs if ref() is not None]
+        assert not frontier._live_scenarios
 
 
 def _count_exps(monkeypatch):
@@ -207,6 +296,7 @@ def _count_exps(monkeypatch):
 
 def test_a_point_reuses_the_rungs_its_solve_integrated(integral_calls, monkeypatch):
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    held = frontier._scenario(config)  # what the calls below share while the test holds it
     zeta = zeta_for_delta(config, 0.5, Metric.CAPACITY)
     solved = dict(integral_calls)
     exps = _count_exps(monkeypatch)
@@ -214,12 +304,13 @@ def test_a_point_reuses_the_rungs_its_solve_integrated(integral_calls, monkeypat
     assert (config, zeta, *frontier._GL_LADDER[0]) in solved
     # the capacities are finished from the solve's last damping array
     assert exps == [] and dict(integral_calls) == solved
-    frontier._scenario.cache_clear()
+    del held  # the scenario goes; a point integrates again, to the same bits
     assert pareto_capacity_point(config, zeta) == point and exps
 
 
 def test_a_held_damping_array_serves_only_its_own_weight(monkeypatch):
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    held = frontier._scenario(config)
     zetas = [solve_zeta_for_energy(config, energy, Metric.CAPACITY) for energy in (1.2, 1.3)]
     exps = _count_exps(monkeypatch)
     # the array held is the second solve's: the first weight's point exponentiates again
@@ -228,10 +319,11 @@ def test_a_held_damping_array_serves_only_its_own_weight(monkeypatch):
     first = pareto_capacity_point(config, zetas[0])
     assert exps
     assert [pareto_capacity_point(config, z) for z in zetas] == [first, last]
-    # another config's solve in between replaces the scenario, array included
+    # another config's solve in between has its own scenario and leaves this one alone
     solve_zeta_for_energy(SystemConfig(2, snr_from_db(20.0), 1.0, 1.0), 1.2, Metric.CAPACITY)
-    assert pareto_capacity_point(config, zetas[1]) == last
-    frontier._scenario.cache_clear()
+    del exps[:]
+    assert pareto_capacity_point(config, zetas[1]) == last and exps == []
+    del held
     assert [pareto_capacity_point(config, z) for z in zetas] == [first, last]
 
 
@@ -247,13 +339,19 @@ def test_integrals_are_bit_identical_to_the_one_expression_form(snr_db, eps, zet
     other = SystemConfig(2, snr_from_db(snr_db) * 2.0, eps, 1.0)
     expected = {cfg: tuple(oracles.capacity_policy_integrals(cfg, zeta, *rung) for rung in step)
                 for cfg in (config, other)}
-    frontier._scenario.cache_clear()
-    # builds the grids, reuses them, then builds them again after another config;
-    # each rung of a step has its own bits, and an energy-only step the same energies
-    for cfg in (config, config, other, config):
+    # builds the grids, reuses those of the scenario the test holds, builds another
+    # config's, and builds them again once the test lets its scenario go; each rung of
+    # a step has its own bits, and an energy-only step the same energies
+    def check(cfg):
         assert frontier._capacity_policy_integrals(cfg, zeta, step, 2) == expected[cfg]
         energies = frontier._capacity_policy_integrals(cfg, zeta, step, 1)
         assert [rung[0] for rung in energies] == [energy for energy, _ in expected[cfg]]
+
+    held = frontier._scenario(config)
+    for cfg in (config, config, other, config):
+        check(cfg)
+    del held
+    check(config)
 
 
 def _assert_finished_capacities_keep_their_bits(config, zeta):
@@ -261,12 +359,13 @@ def _assert_finished_capacities_keep_their_bits(config, zeta):
     the one-expression form on both rungs of the first step."""
     first = frontier._LADDER_STEPS[0]
     expected = tuple(oracles.capacity_policy_integrals(config, zeta, *rung) for rung in first)
-    assert frontier._certified_integrals(config, zeta, math.inf, 1, "energy") == expected[1][:1]
-    assert frontier._scenario(config).damped[0] == zeta
+    scenario = frontier._scenario(config)
+    assert frontier._certified_integrals(scenario, zeta, math.inf, 1, "energy") == expected[1][:1]
+    assert scenario.last[0] == zeta and scenario.last[2] is not None
     with pytest.MonkeyPatch.context() as patch:
         exps = _count_exps(patch)
-        assert frontier._certified_integrals(config, zeta, math.inf, 2, "point") == expected[1]
-    assert exps == [] and frontier._scenario(config).integrals[zeta, first] == expected
+        assert frontier._certified_integrals(scenario, zeta, math.inf, 2, "point") == expected[1]
+    assert exps == [] and scenario.last[1][first] == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -276,7 +375,6 @@ def _assert_finished_capacities_keep_their_bits(config, zeta):
     zeta=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
 )
 def test_a_capacity_finished_from_the_held_damping_array_keeps_its_bits(snr_db, eps, zeta):
-    frontier._scenario.cache_clear()
     _assert_finished_capacities_keep_their_bits(SystemConfig(2, snr_from_db(snr_db), eps, 1.0),
                                                 zeta)
 
@@ -301,10 +399,10 @@ def test_a_floored_weight_keeps_every_finite_term():
 
 def test_cached_nodes_and_grids_are_read_only():
     config = SystemConfig(2, 10.0, 1.0, 1.0)
+    scenario = frontier._scenario(config)  # the calls below share it while the test holds it
     pareto_capacity_point(config, 1.0)
     solve_zeta_for_energy(config, 1.2, Metric.CAPACITY)
-    scenario = frontier._scenario(config)
-    held = [*scenario.grids.values(), scenario.damped[1]]
+    held = [*scenario.grids.values(), scenario.last[2]]
     nodes = [array for rung in frontier._GL_LADDER for array in frontier._rung_nodes(*rung)]
     nodes += [frontier._step_weights(rungs) for rungs in scenario.grids]
     assert len(held) > 1 and len(nodes) == 4 * len(frontier._GL_LADDER) + len(scenario.grids)
@@ -313,18 +411,18 @@ def test_cached_nodes_and_grids_are_read_only():
             array[0] = 0.0
 
 
-def test_held_integrals_stay_within_their_bound(integral_calls, monkeypatch):
-    monkeypatch.setattr(frontier, "_MAX_HELD_INTEGRALS", 6)
+def test_held_integrals_stay_within_their_bound(integral_calls):
+    """A scenario holds the integrals of one weight, at most one entry per ladder step."""
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
-    held = frontier._scenario(config).integrals
+    scenario = frontier._scenario(config)
     zetas = [0.25 * k for k in range(1, 9)]
-    sizes, points = [], []
+    points = []
     for zeta in zetas * 2:
         points.append(pareto_capacity_point(config, zeta))
-        sizes.append(len(held))
-    assert max(sizes) <= 6 and any(b < a for a, b in zip(sizes, sizes[1:]))
-    assert frontier._scenario(config).integrals is held
-    # the second pass evaluates again what a clear dropped, to the same bits
+        held, steps, _ = scenario.last
+        assert held == zeta and 0 < len(steps) <= len(frontier._LADDER_STEPS)
+    assert frontier._scenario(config) is scenario
+    # the second pass evaluates again what the next weight replaced, to the same bits
     assert max(integral_calls.values()) == 2
     assert points[len(zetas):] == points[:len(zetas)]
 
@@ -335,22 +433,23 @@ def test_held_arrays_stay_within_the_rungs_and_one_damping_array():
     config-independent step weights, the frontier holds no more than a gap
     grid and its half per rung (184,320 B over two rungs, 921,600 B over
     four) plus one damping array."""
-    def held_bytes(config):
-        scenario = frontier._scenario(config)
-        arrays = [*scenario.grids.values(), scenario.damped[1]]
+    def held_bytes(scenario):
+        arrays = [*scenario.grids.values(), scenario.last[2]]
         arrays += [frontier._step_weights(rungs) for rungs in scenario.grids]
         assert all(array.base is None for array in arrays)  # no views of other arrays
         return len(scenario.grids), sum(array.nbytes for array in arrays)
 
     damping = 11_520 * 8
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
+    scenario = frontier._scenario(config)  # the frontier call shares it while the test holds it
     capacity_frontier(config)
-    steps, size = held_bytes(config)
+    steps, size = held_bytes(scenario)
     assert steps == 1 and size <= 184_320 + damping
     config = SystemConfig(2, snr_from_db(30.0), 1.0, 1.0)
+    scenario = frontier._scenario(config)
     with pytest.raises(ToleranceNotMetError):
         capacity_frontier(config)
-    steps, size = held_bytes(config)
+    steps, size = held_bytes(scenario)
     assert steps == 3 and size <= 921_600 + damping
 
 
@@ -364,30 +463,49 @@ def test_frontier_builds_each_grid_once(grid_builds, monkeypatch):
 
     monkeypatch.setattr(frontier, "c_max", count)
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
-    zeta = solve_zeta_for_energy(config, 1.2, Metric.CAPACITY)
-    for z in (0.0, zeta, 1.0, 2.0, zeta):
-        pareto_capacity_point(config, z)
+
+    def built():
+        steps = Counter(rungs for _, rungs, _ in grid_builds)
+        assert steps and max(steps.values()) == 1 and set(steps) <= set(frontier._LADDER_STEPS)
+        del grid_builds[:]
+        return set(steps)
+
+    # one call: each grid once, and c_max once for its scenario and once for delta = 0
     capacity_frontier(config)
-    steps = Counter(rungs for _, rungs, _ in grid_builds)
-    assert steps and max(steps.values()) == 1 and set(steps) <= set(frontier._LADDER_STEPS)
-    assert cmax_calls == Counter({config: 1})
+    built()
+    assert cmax_calls == Counter({config: 2})
+    # calls that share a scenario the test holds: each grid and c_max once over all of them
+    cmax_calls.clear()
+    held = frontier._scenario(config)
+    zeta = solve_zeta_for_energy(config, 1.2, Metric.CAPACITY)
+    for z in (zeta, 1.0, 2.0, zeta):
+        pareto_capacity_point(config, z)
+    capacity_frontier(config, [0.25, 0.5, 0.75])
+    assert built() and cmax_calls == Counter({config: 1})
+    # the best-SNR point reads c_max directly and builds nothing
+    del held
+    pareto_capacity_point(config, 0.0)
+    assert not grid_builds and cmax_calls == Counter({config: 2})
 
 
-def test_outage_frontier_succeeds_or_names_its_narrow_range():
-    """Outside about -4..26.5 dB the policy's energy range is too narrow for
-    the default grid under the solver band: the error says so."""
-    refused = []
+def test_outage_frontier_succeeds_or_names_its_narrow_range(monkeypatch):
+    """The default grid answers at every mean SNR: where the policy's energy
+    range is narrow it takes fewer points, at least two solver bands apart;
+    an explicit grid whose targets collide gets the error that names the range."""
+    band, walk, walked = frontier._SOLVER_BAND, frontier._walk, []
+    monkeypatch.setattr(frontier, "_walk", lambda *args: walked.append(args[1]) or walk(*args))
+    counts = []
     for snr_db in np.arange(-30.0, 60.25, 0.5):
         config = SystemConfig(2, snr_from_db(snr_db), 1.0, 1.0)
-        try:
-            curve = outage_frontier(config)
-        except ValueError as exc:
-            assert "energy range" in str(exc) and "too narrow for this grid" in str(exc)
-            assert "snap to zeta = 0" in str(exc)
-            refused.append(snr_db)
-        else:
-            assert len(curve.points) == 21
-    assert refused and not any(-4.0 <= snr_db <= 26.5 for snr_db in refused)
+        curve = outage_frontier(config)
+        assert curve.zetas[-1] == math.inf and curve.tolerance == band
+        targets = walked.pop() + [1.5]  # delta = 1 needs no solve
+        assert len(targets) <= 2 or all(b - a >= 2 * band * (1 - 1e-9)
+                                        for a, b in zip(targets, targets[1:]))
+        counts.append(len(curve.points))
+    assert len(counts) == 181 and max(counts) == 21 and min(counts) == 1
+    # the full grid wherever it fits, as in -4..26.5 dB
+    assert counts[int((-4.0 + 30.0) * 2):int((26.5 + 30.0) * 2) + 1] == [21] * 62
     with pytest.raises(ValueError, match="targets lie 0 apart"):
         outage_frontier(SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0), [0.6, 0.6])
 
@@ -411,18 +529,22 @@ def test_capacity_frontier_names_a_collision():
 
 
 def test_both_frontiers_solve_and_evaluate_through_module_names(monkeypatch):
-    """Each point takes one ``zeta_for_delta`` and one point call, looked up in
-    the module at call time, so a wrapper of those names sees every point."""
-    calls = Counter()
-    for name in ("zeta_for_delta", "pareto_capacity_point", "pareto_no_outage"):
+    """Each frontier takes one ``_walk`` over its factors below 1 and one point
+    call per point, looked up in the module at call time, so a wrapper of those
+    names sees every weight and every point."""
+    calls, walked = Counter(), []
+    for name in ("_walk", "pareto_capacity_point", "pareto_no_outage"):
         def spy(*args, _name=name, _original=getattr(frontier, name), **kwargs):
             calls[_name] += 1
+            if _name == "_walk":
+                walked.append(len(args[1]))
             return _original(*args, **kwargs)
         monkeypatch.setattr(frontier, name, spy)
     capacity_frontier(SystemConfig(2, 10.0, 1.0, 1.0), [0.0, 0.5, 1.0])
-    assert calls == Counter(zeta_for_delta=3, pareto_capacity_point=3)
+    assert calls == Counter(_walk=1, pareto_capacity_point=3) and walked == [2]
     outage_frontier(SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0), [0.6, 0.8])
-    assert calls == Counter(zeta_for_delta=5, pareto_capacity_point=3, pareto_no_outage=2)
+    assert calls == Counter(_walk=2, pareto_capacity_point=3, pareto_no_outage=2)
+    assert walked == [2, 2]
 
 
 def test_outage_frontier_endpoints_and_dominance():
