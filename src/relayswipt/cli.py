@@ -11,9 +11,10 @@ Subcommands map one-to-one to the bundled figure presets:
   threshold ratio, by the same sweep with the mean SNR scaled by the threshold.
 * ``montecarlo``: a single simulation run with full estimates.
 
-Weighted difference and the Pareto policies are defined for two relays only,
-so at N != 2 the figure commands keep only the time-sharing and
-threshold-checking columns (and ``--with-mc`` runs only those two).
+Each metric's two figures share one row builder, which evaluates every closed
+form before the frontier.  Weighted difference and the Pareto policies are
+defined for two relays only, so at N != 2 the figure commands keep only the
+time-sharing and threshold-checking columns (and ``--with-mc`` only those two).
 
 All numeric CSV fields are written with round-trip precision; rerunning a
 command with the same flags (including ``--seed``) reproduces the output
@@ -30,7 +31,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import itertools
 import math
 import os
 import sys
@@ -88,17 +88,20 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def _write_gnuplot(out_path: str, header: list[str], x_column: str, y_columns: list[str],
                    logscale_y: bool = False) -> None:
+    def quoted(text: str) -> str:  # gnuplot reads '' as ' in a single-quoted string
+        return "'" + text.replace("'", "''") + "'"
+
     script = out_path + ".gp"
     xi = header.index(x_column) + 1
     lines = [
         "set datafile separator ','",
-        f"set xlabel '{x_column}'",
+        f"set xlabel {quoted(x_column)}",
         "set key outside",
     ]
     if logscale_y:
         lines.append("set logscale y")
     plots = [
-        f"'{out_path}' using {xi}:{header.index(col) + 1} with lines title '{col}'"
+        f"{quoted(out_path)} using {xi}:{header.index(col) + 1} with lines title {quoted(col)}"
         for col in y_columns
         if col in header
     ]
@@ -198,13 +201,42 @@ _MC_SCHEMES = {
 }
 
 
+def _capacity_rows(config: SystemConfig, deltas: list[float]) -> list[list]:
+    """Per factor: energy, c_ts, c_tc and at N = 2 also c_wd, the Pareto value and weight.
+    Every closed form runs before the frontier, so one that refuses costs no kernel call;
+    the Pareto cells come from one frontier call over the factors in increasing order."""
+    schemes = (cf.c_ts, cf.c_tc, cf.c_wd)[:3 if config.n_relays == 2 else 2]
+    energies = [cf.energy_from_delta(config, delta) for delta in deltas]
+    rows = [[energy] + [capacity(config, energy) for capacity in schemes] for energy in energies]
+    if config.n_relays == 2:
+        order = sorted(range(len(deltas)), key=deltas.__getitem__)
+        frontier = capacity_frontier(config, [deltas[i] for i in order])
+        for i, point, zeta in zip(order, frontier.points, frontier.zetas):
+            rows[i] += [point.value, zeta]
+    return rows
+
+
+def _outage_rows(config: SystemConfig, deltas: list[float]) -> tuple[float | None, list[list]]:
+    """delta_lo (None at N != 2) and per factor outage_ts, outage_tc and at N = 2 also
+    outage_wd and the Pareto policy's no-outage at the factor lifted to delta_lo, where
+    the policy transfers more energy than asked at no outage cost.  The weight of each
+    distinct lifted factor is solved once, after every closed form."""
+    schemes = (cf.outage_ts, cf.outage_tc, cf.outage_wd)[:3 if config.n_relays == 2 else 2]
+    rows = [[outage(config, delta) for outage in schemes] for delta in deltas]
+    if config.n_relays != 2:
+        return None, rows
+    delta_lo, _ = cf.delta_range_outage(config)
+    lifted = [max(delta, delta_lo) for delta in deltas]
+    zetas = {d: zeta_for_delta(config, d, Metric.OUTAGE_INDICATOR) for d in dict.fromkeys(lifted)}
+    for row, delta in zip(rows, lifted):
+        row.append(cf.pareto_no_outage(config, zetas[delta]))
+    return delta_lo, rows
+
+
 def cmd_tradeoff_capacity(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
     x_axis = args.x_axis or preset.get("x_axis", "energy")
-    deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid))
-    two_relay = config.n_relays == 2
-    names = _SCHEMES if two_relay else _SCHEMES[:2]
-    if two_relay:
-        frontier = capacity_frontier(config, deltas)
+    deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid)).tolist()
+    names = _SCHEMES if config.n_relays == 2 else _SCHEMES[:2]
     header = ["delta", "energy"] + [f"c_{name}" for name in names]
     if args.with_mc:
         for name in names:
@@ -213,16 +245,12 @@ def cmd_tradeoff_capacity(args, preset: dict, config: SystemConfig, seed: int) -
     rows = []
     # every overlay run has the same (config, seed, n_frames): draw its frames once
     with _shared_frames():
-        for i, delta in enumerate(deltas):
-            delta = float(delta)
-            energy = cf.energy_from_delta(config, delta)
-            row = [delta, energy, cf.c_ts(config, energy), cf.c_tc(config, energy)]
-            if two_relay:
-                row += [cf.c_wd(config, energy), frontier.points[i].value]
+        for delta, (energy, *values) in zip(deltas, _capacity_rows(config, deltas)):
+            row = [delta, energy] + values[:len(names)]
             if args.with_mc:
                 weights = [cf.mu_from_energy(config, energy), cf.tau_from_energy(config, energy)]
-                if two_relay:
-                    weights += [cf.nu_from_energy(config, energy), frontier.zetas[i]]
+                if config.n_relays == 2:
+                    weights += [cf.nu_from_energy(config, energy), values[-1]]
                 for (_, scheme), weight in zip(_MC_SCHEMES.values(), weights):
                     result = run(config, scheme(weight), MonteCarloConfig(args.frames, seed))
                     row += [
@@ -237,78 +265,46 @@ def cmd_tradeoff_outage(args, preset: dict, config: SystemConfig, seed: int) -> 
     if args.mean_snr is None and args.mean_snr_db is None and not args.config:
         # default geometry maximizes the Pareto policy's feasible delta range
         config = dataclasses.replace(config, mean_snr=2.0 * config.outage_threshold / _LN2)
-    deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid))
-    two_relay = config.n_relays == 2
-    if two_relay:
-        delta_lo, _ = cf.delta_range_outage(config)
-    names = _SCHEMES if two_relay else _SCHEMES[:2]
+    deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid)).tolist()
+    delta_lo, cells = _outage_rows(config, deltas)
+    names = _SCHEMES if config.n_relays == 2 else _SCHEMES[:2]
     header = ["delta", "energy"] + [f"noout_{name}" for name in names]
     rows = []
-    for delta in deltas:
-        delta = float(delta)
-        row = [delta, cf.energy_from_delta(config, delta),
-               1.0 - cf.outage_ts(config, delta), 1.0 - cf.outage_tc(config, delta)]
-        if two_relay:
-            pareto = _pareto_no_outage(config, delta) if delta >= delta_lo - 1e-12 else None
-            row += [1.0 - cf.outage_wd(config, delta), pareto]
+    for delta, outages in zip(deltas, cells):
+        row = [delta, cf.energy_from_delta(config, delta)] + [1.0 - p for p in outages[:3]]
+        if delta_lo is not None:  # the Pareto column is empty below delta_lo
+            row.append(outages[3] if delta >= delta_lo - 1e-12 else None)
         rows.append(row)
     return header, rows, ("delta", header[2:])
 
 
 def _snr_sweep(args, preset: dict, config: SystemConfig, grid, scale: float, prefix: str, cells):
-    """Scheme columns and rows over ``grid`` (dB) and ``--deltas``, a grid point x at mean
-    SNR ``scale * snr_from_db(x)``; per factor, the first cells ``cells(point_config, delta)``
-    yields, one per scheme column, so a two-relay cell is never evaluated at N != 2."""
+    """Scheme columns and rows over ``grid`` (dB) and ``--deltas``, a grid point x at mean SNR
+    ``scale * snr_from_db(x)``; ``cells(point_config, deltas)`` gives each factor's cells."""
     deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
     names = _SCHEMES if config.n_relays == 2 else _SCHEMES[:2]
     header = [f"{prefix}_{name}_d{delta:g}" for delta in deltas for name in names]
     rows = []
     for x in grid:
         point_config = dataclasses.replace(config, mean_snr=scale * snr_from_db(x))
-        row = [float(x)]
-        for delta in deltas:
-            row += itertools.islice(cells(point_config, delta), len(names))
-        rows.append(row)
+        rows.append([float(x)] + sum(cells(point_config, deltas), []))
     return header, rows
-
-
-def _capacity_cells(config: SystemConfig, delta: float):
-    energy = cf.energy_from_delta(config, delta)
-    yield cf.c_ts(config, energy)
-    yield cf.c_tc(config, energy)
-    yield cf.c_wd(config, energy)
-    yield capacity_frontier(config, [delta]).points[0].value
-
-
-def _outage_cells(config: SystemConfig, delta: float):
-    yield cf.outage_ts(config, delta)
-    yield cf.outage_tc(config, delta)
-    yield cf.outage_wd(config, delta)
-    yield 1.0 - _pareto_no_outage(config, delta)
 
 
 def cmd_capacity_vs_snr(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
     grid = _parse_grid(args.snr_db, "--snr-db")
-    header, rows = _snr_sweep(args, preset, config, grid, 1.0, "c", _capacity_cells)
+    header, rows = _snr_sweep(args, preset, config, grid, 1.0, "c", lambda point_config, deltas: [
+        values[1:5] for values in _capacity_rows(point_config, deltas)])
     return ["snr_db"] + header, rows, ("snr_db", header)
 
 
 def cmd_outage_vs_snr(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
     grid = _parse_grid(args.ratio_db, "--ratio-db")
-    header, rows = _snr_sweep(args, preset, config, grid, config.outage_threshold, "out",
-                              _outage_cells)
+    header, rows = _snr_sweep(
+        args, preset, config, grid, config.outage_threshold, "out",
+        lambda point_config, deltas: [outages[:3] + [1.0 - p for p in outages[3:]]
+                                      for outages in _outage_rows(point_config, deltas)[1]])
     return ["ratio_db"] + header, rows, ("ratio_db", header, True)
-
-
-def _pareto_no_outage(config: SystemConfig, delta: float) -> float:
-    """No-outage probability of the outage-metric Pareto policy at a factor.
-
-    Factors below the policy's feasible lower bound are lifted to it: the
-    policy then transfers more energy than requested at no outage cost.
-    """
-    delta_lo, _ = cf.delta_range_outage(config)
-    zeta = zeta_for_delta(config, max(delta, delta_lo), Metric.OUTAGE_INDICATOR)
-    return cf.pareto_no_outage(config, zeta)
 
 
 def cmd_montecarlo(args, preset: dict, config: SystemConfig, seed: int) -> _Table:

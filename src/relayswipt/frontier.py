@@ -374,6 +374,13 @@ def solve_zeta_for_energy(config: SystemConfig, energy_target: float, metric: Me
     return next(_walk(config, [energy_target], metric))[1]
 
 
+def _energy_target(config: SystemConfig, delta: float) -> float:
+    """The energy of factor delta; below delta = 1 it stays below delta = 1's energy,
+    the best-energy limit that no finite weight reaches, which it may round up to."""
+    energy, best = energy_from_delta(config, delta), energy_from_delta(config, 1.0)
+    return energy if delta == 1.0 else min(energy, math.nextafter(best, 0.0))
+
+
 def zeta_for_delta(config: SystemConfig, delta: float, metric: Metric) -> float:
     """Pareto weight whose policy transfers the energy of tradeoff factor delta.
 
@@ -382,7 +389,7 @@ def zeta_for_delta(config: SystemConfig, delta: float, metric: Metric) -> float:
     floor gives 0, and one below the floor raises ValueError, as does a
     delta outside [0, 1].
     """
-    energy = energy_from_delta(config, delta)
+    energy = _energy_target(config, delta)
     return math.inf if delta == 1.0 else solve_zeta_for_energy(config, energy, metric)
 
 
@@ -392,7 +399,7 @@ def _pareto_frontier(config: SystemConfig, deltas, metric: Metric, floor: float,
     energy range [floor, 1.5 * eps], the target spacing and the solver band where two
     points collide or swap."""
     deltas = [float(delta) for delta in deltas]
-    targets = [energy_from_delta(config, delta) for delta in deltas]
+    targets = [_energy_target(config, delta) for delta in deltas]
     interior = [i for i, delta in enumerate(deltas) if delta != 1.0]
     zetas, points = [math.inf] * len(deltas), [None] * len(deltas)
     for k, zeta in _walk(config, [targets[i] for i in interior], metric):

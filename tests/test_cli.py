@@ -119,9 +119,61 @@ def test_only_the_overlay_shares_frames(monkeypatch, capsys):
     assert len(memos) == 6 + 16 and None not in memos[6:]
 
 
-def test_capacity_vs_snr_evaluates_each_rung_once(integral_calls, capsys):
-    assert main(["capacity-vs-snr", "--preset", "fig6"]) == 0
-    assert max(integral_calls.values()) == 1 and sum(integral_calls.values()) <= 387
+@pytest.mark.parametrize("argv, exponentiations", [
+    (["--preset", "fig6"], 387),
+    # the three interior factors of an SNR row share one frontier call
+    (["--snr-db=0:20:16", "--deltas", "0.25,0.5,0.75"], 912),
+], ids=["fig6", "three-interior-deltas"])
+def test_capacity_vs_snr_evaluates_each_rung_once(argv, exponentiations, integral_calls, capsys):
+    assert main(["capacity-vs-snr"] + argv) == 0
+    assert max(integral_calls.values()) == 1
+    assert sum(integral_calls.values()) <= exponentiations
+
+
+@pytest.mark.parametrize("command", ["tradeoff-capacity", "capacity-vs-snr"])
+def test_a_refusing_closed_form_costs_no_kernel_call(command, integral_calls, monkeypatch,
+                                                     capsys):
+    """Every closed form of a figure is evaluated before its frontier, so one
+    that refuses ends the command before any capacity integral."""
+    def refuse(config, energy):
+        raise ValueError("c_wd refuses")
+
+    monkeypatch.setattr(cf, "c_wd", refuse)
+    assert main([command]) == 2
+    assert capsys.readouterr().err == "error: c_wd refuses\n" and not integral_calls
+
+
+def test_capacity_vs_snr_columns_do_not_depend_on_the_order_of_the_factors(capsys):
+    header, data = _table(["capacity-vs-snr", "--snr-db", "0:20:3", "--deltas", "1,0.5,0"],
+                          capsys)
+    sorted_header, sorted_data = _table(
+        ["capacity-vs-snr", "--snr-db", "0:20:3", "--deltas", "0,0.5,1"], capsys)
+    assert header != sorted_header and sorted(header) == sorted(sorted_header)
+    for name in header:
+        assert ([row[header.index(name)] for row in data]
+                == [row[sorted_header.index(name)] for row in sorted_data])
+
+
+def test_capacity_vs_snr_refuses_factors_within_the_solver_band(capsys):
+    """An SNR row's Pareto cells are one frontier, which refuses factors whose
+    energy targets lie within twice the weight solver's band, as --grid 4001 does."""
+    assert main(["capacity-vs-snr", "--snr-db", "0:20:3", "--deltas", "0.5,0.500001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: capacity frontier points")
+    assert "solver's band" in captured.err
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["outage-vs-snr", "--preset", "fig7"], 16),  # one per SNR row
+    (["tradeoff-outage", "--preset", "fig5"], 10),
+])
+def test_outage_figures_solve_each_lifted_factor_once(argv, solves, monkeypatch, capsys):
+    calls = []
+    solve = frontier.solve_zeta_for_energy
+    monkeypatch.setattr(frontier, "solve_zeta_for_energy",
+                        lambda *args: calls.append(args) or solve(*args))
+    assert main(argv) == 0
+    assert len(calls) == solves
 
 
 def test_capacity_vs_snr_holds_one_config_of_grids(grid_builds, monkeypatch, capsys):
@@ -657,6 +709,11 @@ def test_gnuplot_script(tmp_path):
     assert script.exists()
     text = script.read_text()
     assert "plot" in text and "fig4.csv" in text
+    # gnuplot reads '' as one ' inside a single-quoted string
+    out = tmp_path / "it's.csv"
+    assert main(["tradeoff-outage", "--grid", "3", "--out", str(out), "--gnuplot"]) == 0
+    text = (tmp_path / "it's.csv.gp").read_text()
+    assert "it''s.csv' using 1:3 with lines title 'noout_ts'" in text and "it's" not in text
 
 
 def test_closed_pipe_exits_quietly():

@@ -132,6 +132,19 @@ def test_solve_zeta_domain_errors(config100):
         solve_zeta_for_energy(cfg, 1.01, Metric.OUTAGE_INDICATOR)  # below the floor
 
 
+def test_a_factor_just_below_one_is_solved_below_the_ceiling():
+    """energy_from_delta rounds 1 - 2**-53 up to 1.5 * eps, the best-energy limit that
+    no finite weight reaches; the factor's weight is solved just below it instead."""
+    config = SystemConfig(2, 1.0, 1.0, 1.0)
+    delta = math.nextafter(1.0, 0.0)
+    assert cf.energy_from_delta(config, delta) == 1.5
+    for metric in Metric:
+        assert 0.0 < zeta_for_delta(config, delta, metric) < math.inf
+    curve = capacity_frontier(config, [0.5, delta])
+    assert curve.zetas[1] == zeta_for_delta(config, delta, Metric.CAPACITY)
+    assert curve.points[1].energy == pytest.approx(1.5, abs=1e-4)
+
+
 def test_zeta_for_delta_limits(config100):
     for metric in Metric:
         assert zeta_for_delta(config100, 1.0, metric) == math.inf
