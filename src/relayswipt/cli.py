@@ -420,7 +420,7 @@ def main(argv=None) -> int:
     except (ToleranceNotMetError, BracketError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numpy refuses a grid too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,13 +21,15 @@ splits the targets it does not meet, so each weight is evaluated once and
 each target ends on the weight its lone bisection gives.  A call holds one
 ``_Scenario`` per config, shared by the calls inside it and gone with it:
 its ``c_max``, per ladder step the read-only SNR-gap grid (at most 0.46 MB),
-and the last weight's integrals and damping array exp(-t).
+and the last weight's integrals and damping array exp(-t), which only
+``_certified_integrals`` reads and writes.
 
 Almost every certification ends at the second rung, so the first two rungs
 form one step: one divide, one exp and one set of multiplies over both
-grids, with the row sums split per rung.  The solve reads only the energy,
-so its first steps compute only that; a point, integrated as soon as its
-weight is found, finishes the capacities from the held damping array.
+grids, with the row sums split per rung.  The kernel computes only the
+energy, which is all the solve reads, and returns the step's damping array;
+a point, integrated as soon as its weight is found, finishes the capacities
+from the array held of its weight's first step (``_Scenario.capacities``).
 Every value is bit-identical to a fresh one-expression evaluation of one
 rung, as each operation runs in its order; the values are pure and the held
 array read-only, so a race between threads can only repeat work.
@@ -187,7 +189,8 @@ def _rung_sums(terms: np.ndarray, rungs) -> list[float]:
 
 
 class _Scenario:
-    """What the capacity integrals of one config share within a call (module docstring)."""
+    """One config's ``c_max`` and gap grids, which the kernel reads, and ``last``, the held
+    weight's integrals and damping array, which only ``_certified_integrals`` reads and writes."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -203,9 +206,9 @@ class _Scenario:
             self.grids[rungs] = _gap_grid(self.config, rungs)
         return self.grids[rungs]
 
-    def capacities(self, rungs, damp: np.ndarray, out=None):
+    def capacities(self, rungs, damp: np.ndarray):
         """Each rung's average capacity from the step's damping array exp(-t)."""
-        cap_terms = np.multiply(self.step(rungs), 0.5, out=out)
+        cap_terms = self.step(rungs) * 0.5
         cap_terms *= damp
         return [self.c_max - total for total in _rung_sums(cap_terms, rungs)]
 
@@ -218,9 +221,9 @@ def _scenario(config: SystemConfig) -> _Scenario:
     return _live_scenarios.get(config) or _live_scenarios.setdefault(config, _Scenario(config))
 
 
-def _capacity_policy_integrals(config: SystemConfig, zeta: float, rungs, coords: int):
-    """Per rung of ladder step ``rungs``, (average energy, average capacity) under
-    the capacity Pareto policy, or (energy,) if ``coords`` is 1 at the first step.
+def _capacity_policy_integrals(scenario: _Scenario, zeta: float, rungs):
+    """Per rung of ladder step ``rungs``, the average energy under the capacity
+    Pareto policy; and the step's read-only damping array exp(-t) for its capacities.
 
     Integrates over the ordered SNR pair (low, high) = ((gbar/2)(y/2),
     (gbar/2)(y/2 + v)) with Exp(1) weights in y and v.  The expectation over
@@ -229,14 +232,13 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float, rungs, coords:
     eps * (1 + (1+t) e^-t / 2) and the better-SNR relay wins with
     probability 1 - e^-t / 2.  Only the correction terms are integrated
     numerically; the t-independent parts are eps and c_max exactly, the
-    latter and the gap grids taken from the scenario, which holds the result.
+    latter and the gap grids taken from the scenario.
     """
-    scenario = _scenario(config)
     gap = scenario.step(rungs)
-    eps = config.mean_energy
-    # The terms 0.5*(1 + t)*damp*wv and (gap*0.5)*damp*wv, with t = gap/(zeta*eps)
-    # and damp = exp(-t), in that order and in place.  Dividing by -(zeta*eps)
-    # gives -t exactly, and 1 - (-t) is 1 + t exactly.
+    eps = scenario.config.mean_energy
+    # The terms 0.5*(1 + t)*damp*wv, with t = gap/(zeta*eps) and damp = exp(-t),
+    # in that order and in place.  Dividing by -(zeta*eps) gives -t exactly, and
+    # 1 - (-t) is 1 + t exactly.
     if zeta * eps >= _NO_OVERFLOW_SCALE:
         neg_t = np.divide(gap, -(zeta * eps))
     else:
@@ -246,19 +248,11 @@ def _capacity_policy_integrals(config: SystemConfig, zeta: float, rungs, coords:
             neg_t = np.divide(gap, -(zeta * eps))
         np.maximum(neg_t, _EXP_ZERO_BELOW, out=neg_t)
     damp = np.exp(neg_t)
+    damp.flags.writeable = False
     energy_terms = np.subtract(1.0, neg_t, out=neg_t)
     energy_terms *= 0.5
     energy_terms *= damp
-    energies = [eps * (1.0 + total) for total in _rung_sums(energy_terms, rungs)]
-    last = scenario.last  # read once: another thread may replace it
-    steps, held_damp = last[1:] if last[0] == zeta else ({}, None)
-    if coords == 1 and rungs == _LADDER_STEPS[0]:  # later steps are rare: they give both
-        damp.flags.writeable = False
-        integrals, held_damp = tuple((energy,) for energy in energies), damp
-    else:
-        integrals = tuple(zip(energies, scenario.capacities(rungs, damp, out=energy_terms)))
-    scenario.last = (zeta, {**steps, rungs: integrals}, held_damp)
-    return integrals
+    return [eps * (1.0 + total) for total in _rung_sums(energy_terms, rungs)], damp
 
 
 def _certified_integrals(scenario: _Scenario, zeta: float, tol: float, coords: int, name: str):
@@ -268,13 +262,17 @@ def _certified_integrals(scenario: _Scenario, zeta: float, tol: float, coords: i
     naming ``name`` if no rung does."""
     prev = None
     for rungs in _LADDER_STEPS:
-        held, steps, damp = scenario.last
+        held, steps, damp = scenario.last  # read once: another thread may replace it
         cur = steps.get(rungs) if held == zeta else None
         if cur is None:
-            cur = _capacity_policy_integrals(scenario.config, zeta, rungs, coords)
-        elif len(cur[0]) < coords:  # finish an energy-only step from its damping array
+            energies, step_damp = _capacity_policy_integrals(scenario, zeta, rungs)
+            if held == zeta:  # a later step, rarely reached, gets its capacities at once
+                cur = tuple(zip(energies, scenario.capacities(rungs, step_damp)))
+            else:  # a weight's first step is held energy-only, with its damping array
+                cur, steps, damp = tuple((energy,) for energy in energies), {}, step_damp
+        if len(cur[0]) < coords:  # finish an energy-only step from its damping array
             cur = tuple(zip((e for e, in cur), scenario.capacities(rungs, damp)))
-            scenario.last = (zeta, {**steps, rungs: cur}, damp)
+        scenario.last = (zeta, {**steps, rungs: cur}, damp)
         for rung in cur:
             if prev is not None and max(abs(c - p) for c, p in zip(rung[:coords], prev)) < tol:
                 return rung
@@ -331,34 +329,34 @@ def _walk(config: SystemConfig, targets, metric: Metric):
         else:
             raise ValueError(f"energy target {t!r} outside feasible range [{floor}, {ceiling})")
     pending.sort()
-    lo, prev, hi = 0.0, floor, 1.0
-    while pending:
+    lo, prev, hi, start = 0.0, floor, 1.0, 0
+    while start < len(pending):
         f_hi = forward(hi)
         if f_hi < prev - 4.0 * _SOLVE_TOL * eps:
             raise BracketError(
                 f"energy({hi}) = {f_hi} < energy at smaller zeta {prev}; map not monotone")
-        count = sum(target <= f_hi for target, _ in pending)
-        brackets, pending = [(lo, hi, pending[:count], 1)], pending[count:]
-        while brackets:  # depth first; each midpoint splits the targets it does not meet
-            a, b, group, step = brackets.pop()
-            if not group:
+        end = start + sum(target <= f_hi for target, _ in pending[start:])
+        brackets = [(lo, hi, start, end, 1)]
+        while brackets:  # depth first; a bracket holds the targets pending[i:j]
+            a, b, i, j, step = brackets.pop()
+            if i == j:
                 continue
             mid = 0.5 * (a + b)
             f_mid = forward(mid)
-            below, above = [], []
-            for item in group:
-                if abs(f_mid - item[0]) < band:
-                    yield item[1], mid
-                else:
-                    (above if f_mid < item[0] else below).append(item)
-            # a bracket too narrow to split has its midpoint at an end and stalls there
-            if (below or above) and (step == 200 or not a < mid < b):
-                stalled = (below or above)[0][0]
+            k = i  # pending[i:k] lie below the midpoint, [k:m] meet it, [m:j] lie above
+            while k < j and f_mid - pending[k][0] >= band:
+                k += 1
+            m = k
+            while m < j and pending[m][0] - f_mid < band:
+                yield pending[m][1], mid
+                m += 1
+            if (i < k or m < j) and (step == 200 or mid == a or mid == b):  # too narrow to split
+                stalled = pending[i if i < k else m][0]
                 raise ToleranceNotMetError(f"bisection stalled solving for energy {stalled}")
-            brackets += [(mid, b, above, step + 1), (a, mid, below, step + 1)]
-        prev, lo, hi = f_hi, hi, hi * 2.0
-        if pending and hi > _MAX_BRACKET:
-            raise BracketError(f"could not bracket energy target {pending[0][0]}")
+            brackets += [(mid, b, m, j, step + 1), (a, mid, i, k, step + 1)]
+        prev, lo, hi, start = f_hi, hi, hi * 2.0, end
+        if start < len(pending) and hi > _MAX_BRACKET:
+            raise BracketError(f"could not bracket energy target {pending[start][0]}")
 
 
 def solve_zeta_for_energy(config: SystemConfig, energy_target: float, metric: Metric) -> float:

@@ -126,19 +126,37 @@ def config100():
     return SystemConfig(2, 100.0, 1.0, 1.0)
 
 
+@pytest.fixture(autouse=True)
+def no_live_scenario():
+    """Each test starts with no frontier scenario alive: a failed test's traceback,
+    which pytest keeps, may hold one that ``frontier._scenario`` would hand back."""
+    frontier._live_scenarios.clear()
+
+
+def spy_on_kernel(monkeypatch, record):
+    """Call ``record(scenario, zeta, rungs)`` after each capacity-kernel call, the
+    one place the tests spell the kernel's signature."""
+    kernel = frontier._capacity_policy_integrals
+
+    def spy(scenario, zeta, rungs):
+        result = kernel(scenario, zeta, rungs)
+        record(scenario, zeta, rungs)
+        return result
+
+    monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy)
+
+
 @pytest.fixture
 def integral_calls(monkeypatch):
     """Counts of rung exponentiations by (config, zeta, outer, inner): each
     _capacity_policy_integrals call exponentiates every rung of its ladder step once."""
     calls = Counter()
-    integrals = frontier._capacity_policy_integrals
 
-    def spy(config, zeta, rungs, coords):
+    def record(scenario, zeta, rungs):
         for outer_nodes, inner_nodes in rungs:
-            calls[config, zeta, outer_nodes, inner_nodes] += 1
-        return integrals(config, zeta, rungs, coords)
+            calls[scenario.config, zeta, outer_nodes, inner_nodes] += 1
 
-    monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy)
+    spy_on_kernel(monkeypatch, record)
     return calls
 
 

@@ -19,7 +19,7 @@ from relayswipt.model import SystemConfig, snr_from_db
 from relayswipt.schemes import Metric, ParetoOptimal, ThresholdChecking, TimeSharing
 from relayswipt.simulate import MonteCarloConfig, run
 
-from conftest import capacity_n_relays_quadrature, outage_n_relays_quadrature
+from conftest import capacity_n_relays_quadrature, outage_n_relays_quadrature, spy_on_kernel
 
 
 def read_csv(path):
@@ -180,16 +180,13 @@ def test_capacity_vs_snr_holds_one_config_of_grids(grid_builds, monkeypatch, cap
     """Only the scenario of the config being integrated is held: its gap grids
     stay alive, read-only, and every other cell's are dropped, the last one's too."""
     live_after_call = []
-    integrals = frontier._capacity_policy_integrals
 
-    def evaluate(config, *args):
-        result = integrals(config, *args)
+    def after_call(scenario, *_):
         live = [(cfg, ref()) for cfg, *_, refs in grid_builds for ref in refs if ref() is not None]
-        assert all(cfg == config and not grid.flags.writeable for cfg, grid in live)
+        assert all(cfg == scenario.config and not grid.flags.writeable for cfg, grid in live)
         live_after_call.append(len(live))
-        return result
 
-    monkeypatch.setattr(frontier, "_capacity_policy_integrals", evaluate)
+    spy_on_kernel(monkeypatch, after_call)
     assert main(["capacity-vs-snr", "--snr-db=-20:25:16"]) == 0
     assert len({config for config, *_ in grid_builds}) == 16
     assert max(Counter((cfg, rungs) for cfg, rungs, _ in grid_builds).values()) == 1
@@ -682,6 +679,18 @@ def test_a_malformed_grid_names_its_flag(argv, capsys):
     text = text or argv[2]
     assert captured.out == "" and captured.err.startswith(f"error: {flag} ")
     assert repr(text) in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff-capacity", "--grid", "100000000000000000"],
+    ["capacity-vs-snr", "--snr-db", "0:30:100000000000000000"],
+    ["outage-vs-snr", "--ratio-db", "0:30:100000000000000000"],
+])
+def test_a_grid_too_large_to_allocate_is_a_usage_error(argv, capsys):
+    """numpy refuses 10**17 grid points (711 PiB) before allocating any of them."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: Unable to allocate")
 
 
 @pytest.mark.parametrize("deltas", ["1,0,0", "0.5,0.50", "0.1234561,0.1234564"])

@@ -24,7 +24,7 @@ from relayswipt.schemes import Metric, ParetoOptimal
 from relayswipt.simulate import MonteCarloConfig, run
 
 import oracles
-from conftest import toy_model_states
+from conftest import spy_on_kernel, toy_model_states
 
 
 def test_endpoints(config100):
@@ -216,13 +216,7 @@ _MEMO_KERNEL_CALLS = {
 @pytest.mark.parametrize("snr_db, eps", sorted(_MEMO_KERNEL_CALLS))
 def test_frontier_makes_no_more_kernel_calls_than_a_shared_memo(snr_db, eps, monkeypatch):
     steps = Counter()
-    integrals = frontier._capacity_policy_integrals
-
-    def spy(config, zeta, rungs, coords):
-        steps[zeta, rungs] += 1
-        return integrals(config, zeta, rungs, coords)
-
-    monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy)
+    spy_on_kernel(monkeypatch, lambda scenario, zeta, rungs: steps.update([(zeta, rungs)]))
     config = SystemConfig(2, snr_from_db(snr_db), eps, 1.0)
     if _MEMO_KERNEL_CALLS[snr_db, eps] is None:
         with pytest.raises(ToleranceNotMetError, match="energy integral did not reach"):
@@ -265,14 +259,23 @@ def test_one_walk_gives_each_target_the_weight_of_its_lone_bisection(
     assert build(config, grid).zetas == tuple(zeta_for_delta(config, d, metric) for d in grid)
 
 
+def test_a_target_the_forward_map_jumps_over_stalls_by_name(monkeypatch):
+    """The walk yields the weight of a target it meets, then names the first of
+    those whose bracket shrinks to a point without meeting them."""
+    monkeypatch.setattr(frontier, "pareto_outage_energy_min", lambda config: 1.0)
+    monkeypatch.setattr(frontier, "pareto_outage_energy",
+                        lambda config, zeta: 1.1 if zeta < 0.3 else 1.4)
+    config = SystemConfig(2, 10.0, 1.0, 1.0)
+    walk = frontier._walk(config, [1.3, 1.1, 1.25], Metric.OUTAGE_INDICATOR)
+    assert next(walk) == (1, 0.25)
+    with pytest.raises(ToleranceNotMetError, match="stalled solving for energy 1.25$"):
+        next(walk)
+
+
 def test_no_array_outlives_a_frontier_call(grid_builds, monkeypatch):
     """Gap grids, damping arrays and the scenario itself go with the call that made them."""
     refs = []
-    integrals, exp = frontier._capacity_policy_integrals, np.exp
-
-    def spy_integrals(config, *args):
-        refs.append(weakref.ref(frontier._scenario(config)))  # the one the running call holds
-        return integrals(config, *args)
+    exp = np.exp
 
     def spy_exp(x, *args, **kwargs):
         out = exp(x, *args, **kwargs)
@@ -280,7 +283,8 @@ def test_no_array_outlives_a_frontier_call(grid_builds, monkeypatch):
             refs.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy_integrals)
+    # the scenario each kernel call reads, the one the running call holds
+    spy_on_kernel(monkeypatch, lambda scenario, *_: refs.append(weakref.ref(scenario)))
     monkeypatch.setattr(np, "exp", spy_exp)
     config = SystemConfig(2, snr_from_db(10.0), 1.0, 1.0)
     for call in (lambda: capacity_frontier(config),
@@ -340,6 +344,15 @@ def test_a_held_damping_array_serves_only_its_own_weight(monkeypatch):
     assert [pareto_capacity_point(config, z) for z in zetas] == [first, last]
 
 
+def _kernel_integrals(config, zeta, rungs):
+    """Each rung's (energy, capacity) from one kernel call on the scenario ``config``
+    resolves to, the capacities from the read-only damping array it returns."""
+    scenario = frontier._scenario(config)
+    energies, damp = frontier._capacity_policy_integrals(scenario, zeta, rungs)
+    assert not damp.flags.writeable
+    return tuple(zip(energies, scenario.capacities(rungs, damp)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     snr_db=st.floats(-20.0, 60.0),
@@ -354,17 +367,12 @@ def test_integrals_are_bit_identical_to_the_one_expression_form(snr_db, eps, zet
                 for cfg in (config, other)}
     # builds the grids, reuses those of the scenario the test holds, builds another
     # config's, and builds them again once the test lets its scenario go; each rung of
-    # a step has its own bits, and an energy-only step the same energies
-    def check(cfg):
-        assert frontier._capacity_policy_integrals(cfg, zeta, step, 2) == expected[cfg]
-        energies = frontier._capacity_policy_integrals(cfg, zeta, step, 1)
-        assert [rung[0] for rung in energies] == [energy for energy, _ in expected[cfg]]
-
+    # a step has its own bits
     held = frontier._scenario(config)
     for cfg in (config, config, other, config):
-        check(cfg)
+        assert _kernel_integrals(cfg, zeta, step) == expected[cfg]
     del held
-    check(config)
+    assert _kernel_integrals(config, zeta, step) == expected[config]
 
 
 def _assert_finished_capacities_keep_their_bits(config, zeta):
@@ -405,7 +413,7 @@ def test_a_floored_weight_keeps_every_finite_term():
     # with nodes on both sides of where exp(-t) reaches 0
     config = SystemConfig(2, 1e-297, 1.0, 1.0)
     for step in frontier._LADDER_STEPS:
-        assert (frontier._capacity_policy_integrals(config, 1e-301, step, 2)
+        assert (_kernel_integrals(config, 1e-301, step)
                 == tuple(oracles.capacity_policy_integrals(config, 1e-301, *rung) for rung in step))
     _assert_finished_capacities_keep_their_bits(config, 1e-301)
 
