@@ -125,7 +125,8 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
 def _parse_deltas(text: str) -> list[float]:
     """Parse the comma list of ``--deltas``; errors name the flag and quote ``text``."""
     try:
-        deltas = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        # + 0.0 maps -0 to 0, which names the same columns, and leaves every other factor as it is
+        deltas = [float(tok) + 0.0 for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         deltas = []
     if not deltas or any(not 0.0 <= d <= 1.0 for d in deltas):

@@ -433,7 +433,8 @@ def pareto_outage_energy(config: SystemConfig, zeta: float) -> float:
     zeta = _check_weight("zeta", zeta)
     eps = config.mean_energy
     a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
-    t = 1.0 / (zeta * eps) if zeta > 0.0 else math.inf
+    scale = zeta * eps  # 0 for zeta = 0, and where the product underflows: the zeta = 0 limit
+    t = 1.0 / scale if scale > 0.0 else math.inf
     # (1+t) exp(-t) underflows before t overflows; cut off explicitly
     decay = (1.0 + t) * math.exp(-t) if t < 745.0 else 0.0
     return eps * ((a * a - a + 1.5) + a * (1.0 - a) * decay)
@@ -444,10 +445,8 @@ def pareto_no_outage(config: SystemConfig, zeta: float) -> float:
     _require_two_relays(config)
     zeta = _check_weight("zeta", zeta)
     a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
-    if zeta == 0.0:
-        decay = 0.0
-    else:
-        decay = math.exp(-1.0 / (zeta * config.mean_energy))
+    scale = zeta * config.mean_energy  # 0 also where the product underflows: the zeta = 0 limit
+    decay = math.exp(-1.0 / scale) if scale > 0.0 else 0.0
     return a * (2.0 - a) - a * (1.0 - a) * decay
 
 

@@ -21,27 +21,27 @@ splits the targets it does not meet, so each weight is evaluated once and
 each target ends on the weight its lone bisection gives.  A call holds one
 ``_Scenario`` per config, shared by the calls inside it and gone with it:
 its ``c_max``, per ladder step the read-only SNR-gap grid (at most 0.46 MB),
-and the last weight's integrals and damping array exp(-t), which only
-``_certified_integrals`` reads and writes.
+and per step integrated at the last weight its rungs' energies and damping
+array exp(-t), which only ``_certified_integrals`` reads and writes.
 
 Almost every certification ends at the second rung, so the first two rungs
 form one step: one divide, one exp and one set of multiplies over both
 grids, with the row sums split per rung.  The kernel computes only the
-energy, which is all the solve reads, and returns the step's damping array;
-a point, integrated as soon as its weight is found, finishes the capacities
-from the array held of its weight's first step (``_Scenario.capacities``).
-Every value is bit-identical to a fresh one-expression evaluation of one
-rung, as each operation runs in its order; the values are pure and the held
-array read-only, so a race between threads can only repeat work.
+energy, which is all the solve reads, and returns the step's damping array,
+from which a point, integrated as soon as its weight is found, computes each
+step's capacities (``_Scenario.capacities``); a solve computes none.  Every
+value is bit-identical to a fresh one-expression evaluation of one rung, as
+each operation runs in its order; the values are pure and the held arrays
+read-only, so a race between threads can only repeat work.
 
 The outage frontier needs no integration: both coordinates have closed
 forms, and only the weight solve is numerical.  Both frontiers take each
 weight from that solve, which meets an energy target within a band of
-1e-4 * mean_energy (zeta = 0 within the band above the policy's energy
-floor).  A grid whose targets lie within twice the band, such as delta
-steps below 4e-4 on the capacity frontier, may give points that collide or
-swap; either frontier then raises ValueError naming the policy's energy
-range, the target spacing and the band.
+1e-4 * mean_energy (zeta = 0 within the band of the policy's energy floor).
+A grid whose targets lie within twice the band, such as delta steps below
+4e-4 on the capacity frontier, may give points that collide or swap; either
+frontier then raises ValueError naming the policy's energy range, the target
+spacing and the band.
 """
 
 from __future__ import annotations
@@ -190,12 +190,12 @@ def _rung_sums(terms: np.ndarray, rungs) -> list[float]:
 
 class _Scenario:
     """One config's ``c_max`` and gap grids, which the kernel reads, and ``last``, the held
-    weight's integrals and damping array, which only ``_certified_integrals`` reads and writes."""
+    weight and each ladder step integrated at it, which only ``_certified_integrals`` touches."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.grids = {}
-        self.last = (None, {}, None)  # (zeta, its integrals by step, a damping array)
+        self.last = (None, {})  # (zeta, {ladder step: (its rungs' energies, its damping array)})
 
     @cached_property
     def c_max(self) -> float:
@@ -255,28 +255,27 @@ def _capacity_policy_integrals(scenario: _Scenario, zeta: float, rungs):
     return [eps * (1.0 + total) for total in _rung_sums(energy_terms, rungs)], damp
 
 
-def _certified_integrals(scenario: _Scenario, zeta: float, tol: float, coords: int, name: str):
+def _certified_integrals(scenario: _Scenario, zeta: float, tol: float, coords: int):
     """(energy, capacity), or (energy,) if ``coords`` is 1, of the first ladder
     rung within ``tol`` of the rung below it on its first ``coords`` coordinates,
-    reusing what ``scenario`` holds of ``zeta``; raises ToleranceNotMetError
-    naming ``name`` if no rung does."""
+    reusing the steps ``scenario`` holds of ``zeta``; raises ToleranceNotMetError
+    if no rung does."""
     prev = None
     for rungs in _LADDER_STEPS:
-        held, steps, damp = scenario.last  # read once: another thread may replace it
-        cur = steps.get(rungs) if held == zeta else None
-        if cur is None:
-            energies, step_damp = _capacity_policy_integrals(scenario, zeta, rungs)
-            if held == zeta:  # a later step, rarely reached, gets its capacities at once
-                cur = tuple(zip(energies, scenario.capacities(rungs, step_damp)))
-            else:  # a weight's first step is held energy-only, with its damping array
-                cur, steps, damp = tuple((energy,) for energy in energies), {}, step_damp
-        if len(cur[0]) < coords:  # finish an energy-only step from its damping array
-            cur = tuple(zip((e for e, in cur), scenario.capacities(rungs, damp)))
-        scenario.last = (zeta, {**steps, rungs: cur}, damp)
+        held, steps = scenario.last  # read once: another thread may replace it
+        if held != zeta:  # the previous weight's arrays go before this one's are made
+            scenario.last = (zeta, steps := {})
+        if rungs not in steps:
+            steps = {**steps, rungs: _capacity_policy_integrals(scenario, zeta, rungs)}
+            scenario.last = (zeta, steps)
+        energies, damp = steps[rungs]
+        cur = zip(energies, scenario.capacities(rungs, damp)) if coords == 2 else zip(energies)
         for rung in cur:
-            if prev is not None and max(abs(c - p) for c, p in zip(rung[:coords], prev)) < tol:
+            if prev is not None and max(abs(c - p) for c, p in zip(rung, prev)) < tol:
                 return rung
             prev = rung
+    scenario.last = (None, {})  # a weight that no rung certifies holds nothing
+    name = "energy integral" if coords == 1 else f"quadrature ladder (max {_GL_LADDER[-1]} nodes)"
     raise ToleranceNotMetError(f"{name} did not reach tol={tol}")
 
 
@@ -298,8 +297,7 @@ def pareto_capacity_point(config: SystemConfig, zeta: float, *,
         return tradeoff_point(config, 1.5 * config.mean_energy, c_min(config))
     if zeta == 0.0:
         return tradeoff_point(config, config.mean_energy, c_max(config))
-    ladder = f"quadrature ladder (max {_GL_LADDER[-1]} nodes)"
-    return tradeoff_point(config, *_certified_integrals(_scenario(config), zeta, tol, 2, ladder))
+    return tradeoff_point(config, *_certified_integrals(_scenario(config), zeta, tol, 2))
 
 
 def _walk(config: SystemConfig, targets, metric: Metric):
@@ -312,7 +310,7 @@ def _walk(config: SystemConfig, targets, metric: Metric):
         floor, scenario = eps, _scenario(config)
 
         def forward(z: float) -> float:
-            return _certified_integrals(scenario, z, _SOLVE_TOL, 1, "energy integral")[0]
+            return _certified_integrals(scenario, z, _SOLVE_TOL, 1)[0]
     elif metric is Metric.OUTAGE_INDICATOR:
         floor, forward = pareto_outage_energy_min(config), partial(pareto_outage_energy, config)
     else:
@@ -327,7 +325,8 @@ def _walk(config: SystemConfig, targets, metric: Metric):
         elif floor - band <= t < ceiling:
             pending.append((t, i))
         else:
-            raise ValueError(f"energy target {t!r} outside feasible range [{floor}, {ceiling})")
+            raise ValueError(f"energy target {t!r} outside feasible range [{floor - band!r}, "
+                             f"{ceiling!r}) or within {band!r} of the energy floor {floor!r}")
     pending.sort()
     lo, prev, hi, start = 0.0, floor, 1.0, 0
     while start < len(pending):
@@ -362,12 +361,13 @@ def _walk(config: SystemConfig, targets, metric: Metric):
 def solve_zeta_for_energy(config: SystemConfig, energy_target: float, metric: Metric) -> float:
     """Invert the monotone map zeta -> average energy by bisection.
 
-    The bracket is grown geometrically from [0, 1]; samples gathered while
-    growing it are checked for monotonicity (a violation would indicate an
-    integrator bug and raises BracketError).  Terminates when the forward
-    map is within 1e-4 * mean_energy of the target; ToleranceNotMetError
-    after 200 halvings.  This is a frontier's walk with one target: it holds
-    nothing after it returns.
+    A target within 1e-4 * mean_energy (the band) of the policy's energy floor
+    gives 0; one in [floor - band, 1.5 * mean_energy) is solved for, until the
+    forward map is within the band of it; any other raises ValueError.  The
+    bracket is grown geometrically from [0, 1]; samples gathered while growing
+    it are checked for monotonicity (a violation would indicate an integrator
+    bug and raises BracketError); ToleranceNotMetError after 200 halvings.
+    This is a frontier's walk with one target: it holds nothing after it returns.
     """
     return next(_walk(config, [energy_target], metric))[1]
 
@@ -383,9 +383,9 @@ def zeta_for_delta(config: SystemConfig, delta: float, metric: Metric) -> float:
     """Pareto weight whose policy transfers the energy of tradeoff factor delta.
 
     delta = 1 is the best-energy limit, math.inf.  Below that the weight is
-    solved for; a target within the solver band above the policy's energy
-    floor gives 0, and one below the floor raises ValueError, as does a
-    delta outside [0, 1].
+    solved for; a target within the solver band on either side of the
+    policy's energy floor gives 0, and one further below the floor raises
+    ValueError, as does a delta outside [0, 1].
     """
     energy = _energy_target(config, delta)
     return math.inf if delta == 1.0 else solve_zeta_for_energy(config, energy, metric)

@@ -63,6 +63,11 @@ _TEMP_WORDS = 12
 # Minimum expected outage events before the estimate is trusted.
 _MIN_OUTAGE_EVENTS = 100
 
+# log1p(-u) at the largest uniform a Philox draw gives, 1 - 2**-53, is -53 ln 2:
+# no draw exceeds about 36.74 times its scale.
+_LARGEST_LOG = math.log1p(-(1.0 - 2.0**-53))
+_SUM_NAMES = ("capacity", "squared capacity", "energy", "squared energy", "outage")
+
 
 def _cpu_quota(cgroup: str | os.PathLike = "/sys/fs/cgroup") -> int | None:
     """CPUs a cgroup CPU quota allows, rounded up; None when unlimited or unreadable.
@@ -237,9 +242,19 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
     Per frame: draw the channel realization from the seed-derived substream,
     apply the scheme (time sharing consumes the frame's coin), and
     accumulate the selected relay's capacity, energy and outage indicator.
+    Raises ValueError, before drawing a frame, where the largest SNR draw or
+    the square of the largest energy draw would overflow, and where a sum does.
     """
     validate_scheme(scheme, config.n_relays)
     n = mc.n_frames
+    # the largest draw of each kind, in the transform's arithmetic, and the square of the energy
+    if not math.isfinite(_LARGEST_LOG * (-0.5 * config.mean_snr)):
+        raise ValueError(f"mean SNR {config.mean_snr!r} is too large to simulate: "
+                         f"a frame's SNR draw would overflow")
+    top_energy = _LARGEST_LOG * -config.mean_energy
+    if not math.isfinite(top_energy * top_energy):
+        raise ValueError(f"mean energy {config.mean_energy!r} is too large to simulate: "
+                         f"the square of a frame's energy draw would overflow")
 
     # Chunks are whole numbers of statistics blocks so block boundaries are
     # global, independent of batch_size; each chunk fits the cap.
@@ -261,6 +276,9 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
     # Blocks are merged in block order, whatever the chunking.
     sums = np.concatenate([block_sums for block_sums, _ in results], axis=1).sum(axis=1)
     cap_sum, cap_sq, en_sum, en_sq, out_sum = (float(x) for x in sums)
+    for name, total in zip(_SUM_NAMES, sums):
+        if not math.isfinite(total):
+            raise ValueError(f"the {name} sum over {n} frames overflows")
     counts = sum(chunk_counts for _, chunk_counts in results)
 
     return SimulationResult(

@@ -146,6 +146,28 @@ def spy_on_kernel(monkeypatch, record):
     monkeypatch.setattr(frontier, "_capacity_policy_integrals", spy)
 
 
+def spy_on_capacities(monkeypatch, record):
+    """Call ``record(scenario, rungs, damp, capacities)`` after each
+    ``_Scenario.capacities`` call."""
+    capacities = frontier._Scenario.capacities
+
+    def spy(scenario, rungs, damp):
+        result = capacities(scenario, rungs, damp)
+        record(scenario, rungs, damp, result)
+        return result
+
+    monkeypatch.setattr(frontier._Scenario, "capacities", spy)
+
+
+def held_state(scenario):
+    """(the weight ``scenario`` holds, its rungs' energies by ladder step, every
+    array the scenario holds: its gap grids and each held step's damping array),
+    the one place the tests spell the layout of ``_Scenario.last``."""
+    zeta, steps = scenario.last
+    energies = {rungs: tuple(step[0]) for rungs, step in steps.items()}
+    return zeta, energies, [*scenario.grids.values(), *(step[1] for step in steps.values())]
+
+
 @pytest.fixture
 def integral_calls(monkeypatch):
     """Counts of rung exponentiations by (config, zeta, outer, inner): each

@@ -426,6 +426,19 @@ def test_montecarlo_usage_errors(capsys):
     assert main(["tradeoff-capacity", "--grid", "1"]) == 2
 
 
+@pytest.mark.parametrize("flag, value, quantity", [
+    ("--mean-snr", "1e308", "mean SNR 1e+308"), ("--mean-energy", "1e160", "mean energy 1e+160"),
+])
+def test_a_montecarlo_run_whose_draws_would_overflow_exits_2(flag, value, quantity, capsys):
+    assert main(["montecarlo", "--scheme", "time-sharing", "--mu", "0.5",
+                 "--frames", "20000", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {quantity} is too large")
+    assert main(["tradeoff-capacity", "--with-mc", "--frames", "10000", "--grid", "2",
+                 flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {quantity} is too large")
+
+
 @pytest.mark.parametrize("scheme, flag", [
     ("time-sharing", "mu"), ("threshold-checking", "tau"),
     ("weighted-difference", "nu"), ("pareto", "zeta"),
@@ -693,12 +706,20 @@ def test_a_grid_too_large_to_allocate_is_a_usage_error(argv, capsys):
     assert captured.out == "" and captured.err.startswith("error: Unable to allocate")
 
 
-@pytest.mark.parametrize("deltas", ["1,0,0", "0.5,0.50", "0.1234561,0.1234564"])
+@pytest.mark.parametrize("deltas", ["1,0,0", "0.5,0.50", "0.1234561,0.1234564", "0,-0"])
 @pytest.mark.parametrize("command", ["capacity-vs-snr", "outage-vs-snr"])
 def test_deltas_with_a_repeated_column_label_are_refused(command, deltas, capsys):
     assert main([command, "--deltas", deltas]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "distinct" in captured.err and repr(deltas) in captured.err
+
+
+@pytest.mark.parametrize("command, grid", [("capacity-vs-snr", "--snr-db=0:10:2"),
+                                           ("outage-vs-snr", "--ratio-db=0:10:2")])
+def test_a_negative_zero_delta_is_zero(command, grid, capsys):
+    zero = _table([command, grid, "--deltas", "0"], capsys)
+    assert _table([command, grid, "--deltas", "-0"], capsys) == zero
+    assert any(name.endswith("_d0") for name in zero[0])
 
 
 @pytest.mark.parametrize("deltas", ["0.5,x", "x", "0.5,,1e"])

@@ -420,6 +420,15 @@ def test_pareto_outage_limits(config10):
     )
 
 
+@pytest.mark.parametrize("zeta", [1e-310, 5e-324])
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+def test_a_tiny_weight_gives_the_zero_weight_outage_forms(zeta, eps):
+    # zeta*eps is subnormal, or 0 at 5e-324 * 0.5: the zeta = 0 limit either way
+    config = SystemConfig(2, 10.0, eps, 1.0)
+    for form in (cf.pareto_outage_energy, cf.pareto_no_outage):
+        assert form(config, zeta) == form(config, 0.0)
+
+
 def test_pareto_energy_monotone_in_weight(config10):
     zetas = np.logspace(-3, 3, 30)
     values = [cf.pareto_outage_energy(config10, float(z)) for z in zetas]

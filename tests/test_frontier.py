@@ -24,7 +24,7 @@ from relayswipt.schemes import Metric, ParetoOptimal
 from relayswipt.simulate import MonteCarloConfig, run
 
 import oracles
-from conftest import spy_on_kernel, toy_model_states
+from conftest import held_state, spy_on_capacities, spy_on_kernel, toy_model_states
 
 
 def test_endpoints(config100):
@@ -130,6 +130,16 @@ def test_solve_zeta_domain_errors(config100):
     cfg = SystemConfig(2, 2.0 / math.log(2.0), 1.0, 1.0)
     with pytest.raises(ValueError):
         solve_zeta_for_energy(cfg, 1.01, Metric.OUTAGE_INDICATOR)  # below the floor
+
+
+@pytest.mark.parametrize("metric", [Metric.CAPACITY, Metric.OUTAGE_INDICATOR])
+def test_a_target_within_the_band_below_the_floor_gives_zero(metric):
+    config = SystemConfig(2, 2.0, 1.0, 1.0)
+    floor = 1.0 if metric is Metric.CAPACITY else cf.pareto_outage_energy_min(config)
+    band = frontier._SOLVER_BAND * config.mean_energy
+    assert solve_zeta_for_energy(config, floor - 0.5 * band, metric) == 0.0
+    with pytest.raises(ValueError, match=rf"\[{floor - band!r}, 1.5\) or within"):
+        solve_zeta_for_energy(config, floor - 1.5 * band, metric)
 
 
 def test_a_factor_just_below_one_is_solved_below_the_ceiling():
@@ -319,7 +329,7 @@ def test_a_point_reuses_the_rungs_its_solve_integrated(integral_calls, monkeypat
     exps = _count_exps(monkeypatch)
     point = pareto_capacity_point(config, zeta)
     assert (config, zeta, *frontier._GL_LADDER[0]) in solved
-    # the capacities are finished from the solve's last damping array
+    # the capacities are computed from the damping array the solve held
     assert exps == [] and dict(integral_calls) == solved
     del held  # the scenario goes; a point integrates again, to the same bits
     assert pareto_capacity_point(config, zeta) == point and exps
@@ -376,17 +386,22 @@ def test_integrals_are_bit_identical_to_the_one_expression_form(snr_db, eps, zet
 
 
 def _assert_finished_capacities_keep_their_bits(config, zeta):
-    """An energy-only solve step, then a point at its weight, give the bits of
-    the one-expression form on both rungs of the first step."""
+    """A solve step, held as its energies and damping array, then a point at its
+    weight, whose capacities come from that array, give the bits of the
+    one-expression form on both rungs of the first step."""
     first = frontier._LADDER_STEPS[0]
     expected = tuple(oracles.capacity_policy_integrals(config, zeta, *rung) for rung in first)
     scenario = frontier._scenario(config)
-    assert frontier._certified_integrals(scenario, zeta, math.inf, 1, "energy") == expected[1][:1]
-    assert scenario.last[0] == zeta and scenario.last[2] is not None
+    assert frontier._certified_integrals(scenario, zeta, math.inf, 1) == expected[1][:1]
+    held, steps, arrays = held_state(scenario)
+    assert held == zeta and steps == {first: tuple(e for e, _ in expected)}
+    damp, finished = arrays[-1], []
     with pytest.MonkeyPatch.context() as patch:
         exps = _count_exps(patch)
-        assert frontier._certified_integrals(scenario, zeta, math.inf, 2, "point") == expected[1]
-    assert exps == [] and scenario.last[1][first] == expected
+        spy_on_capacities(patch, lambda _, rungs, array, caps:
+                          finished.append((rungs, array is damp, caps)))
+        assert frontier._certified_integrals(scenario, zeta, math.inf, 2) == expected[1]
+    assert exps == [] and finished == [(first, True, [c for _, c in expected])]
 
 
 @settings(max_examples=200, deadline=None)
@@ -423,7 +438,7 @@ def test_cached_nodes_and_grids_are_read_only():
     scenario = frontier._scenario(config)  # the calls below share it while the test holds it
     pareto_capacity_point(config, 1.0)
     solve_zeta_for_energy(config, 1.2, Metric.CAPACITY)
-    held = [*scenario.grids.values(), scenario.last[2]]
+    held = held_state(scenario)[2]
     nodes = [array for rung in frontier._GL_LADDER for array in frontier._rung_nodes(*rung)]
     nodes += [frontier._step_weights(rungs) for rungs in scenario.grids]
     assert len(held) > 1 and len(nodes) == 4 * len(frontier._GL_LADDER) + len(scenario.grids)
@@ -440,7 +455,7 @@ def test_held_integrals_stay_within_their_bound(integral_calls):
     points = []
     for zeta in zetas * 2:
         points.append(pareto_capacity_point(config, zeta))
-        held, steps, _ = scenario.last
+        held, steps, _ = held_state(scenario)
         assert held == zeta and 0 < len(steps) <= len(frontier._LADDER_STEPS)
     assert frontier._scenario(config) is scenario
     # the second pass evaluates again what the next weight replaced, to the same bits
@@ -450,12 +465,13 @@ def test_held_integrals_stay_within_their_bound(integral_calls):
 
 def test_held_arrays_stay_within_the_rungs_and_one_damping_array():
     """The first two rungs live only in their step's concatenated grid, and
-    the scenario holds one damping array, of the first step: with the
-    config-independent step weights, the frontier holds no more than a gap
-    grid and its half per rung (184,320 B over two rungs, 921,600 B over
-    four) plus one damping array."""
+    the scenario holds a damping array per step of its last weight, none once
+    a weight no rung certifies is refused: with the config-independent step
+    weights, a 10 dB frontier holds no more than a gap grid and its half per
+    rung (184,320 B over two rungs) plus one damping array, and a refused
+    30 dB frontier no more than those of all four rungs (921,600 B)."""
     def held_bytes(scenario):
-        arrays = [*scenario.grids.values(), scenario.last[2]]
+        arrays = held_state(scenario)[2]
         arrays += [frontier._step_weights(rungs) for rungs in scenario.grids]
         assert all(array.base is None for array in arrays)  # no views of other arrays
         return len(scenario.grids), sum(array.nbytes for array in arrays)
@@ -471,7 +487,24 @@ def test_held_arrays_stay_within_the_rungs_and_one_damping_array():
     with pytest.raises(ToleranceNotMetError):
         capacity_frontier(config)
     steps, size = held_bytes(scenario)
-    assert steps == 3 and size <= 921_600 + damping
+    assert steps == 3 and size <= 921_600
+
+
+def test_a_weight_solve_computes_no_capacity(monkeypatch):
+    """Only a point reads capacities: a solve, met or refused, computes none."""
+    calls = []
+    spy_on_capacities(monkeypatch, lambda *args: calls.append(args[1]))
+    outcomes = set()
+    for snr_db in (10.0, 20.0, 25.0, 30.0):
+        for eps in (1.0, 1e3):
+            config = SystemConfig(2, snr_from_db(snr_db), eps, 1.0)
+            for target in (1.05, 1.25, 1.45):
+                try:
+                    solve_zeta_for_energy(config, target * eps, Metric.CAPACITY)
+                    outcomes.add("met")
+                except ToleranceNotMetError:
+                    outcomes.add("refused")
+    assert outcomes == {"met", "refused"} and calls == []
 
 
 def test_frontier_builds_each_grid_once(grid_builds, monkeypatch):

@@ -515,3 +515,29 @@ def test_run_estimates_are_pinned():
             if got != _PINNED[name, seed]:
                 mismatched.append((name, seed))
     assert not mismatched
+
+
+@pytest.mark.parametrize("mean_snr, mean_energy, quantity", [
+    (1e308, 1.0, "mean SNR"),  # the largest SNR draw, about 18.4 * mean SNR, overflows
+    (10.0, 1e160, "mean energy"),  # the square of the largest energy draw overflows
+])
+def test_a_run_whose_draws_would_overflow_is_refused_before_drawing(
+        mean_snr, mean_energy, quantity, monkeypatch):
+    monkeypatch.setattr(simulate, "frame_uniforms", lambda *args: pytest.fail("drew frames"))
+    with pytest.raises(ValueError, match=f"^{quantity} .* too large to simulate"):
+        run(SystemConfig(2, mean_snr, mean_energy, 1.0), TimeSharing(mu=0.5),
+            MonteCarloConfig(20_000))
+
+
+def test_a_run_at_the_largest_mean_snr_it_accepts_is_finite():
+    result = run(SystemConfig(2, 9.7e306, 1.0, 1.0), TimeSharing(mu=0.5), MonteCarloConfig(20_000))
+    estimates = (result.capacity, result.energy, result.outage)
+    assert all(math.isfinite(v) for e in estimates for v in (e.mean, e.std_error))
+
+
+def test_a_run_whose_sum_overflows_is_refused():
+    # each squared energy is finite, but 20,000 of them overflow their sum; one
+    # worker, so that the error state numpy is given holds where the sums are made
+    mc = MonteCarloConfig(20_000, n_workers=1)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="squared energy sum"):
+        run(SystemConfig(2, 10.0, 3.5e152, 1.0), TimeSharing(mu=0.5), mc)
