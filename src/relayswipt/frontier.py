@@ -15,14 +15,13 @@ needs both coordinates within its tolerance (1e-4 absolute, which only
 map only the energy, to a quarter of that.
 
 The integrals are a pure function of (config, zeta, rung).  A frontier
-solves all its weights in one walk of the bisection tree: the bracket
-zeta = 1, 2, 4, ... grows once for every target, and each dyadic midpoint
-splits the targets it does not meet, so each weight is evaluated once and
-each target ends on the weight its lone bisection gives.  A call holds one
-``_Scenario`` per config, shared by the calls inside it and gone with it:
-its ``c_max``, per ladder step the read-only SNR-gap grid (at most 0.46 MB),
-and per step integrated at the last weight its rungs' energies and damping
-array exp(-t), which only ``_certified_integrals`` reads and writes.
+solves its weights in one walk, its targets in increasing order, each by
+Illinois regula falsi from the tightest bracket among the walk's samples, so
+no weight is evaluated twice.  A call holds one ``_Scenario`` per config,
+shared by the calls inside it and gone with it: its ``c_max``, per ladder
+step the read-only SNR-gap grid (at most 0.46 MB), and per step integrated
+at the last weight its rungs' energies and damping array exp(-t), which only
+``_certified_integrals`` reads and writes.
 
 Almost every certification ends at the second rung, so the first two rungs
 form one step: one divide, one exp and one set of multiplies over both
@@ -46,6 +45,7 @@ spacing and the band.
 
 from __future__ import annotations
 
+import bisect
 import math
 import weakref
 from dataclasses import dataclass
@@ -100,8 +100,6 @@ _EXP_ZERO_BELOW = -746.0
 # A capacity gap is at most 512 bits at any finite mean SNR, so gap/(zeta*eps)
 # cannot overflow while zeta*eps is at least this.
 _NO_OVERFLOW_SCALE = 1e-300
-
-
 _LN2 = math.log(2.0)
 
 
@@ -301,23 +299,19 @@ def pareto_capacity_point(config: SystemConfig, zeta: float, *,
 
 
 def _walk(config: SystemConfig, targets, metric: Metric):
-    """Yield (i, zeta) as the weight of each ``targets[i]`` is found, from one walk of
-    the bisection tree (``solve_zeta_for_energy``).  A capacity walk holds its scenario
-    until it ends, for the point its caller integrates at each weight it yields."""
+    """Yield (i, zeta) as each ``targets[i]``'s weight is found (``solve_zeta_for_energy``).
+    A capacity walk holds its scenario until it ends, for the points its caller integrates."""
     _require_two_relays(config)
     eps = config.mean_energy
     if metric is Metric.CAPACITY:
-        floor, scenario = eps, _scenario(config)
-
-        def forward(z: float) -> float:
-            return _certified_integrals(scenario, z, _SOLVE_TOL, 1)[0]
+        scenario = _scenario(config)
+        floor, forward = eps, lambda z: _certified_integrals(scenario, z, _SOLVE_TOL, 1)[0]
     elif metric is Metric.OUTAGE_INDICATOR:
         floor, forward = pareto_outage_energy_min(config), partial(pareto_outage_energy, config)
     else:
         raise ValueError(f"unknown metric {metric!r}")
     band, ceiling = _SOLVER_BAND * eps, 1.5 * eps
-    # checked before the ceiling: where the floor lies within the band of the
-    # ceiling, a target that rounds up to the ceiling is still met by zeta = 0
+    # the floor first: where it lies within the band of the ceiling, zeta = 0 meets both
     pending = []
     for i, t in enumerate(targets):
         if floor - band <= t <= floor + band:
@@ -328,46 +322,53 @@ def _walk(config: SystemConfig, targets, metric: Metric):
             raise ValueError(f"energy target {t!r} outside feasible range [{floor - band!r}, "
                              f"{ceiling!r}) or within {band!r} of the energy floor {floor!r}")
     pending.sort()
-    lo, prev, hi, start = 0.0, floor, 1.0, 0
-    while start < len(pending):
-        f_hi = forward(hi)
-        if f_hi < prev - 4.0 * _SOLVE_TOL * eps:
-            raise BracketError(
-                f"energy({hi}) = {f_hi} < energy at smaller zeta {prev}; map not monotone")
-        end = start + sum(target <= f_hi for target, _ in pending[start:])
-        brackets = [(lo, hi, start, end, 1)]
-        while brackets:  # depth first; a bracket holds the targets pending[i:j]
-            a, b, i, j, step = brackets.pop()
-            if i == j:
-                continue
-            mid = 0.5 * (a + b)
-            f_mid = forward(mid)
-            k = i  # pending[i:k] lie below the midpoint, [k:m] meet it, [m:j] lie above
-            while k < j and f_mid - pending[k][0] >= band:
-                k += 1
-            m = k
-            while m < j and pending[m][0] - f_mid < band:
-                yield pending[m][1], mid
-                m += 1
-            if (i < k or m < j) and (step == 200 or mid == a or mid == b):  # too narrow to split
-                stalled = pending[i if i < k else m][0]
-                raise ToleranceNotMetError(f"bisection stalled solving for energy {stalled}")
-            brackets += [(mid, b, m, j, step + 1), (a, mid, i, k, step + 1)]
-        prev, lo, hi, start = f_hi, hi, hi * 2.0, end
-        if start < len(pending) and hi > _MAX_BRACKET:
-            raise BracketError(f"could not bracket energy target {pending[start][0]}")
+    samples, met = [(0.0, floor)], set()  # (zeta, energy) of each weight evaluated, by zeta
+    for n, (target, index) in enumerate(pending):
+        # no sample meets the target: the first above it and the one before, below it, bracket it
+        k = bisect.bisect_left(samples, band, key=lambda sample: sample[1] - target)
+        (a, fa), (b, fb) = samples[k - 1], samples[k] if k < len(samples) else (None, None)
+        side, stale, widths = None, 1.0, []  # the last sample's side; the kept end's weight
+        while index not in met:
+            if b is None:  # grow the bracket past the largest sample
+                z = 4.0 * a or 1.0
+                if z > _MAX_BRACKET:
+                    raise BracketError(f"could not bracket energy target {target}")
+            else:  # Illinois: an end kept twice or more in a row counts half as much each time
+                wa, wb = (stale, 1.0) if side else (1.0, stale)
+                z = a + (b - a) * (wa * (target - fa) / (wa * (target - fa) + wb * (fb - target)))
+                if len(widths) > 3 and b - a > 0.5 * widths[-4] or not a < z < b:
+                    z = 0.5 * (a + b)  # four steps did not halve the bracket
+                if len(widths) == 200 or not a < z < b:  # too narrow to split
+                    raise ToleranceNotMetError(f"bisection stalled solving for energy {target}")
+                widths.append(b - a)
+            f = forward(z)
+            if b is None and f < fa - 4.0 * _SOLVE_TOL * eps:
+                raise BracketError(
+                    f"energy({z}) = {f} < energy at smaller zeta {fa}; map not monotone")
+            bisect.insort(samples, (z, f))
+            below = target - f >= band  # else above, or it meets the target and the loop ends
+            if b is not None:  # the sample replaces the end on its side; the other end is kept
+                stale, side = stale * 0.5 if side == (not below) else 1.0, not below
+            a, fa, b, fb = (z, f, b, fb) if below else (a, fa, z, f)
+            for t, i in pending[n:]:  # the targets below this one are met
+                if abs(f - t) < band and i not in met:
+                    met.add(i)
+                    yield i, z
 
 
 def solve_zeta_for_energy(config: SystemConfig, energy_target: float, metric: Metric) -> float:
-    """Invert the monotone map zeta -> average energy by bisection.
+    """Invert the monotone map zeta -> average energy by Illinois regula falsi
+    (Dowell & Jarratt 1971), with a bisection step wherever four steps did not
+    halve the bracket.
 
     A target within 1e-4 * mean_energy (the band) of the policy's energy floor
     gives 0; one in [floor - band, 1.5 * mean_energy) is solved for, until the
     forward map is within the band of it; any other raises ValueError.  The
-    bracket is grown geometrically from [0, 1]; samples gathered while growing
-    it are checked for monotonicity (a violation would indicate an integrator
-    bug and raises BracketError); ToleranceNotMetError after 200 halvings.
-    This is a frontier's walk with one target: it holds nothing after it returns.
+    bracket [0, 1] grows x4 until it holds the target, each sample that grows it
+    checked for monotonicity (a violation would indicate an integrator bug and
+    raises BracketError); ToleranceNotMetError after 200 steps, or where the
+    bracket is too narrow to split.  This is a frontier's walk with one target:
+    it holds nothing after it returns.
     """
     return next(_walk(config, [energy_target], metric))[1]
 
@@ -392,8 +393,8 @@ def zeta_for_delta(config: SystemConfig, delta: float, metric: Metric) -> float:
 
 
 def _pareto_frontier(config: SystemConfig, deltas, metric: Metric, floor: float, point):
-    """``point(zeta)`` and ``zeta`` at each factor, the weight ``zeta_for_delta``
-    gives, those below delta = 1 from one walk.  Raises ValueError naming the policy's
+    """``point(zeta)`` and ``zeta`` at each factor, a weight meeting its energy within the
+    solver band, those below delta = 1 from one walk.  Raises ValueError naming the policy's
     energy range [floor, 1.5 * eps], the target spacing and the solver band where two
     points collide or swap."""
     deltas = [float(delta) for delta in deltas]
@@ -423,8 +424,7 @@ def capacity_frontier(config: SystemConfig, deltas=None) -> FrontierCurve:
     are integrated to ``pareto_capacity_point``'s default tol.
     """
     _require_two_relays(config)
-    if deltas is None:
-        deltas = np.linspace(0.0, 1.0, 21)
+    deltas = np.linspace(0.0, 1.0, 21) if deltas is None else deltas
     points, zetas = _pareto_frontier(config, deltas, Metric.CAPACITY, config.mean_energy,
                                      lambda zeta: pareto_capacity_point(config, zeta))
     worst = _DEFAULT_TOL if any(0.0 < zeta < math.inf for zeta in zetas) else 0.0

@@ -222,7 +222,10 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     at += n
     u.take(at, out=en, mode="clip")
     np.multiply(en, en, out=en_sq)
-    sums = np.add.reduceat(stats, np.arange(0, count, _STAT_BLOCK), axis=1)
+    # a block sum may overflow to inf, which ``run`` refuses by name; worker
+    # threads do not inherit the caller's error state, so it is set here
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(stats, np.arange(0, count, _STAT_BLOCK), axis=1)
     return sums, np.bincount(sel, minlength=n)
 
 
@@ -274,7 +277,8 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
             results = list(pool.map(stats, jobs))
 
     # Blocks are merged in block order, whatever the chunking.
-    sums = np.concatenate([block_sums for block_sums, _ in results], axis=1).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing sum is refused by name below
+        sums = np.concatenate([block_sums for block_sums, _ in results], axis=1).sum(axis=1)
     cap_sum, cap_sq, en_sum, en_sq, out_sum = (float(x) for x in sums)
     for name, total in zip(_SUM_NAMES, sums):
         if not math.isfinite(total):

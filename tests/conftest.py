@@ -10,6 +10,8 @@ from scipy import integrate
 
 import relayswipt.frontier as frontier
 from relayswipt import SystemConfig
+from relayswipt.closedform import pareto_outage_energy, pareto_outage_energy_min
+from relayswipt.schemes import Metric
 
 
 def e1_quadrature(x: float) -> float:
@@ -166,6 +168,23 @@ def held_state(scenario):
     zeta, steps = scenario.last
     energies = {rungs: tuple(step[0]) for rungs, step in steps.items()}
     return zeta, energies, [*scenario.grids.values(), *(step[1] for step in steps.values())]
+
+
+def assert_meets_target(config, metric, target, zeta):
+    """``zeta`` is 0 and ``target`` within the weight solver's band of the policy's
+    energy floor, or the energy the solve reads at ``zeta``, evaluated afresh, is
+    within the band of ``target``."""
+    band = frontier._SOLVER_BAND * config.mean_energy
+    if zeta == 0.0:
+        capacity = metric is Metric.CAPACITY
+        floor = config.mean_energy if capacity else pareto_outage_energy_min(config)
+        assert abs(target - floor) <= band
+    elif metric is Metric.CAPACITY:
+        scenario = frontier._Scenario(config)
+        energy = frontier._certified_integrals(scenario, zeta, frontier._SOLVE_TOL, 1)[0]
+        assert abs(energy - target) < band
+    else:
+        assert abs(pareto_outage_energy(config, zeta) - target) < band
 
 
 @pytest.fixture

@@ -19,7 +19,9 @@ from relayswipt.model import SystemConfig, snr_from_db
 from relayswipt.schemes import Metric, ParetoOptimal, ThresholdChecking, TimeSharing
 from relayswipt.simulate import MonteCarloConfig, run
 
-from conftest import capacity_n_relays_quadrature, outage_n_relays_quadrature, spy_on_kernel
+import oracles
+from conftest import (assert_meets_target, capacity_n_relays_quadrature,
+                      outage_n_relays_quadrature, spy_on_kernel)
 
 
 def read_csv(path):
@@ -439,6 +441,17 @@ def test_a_montecarlo_run_whose_draws_would_overflow_exits_2(flag, value, quanti
     assert capsys.readouterr().err.startswith(f"error: {quantity} is too large")
 
 
+def test_a_montecarlo_run_whose_sum_overflows_exits_2_with_one_line():
+    """Each frame's squared energy is finite but their sum is not: a fresh interpreter,
+    whose warnings print as a user sees them, writes the error line and nothing else."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "relayswipt.cli", "montecarlo", "--scheme", "time-sharing",
+         "--mu", "0.5", "--frames", "20000", "--mean-energy", "3.5e152"],
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the squared energy sum over 20000 frames overflows\n"
+
+
 @pytest.mark.parametrize("scheme, flag", [
     ("time-sharing", "mu"), ("threshold-checking", "tau"),
     ("weighted-difference", "nu"), ("pareto", "zeta"),
@@ -513,12 +526,13 @@ def test_config_file_and_flag_override(tmp_path):
 
 
 # sha256 of each preset's CSV; a change to any of them must be deliberate and
-# recorded in CHANGES.md.
+# recorded in CHANGES.md.  The Pareto cells of fig3-fig6 rest on
+# test_preset_pareto_weights_meet_their_targets_and_the_oracle.
 PRESET_SHA256 = {
-    "fig3": "8f3e678421bf844bab99ad61bb172702984a53cc517ac602a8625f6f3fbbad83",
-    "fig4": "b9187451af9e6319c6a9d46aaae0f6d3e0d5fbd6b2f36f52ccefd6aff737c561",
-    "fig5": "7dea31133e27aff6bcd5f59c8e04414fefdba050e9f98f1e37b2cb3769643d3c",
-    "fig6": "74b9f5575a92a7a2c26ffa95fec37029635be83720f04c37114e4bc6f38becf6",
+    "fig3": "8b3aba4a36deba528542c8a5d25e489f0d320556a34671a73f2a08b749e5ed80",
+    "fig4": "5daad7e79228f537458914771be794ad2914719b55f40c262d9689e9344b7a1a",
+    "fig5": "af0cddc96dc3a90d26c9b523708d207ebf45ef1aa0ac00b700e0f829c059f13b",
+    "fig6": "337f1811a51db86dce5ad4de739b0bfdd73f44ab6abd2c8b46d61c75c315216b",
     "fig7": "97f139e2159df002cf937bfe81fce5f721f034379b522bc284780241a6ccaa27",
     "fig8": "d7ba080c8a058a3750ccff93fbd48017977bfb837224c24e5347f35f4cee830c",
 }
@@ -548,6 +562,45 @@ def test_preset_bytes_are_pinned(preset, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[preset]
 
 
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5", "fig6"])
+def test_preset_pareto_weights_meet_their_targets_and_the_oracle(preset, monkeypatch, capsys):
+    """The weight solve may end anywhere within its band, so this, not the weights
+    themselves, is what the pinned Pareto bytes rest on: each Pareto cell's weight
+    meets its row's energy target (for fig5, the factor lifted to delta_lo) within
+    the band, checked afresh, and a capacity cell is within the frontier's tol of
+    the one-expression quadrature on the finest rung at that weight."""
+    solved = []  # (config, factor, weight, frontier point or None)
+    if preset == "fig5":
+        solve = cli.zeta_for_delta
+
+        def spy(config, delta, metric):
+            solved.append((config, delta, solve(config, delta, metric), None))
+            return solved[-1][2]
+        monkeypatch.setattr(cli, "zeta_for_delta", spy)
+    else:
+        build = cli.capacity_frontier
+
+        def spy(config, deltas):
+            curve = build(config, deltas)
+            solved.extend(zip([config] * len(deltas), deltas, curve.zetas, curve.points))
+            return curve
+        monkeypatch.setattr(cli, "capacity_frontier", spy)
+    assert main([PRESET_COMMANDS[preset], "--preset", preset]) == 0
+    capsys.readouterr()
+    metric = Metric.OUTAGE_INDICATOR if preset == "fig5" else Metric.CAPACITY
+    interior = 0
+    for config, delta, zeta, point in solved:
+        if delta == 1.0:
+            assert zeta == math.inf
+            continue
+        assert_meets_target(config, metric, frontier._energy_target(config, delta), zeta)
+        if point is not None and zeta > 0.0:
+            _, capacity = oracles.capacity_policy_integrals(config, zeta, *frontier._GL_LADDER[-1])
+            assert abs(point.value - capacity) < frontier._DEFAULT_TOL
+            interior += 1
+    assert interior >= 5 or (preset == "fig5" and len(solved) >= 5)
+
+
 CONFIG_FILES = {
     "snr_db": "n_relays = 2\nmean_snr_db = 20\nmean_energy = 2\nseed = 11\n",
     "snr_rate": "n_relays = 2\nmean_snr = 50\nmean_energy = 0.5\nrate = 0.5\n",
@@ -556,14 +609,15 @@ CONFIG_FILES = {
 _MC = ["montecarlo", "--scheme", "threshold-checking", "--tau", "2", "--frames", "5000"]
 
 # (config file or None, argv) -> (exit code, sha256 of stdout); recorded before
-# the scenario resolver was shared between the config file and the CLI.
+# the scenario resolver was shared between the config file and the CLI, and the
+# Pareto cells again after the weight solve became a warm-started regula falsi.
 CLI_PINS = {
     ("snr_db", ("tradeoff-outage", "--grid", "5")):
         (0, "3bbf33d425b12fc923541b3fcfdc5d768616151698a184e5dc739575a35fae11"),
     ("snr_db", ("tradeoff-outage", "--grid", "5", "--mean-snr", "30")):
         (0, "0621e0293a7e1c3fc0e46efb15bc238bdb0be7185bdf19bdadcc7bda8146e0c7"),
     ("snr_db", ("tradeoff-capacity", "--grid", "5", "--mean-snr", "5")):
-        (0, "5f53fb1e789a1db33cc41867c97bd2645581eec256a1077cbfbd4989d72c1ee9"),
+        (0, "4cf545f74619eb67063a579873671861d2bf042c12800651c71b3457f8c12493"),
     ("snr_rate", ("tradeoff-outage", "--grid", "5")):
         (0, "734e047239248314f97a63596d0b974fbb6d6a91cc3ca62834ad013fc448ffc8"),
     ("snr_rate", ("tradeoff-outage", "--grid", "5", "--mean-snr-db", "12")):
@@ -583,13 +637,13 @@ CLI_PINS = {
     ("snr_rate", tuple(_MC)):
         (0, "efd556643ca66b7e751acc1c518d812531a061741962b42163a28c1db56f6d9b"),
     (None, ("tradeoff-outage", "--rate", "0.5")):
-        (0, "7dea31133e27aff6bcd5f59c8e04414fefdba050e9f98f1e37b2cb3769643d3c"),
+        (0, "af0cddc96dc3a90d26c9b523708d207ebf45ef1aa0ac00b700e0f829c059f13b"),
     (None, ("tradeoff-outage", "--rate", "0.75")):
-        (0, "8a6d13c447aea0b696e35396d266d8470ddac6c0f583a21235c634fb1431a5fd"),
+        (0, "eb877fe9b660ff135a51bbe7ebc2149eff1f0f5fd8fd1e3656fe17ea97437135"),
     (None, ("outage-vs-snr", "--n-relays", "3")):
         (0, "61b26831bea372979b1db8c4c173855894e30561a1a8cbb632c4c7b83c7ce4ac"),
     (None, ("capacity-vs-snr", "--snr-db=-5:25:7")):
-        (0, "6d093cca000cddd5a2b71f5e15f4dfd2ed2dae8762fa9f4452b282838d7802a0"),
+        (0, "b67b33d34081ed4942289536424084a79be8ac309c88dc9bcef19288495cc2b6"),
     # N = 3 keeps the ts and tc columns; recorded after their cells matched
     # a quadrature oracle (test_capacity_commands_keep_time_sharing_...)
     (None, ("tradeoff-capacity", "--n-relays", "3", "--grid", "5")):
@@ -746,14 +800,18 @@ def test_gnuplot_script(tmp_path):
     assert "it''s.csv' using 1:3 with lines title 'noout_ts'" in text and "it's" not in text
 
 
+def _cli_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_pipe_exits_quietly():
     """``relayswipt outage-vs-snr | head -1`` ends with exit 0 and no message."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "relayswipt.cli", "outage-vs-snr"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
     proc.stdout.close()  # the reader is gone before the first write
     stderr = proc.stderr.read()
@@ -762,11 +820,12 @@ def test_closed_pipe_exits_quietly():
 
 
 def test_with_mc_bytes_are_pinned(capsys):
-    """MC overlay columns, recorded before the column-wise selection kernels."""
+    """MC overlay columns, recorded before the column-wise selection kernels; the
+    Pareto columns again after the weight solve became a warm-started regula falsi."""
     assert main(["tradeoff-capacity", "--with-mc", "--frames", "20000", "--seed", "3"]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "454d54438ca4c4fb3783ae5813281650dad698252c0cf6e9c2a117dcd9b9a342"
+        "9c359e99afd1dd185e1ed0c2972cbd44581ffcac27245b9d2a9977b79e3f66e3"
     )
 
 

@@ -536,8 +536,9 @@ def test_a_run_at_the_largest_mean_snr_it_accepts_is_finite():
 
 
 def test_a_run_whose_sum_overflows_is_refused():
-    # each squared energy is finite, but 20,000 of them overflow their sum; one
-    # worker, so that the error state numpy is given holds where the sums are made
-    mc = MonteCarloConfig(20_000, n_workers=1)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="squared energy sum"):
-        run(SystemConfig(2, 10.0, 3.5e152, 1.0), TimeSharing(mu=0.5), mc)
+    # each squared energy is finite, but 20,000 of them overflow their sum; with the
+    # default workers, and in two chunks on two worker threads, which do not inherit
+    # the caller's error state: an overflow warning would fail the test
+    for mc in (MonteCarloConfig(20_000), MonteCarloConfig(20_000, batch_size=10_000, n_workers=2)):
+        with pytest.raises(ValueError, match="squared energy sum"):
+            run(SystemConfig(2, 10.0, 3.5e152, 1.0), TimeSharing(mu=0.5), mc)
