@@ -12,7 +12,8 @@ Subcommands map one-to-one to the bundled figure presets:
 * ``montecarlo``: a single simulation run with full estimates.
 
 Each metric's two figures share one row builder, which evaluates every closed
-form before the frontier.  Weighted difference and the Pareto policies are
+form of a config on one ``closedform._Forms`` (so each per-config constant once)
+and before the frontier.  Weighted difference and the Pareto policies are
 defined for two relays only, so at N != 2 the figure commands keep only the
 time-sharing and threshold-checking columns (and ``--with-mc`` only those two).
 
@@ -202,13 +203,14 @@ _MC_SCHEMES = {
 }
 
 
-def _capacity_rows(config: SystemConfig, deltas: list[float]) -> list[list]:
+def _capacity_rows(forms: cf._Forms, deltas: list[float]) -> list[list]:
     """Per factor: energy, c_ts, c_tc and at N = 2 also c_wd, the Pareto value and weight.
     Every closed form runs before the frontier, so one that refuses costs no kernel call;
     the Pareto cells come from one frontier call over the factors in increasing order."""
-    schemes = (cf.c_ts, cf.c_tc, cf.c_wd)[:3 if config.n_relays == 2 else 2]
-    energies = [cf.energy_from_delta(config, delta) for delta in deltas]
-    rows = [[energy] + [capacity(config, energy) for capacity in schemes] for energy in energies]
+    config = forms.config
+    schemes = (forms.c_ts, forms.c_tc, forms.c_wd)[:3 if config.n_relays == 2 else 2]
+    energies = [forms.energy_from_delta(delta) for delta in deltas]
+    rows = [[energy] + [capacity(energy) for capacity in schemes] for energy in energies]
     if config.n_relays == 2:
         order = sorted(range(len(deltas)), key=deltas.__getitem__)
         frontier = capacity_frontier(config, [deltas[i] for i in order])
@@ -217,13 +219,14 @@ def _capacity_rows(config: SystemConfig, deltas: list[float]) -> list[list]:
     return rows
 
 
-def _outage_rows(config: SystemConfig, deltas: list[float]) -> tuple[float | None, list[list]]:
+def _outage_rows(forms: cf._Forms, deltas: list[float]) -> tuple[float | None, list[list]]:
     """delta_lo (None at N != 2) and per factor outage_ts, outage_tc and at N = 2 also
     outage_wd and the Pareto policy's no-outage at the factor lifted to delta_lo, where
     the policy transfers more energy than asked at no outage cost.  The weight of each
     distinct lifted factor is solved once, after every closed form."""
-    schemes = (cf.outage_ts, cf.outage_tc, cf.outage_wd)[:3 if config.n_relays == 2 else 2]
-    rows = [[outage(config, delta) for outage in schemes] for delta in deltas]
+    config = forms.config
+    schemes = (forms.outage_ts, forms.outage_tc, forms.outage_wd)[:3 if config.n_relays == 2 else 2]
+    rows = [[outage(delta) for outage in schemes] for delta in deltas]
     if config.n_relays != 2:
         return None, rows
     delta_lo, _ = cf.delta_range_outage(config)
@@ -244,14 +247,15 @@ def cmd_tradeoff_capacity(args, preset: dict, config: SystemConfig, seed: int) -
             header += [f"mc_c_{name}", f"mc_c_{name}_stderr",
                        f"mc_e_{name}", f"mc_e_{name}_stderr"]
     rows = []
+    forms = cf._Forms(config)
     # every overlay run has the same (config, seed, n_frames): draw its frames once
     with _shared_frames():
-        for delta, (energy, *values) in zip(deltas, _capacity_rows(config, deltas)):
+        for delta, (energy, *values) in zip(deltas, _capacity_rows(forms, deltas)):
             row = [delta, energy] + values[:len(names)]
             if args.with_mc:
-                weights = [cf.mu_from_energy(config, energy), cf.tau_from_energy(config, energy)]
+                weights = [forms.mu_from_energy(energy), forms.tau_from_energy(energy)]
                 if config.n_relays == 2:
-                    weights += [cf.nu_from_energy(config, energy), values[-1]]
+                    weights += [forms.nu_from_energy(energy), values[-1]]
                 for (_, scheme), weight in zip(_MC_SCHEMES.values(), weights):
                     result = run(config, scheme(weight), MonteCarloConfig(args.frames, seed))
                     row += [
@@ -267,12 +271,13 @@ def cmd_tradeoff_outage(args, preset: dict, config: SystemConfig, seed: int) -> 
         # default geometry maximizes the Pareto policy's feasible delta range
         config = dataclasses.replace(config, mean_snr=2.0 * config.outage_threshold / _LN2)
     deltas = np.linspace(0.0, 1.0, _checked_grid(args.grid)).tolist()
-    delta_lo, cells = _outage_rows(config, deltas)
+    forms = cf._Forms(config)
+    delta_lo, cells = _outage_rows(forms, deltas)
     names = _SCHEMES if config.n_relays == 2 else _SCHEMES[:2]
     header = ["delta", "energy"] + [f"noout_{name}" for name in names]
     rows = []
     for delta, outages in zip(deltas, cells):
-        row = [delta, cf.energy_from_delta(config, delta)] + [1.0 - p for p in outages[:3]]
+        row = [delta, forms.energy_from_delta(delta)] + [1.0 - p for p in outages[:3]]
         if delta_lo is not None:  # the Pareto column is empty below delta_lo
             row.append(outages[3] if delta >= delta_lo - 1e-12 else None)
         rows.append(row)
@@ -280,22 +285,22 @@ def cmd_tradeoff_outage(args, preset: dict, config: SystemConfig, seed: int) -> 
 
 
 def _snr_sweep(args, preset: dict, config: SystemConfig, grid, scale: float, prefix: str, cells):
-    """Scheme columns and rows over ``grid`` (dB) and ``--deltas``, a grid point x at mean SNR
-    ``scale * snr_from_db(x)``; ``cells(point_config, deltas)`` gives each factor's cells."""
+    """Header and rows over ``grid`` (dB) and ``--deltas``; ``cells(forms, deltas)`` gives each
+    factor's cells from the closed forms of grid point x, at mean SNR ``scale * snr_from_db(x)``."""
     deltas = _parse_deltas(args.deltas or preset.get("deltas", "0,0.5,1"))
     names = _SCHEMES if config.n_relays == 2 else _SCHEMES[:2]
     header = [f"{prefix}_{name}_d{delta:g}" for delta in deltas for name in names]
     rows = []
     for x in grid:
-        point_config = dataclasses.replace(config, mean_snr=scale * snr_from_db(x))
-        rows.append([float(x)] + sum(cells(point_config, deltas), []))
+        forms = cf._Forms(dataclasses.replace(config, mean_snr=scale * snr_from_db(x)))
+        rows.append([float(x)] + sum(cells(forms, deltas), []))
     return header, rows
 
 
 def cmd_capacity_vs_snr(args, preset: dict, config: SystemConfig, seed: int) -> _Table:
     grid = _parse_grid(args.snr_db, "--snr-db")
-    header, rows = _snr_sweep(args, preset, config, grid, 1.0, "c", lambda point_config, deltas: [
-        values[1:5] for values in _capacity_rows(point_config, deltas)])
+    header, rows = _snr_sweep(args, preset, config, grid, 1.0, "c", lambda forms, deltas: [
+        values[1:5] for values in _capacity_rows(forms, deltas)])
     return ["snr_db"] + header, rows, ("snr_db", header)
 
 
@@ -303,8 +308,8 @@ def cmd_outage_vs_snr(args, preset: dict, config: SystemConfig, seed: int) -> _T
     grid = _parse_grid(args.ratio_db, "--ratio-db")
     header, rows = _snr_sweep(
         args, preset, config, grid, config.outage_threshold, "out",
-        lambda point_config, deltas: [outages[:3] + [1.0 - p for p in outages[3:]]
-                                      for outages in _outage_rows(point_config, deltas)[1]])
+        lambda forms, deltas: [outages[:3] + [1.0 - p for p in outages[3:]]
+                               for outages in _outage_rows(forms, deltas)[1]])
     return ["ratio_db"] + header, rows, ("ratio_db", header, True)
 
 

@@ -10,54 +10,35 @@ Conventions used throughout:
 * Every curve-versus-energy function is evaluated by composing the
   parameter inversion (mu, tau or nu from energy) with the
   parameter-form expression; that composition is the one route.
+* The forms that read per-config constants (H_N, E1 terms, c_min, c_max,
+  the single-relay outage) are methods of ``_Forms``, which computes each
+  constant at most once.  A public function evaluates on a fresh one; a
+  caller with many cells of one config holds one, with the same bits.
 * ``delta = 1`` (equivalently ``tau = inf`` / ``nu = inf``) degenerates to
   pure best-energy selection and is evaluated through that limit.
 
 Functions raise ValueError when an argument leaves its stated domain, and
 for tradeoff curves with a single relay (N = 1), where the energy range
 collapses and the tradeoff factor is undefined.  ``c_max``, ``c_ts`` and
-``c_tc`` also raise it above N = 21: their alternating order-statistics sum
-cancels as N grows, and 21 is the largest N it keeps within 1e-9 of a
-best-of-N quadrature on a 1 dB grid over -20..60 dB.
+``c_tc`` also raise it above N = 21, where their alternating sum cancels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 from .model import SystemConfig
 from .specfun import exp_e1_scaled, harmonic
 
 __all__ = [
-    "TradeoffPoint",
-    "tradeoff_point",
-    "c_min",
-    "c_max",
-    "energy_bounds",
-    "delta_from_energy",
-    "energy_from_delta",
-    "mu_from_energy",
-    "c_ts",
-    "tau_from_energy",
-    "energy_tc_of_tau",
-    "c_tc_of_tau",
-    "c_tc",
-    "nu_from_energy",
-    "energy_wd_of_nu",
-    "c_wd_of_nu",
-    "c_wd",
-    "outage_ts",
-    "outage_tc_of_tau",
-    "outage_tc",
-    "outage_wd_of_nu",
-    "outage_wd",
-    "asymptotic_outage",
-    "array_gain",
-    "pareto_outage_energy",
-    "pareto_no_outage",
-    "pareto_outage_energy_min",
+    "TradeoffPoint", "tradeoff_point", "c_min", "c_max", "energy_bounds", "delta_from_energy",
+    "energy_from_delta", "mu_from_energy", "c_ts", "tau_from_energy", "energy_tc_of_tau",
+    "c_tc_of_tau", "c_tc", "nu_from_energy", "energy_wd_of_nu", "c_wd_of_nu", "c_wd", "outage_ts",
+    "outage_tc_of_tau", "outage_tc", "outage_wd_of_nu", "outage_wd", "asymptotic_outage",
+    "array_gain", "pareto_outage_energy", "pareto_no_outage", "pareto_outage_energy_min",
     "delta_range_outage",
 ]
 
@@ -95,21 +76,18 @@ def tradeoff_point(config: SystemConfig, energy: float, value: float) -> Tradeof
 
 def c_min(config: SystemConfig) -> float:
     """Smallest achievable ergodic capacity: selection ignores the SNRs."""
-    g = config.mean_snr
-    return exp_e1_scaled(2.0 / g) / (2.0 * _LN2)
+    return _Forms(config).c_min
 
 
 def c_max(config: SystemConfig) -> float:
     """Largest achievable ergodic capacity: always pick the best-SNR relay."""
-    return _best_snr_capacity_above(config, 0.0)
+    return _Forms(config).c_max
 
 
-def _best_snr_capacity_above(config: SystemConfig, tau: float) -> float:
-    """E[C(best SNR); best SNR >= tau] for finite tau >= 0.
-
-    Alternating order-statistics sum over the N exponential end-to-end SNRs;
-    raises ValueError for N above ``_MAX_SUM_RELAYS``, where it cancels.
-    """
+def _best_snr_capacity_above(config: SystemConfig, tau: float) -> tuple[float, tuple[float, float]]:
+    """E[C(best SNR); best SNR >= tau] for finite tau >= 0 by the alternating order-statistics
+    sum, and its j = 0 factors exp(-2*tau/gbar) and exp(x)*E1(x) at x = 2*(1 + tau)/gbar.
+    Raises ValueError for N above ``_MAX_SUM_RELAYS``, where the sum cancels."""
     g = config.mean_snr
     n = config.n_relays
     if n > _MAX_SUM_RELAYS:
@@ -120,19 +98,26 @@ def _best_snr_capacity_above(config: SystemConfig, tau: float) -> float:
     for j in range(n):
         coeff = n * (-1.0) ** j * math.comb(n - 1, j) / (2.0 * (j + 1) * _LN2)
         damp = math.exp(-2.0 * (j + 1) * tau / g)
-        total += coeff * damp * (exp_e1_scaled(2.0 * (j + 1) * (1.0 + tau) / g) + log1ptau)
-    return total
+        scaled = exp_e1_scaled(2.0 * (j + 1) * (1.0 + tau) / g)
+        if j == 0:
+            first = damp, scaled
+        total += coeff * damp * (scaled + log1ptau)
+    return total, first
 
 
 def energy_bounds(config: SystemConfig) -> tuple[float, float]:
     """(min, max) feasible average transferred energy: (eps, H_N * eps)."""
-    eps = config.mean_energy
-    return eps, harmonic(config.n_relays) * eps
+    return _Forms(config).bounds
 
 
 def _require_multi_relay(config: SystemConfig) -> None:
     if config.n_relays < 2:
         raise ValueError("tradeoff curves need n_relays >= 2 (energy range is degenerate for N=1)")
+
+
+def _require_two_relays(config: SystemConfig) -> None:
+    if config.n_relays != 2:
+        raise ValueError(f"requires exactly 2 relays, got n_relays={config.n_relays}")
 
 
 def _check_weight(name: str, value: float) -> float:
@@ -152,21 +137,116 @@ def _check_delta(delta: float) -> float:
 
 def delta_from_energy(config: SystemConfig, energy: float) -> float:
     """Tradeoff factor delta = (energy/eps - 1) / (H_N - 1), clamped to [0, 1]."""
-    _require_multi_relay(config)
-    lo, hi = energy_bounds(config)
-    slack = _REL_SLACK * hi
-    if math.isnan(energy) or not (lo - slack <= energy <= hi + slack):
-        raise ValueError(f"energy {energy!r} outside feasible range [{lo}, {hi}]")
-    frac = (energy - lo) / (hi - lo)
-    return min(max(frac, 0.0), 1.0)
+    return _Forms(config).delta_from_energy(energy)
 
 
 def energy_from_delta(config: SystemConfig, delta: float) -> float:
     """Average energy achieving tradeoff factor delta."""
-    _require_multi_relay(config)
-    delta = _check_delta(delta)
-    eps = config.mean_energy
-    return (1.0 + delta * (harmonic(config.n_relays) - 1.0)) * eps
+    return _Forms(config).energy_from_delta(delta)
+
+
+class _Forms:
+    """The closed forms of one config, each per-config constant computed at most once."""
+
+    def __init__(self, config: SystemConfig):
+        self.config = config
+
+    # The constants, each computed on first use: H_N, the energy bounds, exp(x)*E1(x) at
+    # x = 2/gbar and 4/gbar, c_min, c_max and p1 = Pr{one relay's SNR < threshold}.
+    hn = cached_property(lambda self: harmonic(self.config.n_relays))
+    bounds = cached_property(lambda self: (self.config.mean_energy,
+                                           self.hn * self.config.mean_energy))
+    x2 = cached_property(lambda self: exp_e1_scaled(2.0 / self.config.mean_snr))
+    x4 = cached_property(lambda self: exp_e1_scaled(4.0 / self.config.mean_snr))
+    c_min = cached_property(lambda self: self.x2 / (2.0 * _LN2))
+    c_max = cached_property(lambda self: _best_snr_capacity_above(self.config, 0.0)[0])
+    p1 = cached_property(lambda self: -math.expm1(-2.0 * self.config.outage_threshold
+                                                  / self.config.mean_snr))
+
+    def delta_from_energy(self, energy: float) -> float:
+        _require_multi_relay(self.config)
+        lo, hi = self.bounds
+        slack = _REL_SLACK * hi
+        if math.isnan(energy) or not (lo - slack <= energy <= hi + slack):
+            raise ValueError(f"energy {energy!r} outside feasible range [{lo}, {hi}]")
+        return min(max((energy - lo) / (hi - lo), 0.0), 1.0)
+
+    def energy_from_delta(self, delta: float) -> float:
+        _require_multi_relay(self.config)
+        delta = _check_delta(delta)
+        return (1.0 + delta * (self.hn - 1.0)) * self.config.mean_energy
+
+    def mu_from_energy(self, energy: float) -> float:
+        return 1.0 - self.delta_from_energy(energy)
+
+    def c_ts(self, energy: float) -> float:
+        mu = self.mu_from_energy(energy)
+        return mu * self.c_max + (1.0 - mu) * self.c_min
+
+    def tau_from_energy(self, energy: float) -> float:
+        rho = self.delta_from_energy(energy)
+        if rho >= 1.0:
+            return math.inf
+        return -0.5 * self.config.mean_snr * math.log1p(-rho ** (1.0 / self.config.n_relays))
+
+    def c_tc_of_tau(self, tau: float) -> float:
+        _require_multi_relay(self.config)
+        tau = _check_weight("tau", tau)
+        if math.isinf(tau):
+            return self.c_min
+        q = -math.expm1(-2.0 * tau / self.config.mean_snr)
+        # the below-tau term shares the j = 0 factors of the best-SNR sum
+        total, (damp, scaled) = _best_snr_capacity_above(self.config, tau)
+        below = (self.x2 - damp * scaled - damp * math.log1p(tau)) / (2.0 * _LN2)
+        return total + below * q ** (self.config.n_relays - 1)
+
+    def c_tc(self, energy: float) -> float:
+        return self.c_tc_of_tau(self.tau_from_energy(energy))
+
+    def nu_from_energy(self, energy: float) -> float:
+        _require_two_relays(self.config)
+        rho = self.delta_from_energy(energy)
+        if rho >= 1.0:
+            return math.inf
+        eps = self.config.mean_energy
+        span = 3.0 * eps - 2.0 * self.energy_from_delta(rho)
+        return 0.5 * self.config.mean_snr / eps * (math.sqrt(eps / span) - 1.0)
+
+    def c_wd_of_nu(self, nu: float) -> float:
+        _require_two_relays(self.config)
+        nu = _check_weight("nu", nu)
+        if math.isinf(nu):
+            return self.c_min
+        g = self.config.mean_snr
+        eps = self.config.mean_energy
+        if nu > 0.0 and abs(g - 2.0 * nu * eps) < _SINGULAR_TOL * g:
+            return 0.5 * (self.c_wd_of_nu(nu * (1.0 - _PERTURB))
+                          + self.c_wd_of_nu(nu * (1.0 + _PERTURB)))
+        u = 2.0 * nu * eps / g
+        cross = u * u * exp_e1_scaled(2.0 / g + 2.0 / (g * u)) if u > 0.0 else 0.0
+        return (2.0 * (1.0 - u * u) * self.x2 + cross - self.x4) / (2.0 * (1.0 - u * u) * _LN2)
+
+    def c_wd(self, energy: float) -> float:
+        return self.c_wd_of_nu(self.nu_from_energy(energy))
+
+    def outage_ts(self, delta: float) -> float:
+        _require_multi_relay(self.config)
+        delta = _check_delta(delta)
+        return (1.0 - delta) * self.p1 ** self.config.n_relays + delta * self.p1
+
+    def outage_tc(self, delta: float) -> float:
+        _require_multi_relay(self.config)
+        delta = _check_delta(delta)
+        n = self.config.n_relays
+        p1 = self.p1
+        if delta <= p1 ** n:
+            return p1 ** n
+        return p1 * delta ** ((n - 1.0) / n)
+
+    def outage_wd(self, delta: float) -> float:
+        _require_two_relays(self.config)
+        delta = _check_delta(delta)
+        return outage_wd_of_nu(self.config, self.nu_from_energy(self.energy_from_delta(delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +259,12 @@ def mu_from_energy(config: SystemConfig, energy: float) -> float:
 
     mu = (H_N*eps - energy) / (eps*(H_N - 1)); equals 1 - delta.
     """
-    return 1.0 - delta_from_energy(config, energy)
+    return _Forms(config).mu_from_energy(energy)
 
 
 def c_ts(config: SystemConfig, energy: float) -> float:
     """Time-sharing ergodic capacity at the given average energy."""
-    mu = mu_from_energy(config, energy)
-    return mu * c_max(config) + (1.0 - mu) * c_min(config)
+    return _Forms(config).c_ts(energy)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +278,7 @@ def tau_from_energy(config: SystemConfig, energy: float) -> float:
     Returns math.inf at the top of the energy range, where the policy
     degenerates to pure best-energy selection.
     """
-    rho = delta_from_energy(config, energy)
-    if rho >= 1.0:
-        return math.inf
-    n = config.n_relays
-    return -0.5 * config.mean_snr * math.log1p(-rho ** (1.0 / n))
+    return _Forms(config).tau_from_energy(energy)
 
 
 def energy_tc_of_tau(config: SystemConfig, tau: float) -> float:
@@ -222,26 +297,12 @@ def c_tc_of_tau(config: SystemConfig, tau: float) -> float:
     Conditional split: capacity of the best-SNR relay above tau plus the
     capacity of an SNR-independent relay when every SNR is below tau.
     """
-    _require_multi_relay(config)
-    tau = _check_weight("tau", tau)
-    if math.isinf(tau):
-        return c_min(config)
-    g = config.mean_snr
-    n = config.n_relays
-    q = -math.expm1(-2.0 * tau / g)
-    log1ptau = math.log1p(tau)
-    total = _best_snr_capacity_above(config, tau)
-    below = (
-        exp_e1_scaled(2.0 / g)
-        - math.exp(-2.0 * tau / g) * exp_e1_scaled(2.0 * (1.0 + tau) / g)
-        - math.exp(-2.0 * tau / g) * log1ptau
-    ) / (2.0 * _LN2)
-    return total + below * q ** (n - 1)
+    return _Forms(config).c_tc_of_tau(tau)
 
 
 def c_tc(config: SystemConfig, energy: float) -> float:
     """Threshold-checking ergodic capacity at the given average energy."""
-    return c_tc_of_tau(config, tau_from_energy(config, energy))
+    return _Forms(config).c_tc(energy)
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +310,12 @@ def c_tc(config: SystemConfig, energy: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_two_relays(config: SystemConfig) -> None:
-    if config.n_relays != 2:
-        raise ValueError(f"requires exactly 2 relays, got n_relays={config.n_relays}")
-
-
 def nu_from_energy(config: SystemConfig, energy: float) -> float:
     """Weighting coefficient nu achieving the target average energy.
 
     Returns math.inf at the top of the range (pure best-energy selection).
     """
-    _require_two_relays(config)
-    rho = delta_from_energy(config, energy)
-    if rho >= 1.0:
-        return math.inf
-    eps = config.mean_energy
-    span = 3.0 * eps - 2.0 * energy_from_delta(config, rho)
-    return 0.5 * config.mean_snr / eps * (math.sqrt(eps / span) - 1.0)
+    return _Forms(config).nu_from_energy(energy)
 
 
 def energy_wd_of_nu(config: SystemConfig, nu: float) -> float:
@@ -287,26 +337,12 @@ def c_wd_of_nu(config: SystemConfig, nu: float) -> float:
     2 * nu * mean_energy == mean_snr; it is evaluated there by averaging
     two one-sided perturbations of nu.
     """
-    _require_two_relays(config)
-    nu = _check_weight("nu", nu)
-    if math.isinf(nu):
-        return c_min(config)
-    g = config.mean_snr
-    eps = config.mean_energy
-    if nu > 0.0 and abs(g - 2.0 * nu * eps) < _SINGULAR_TOL * g:
-        lo = c_wd_of_nu(config, nu * (1.0 - _PERTURB))
-        hi = c_wd_of_nu(config, nu * (1.0 + _PERTURB))
-        return 0.5 * (lo + hi)
-    u = 2.0 * nu * eps / g
-    x2 = exp_e1_scaled(2.0 / g)
-    x4 = exp_e1_scaled(4.0 / g)
-    cross = u * u * exp_e1_scaled(2.0 / g + 2.0 / (g * u)) if u > 0.0 else 0.0
-    return (2.0 * (1.0 - u * u) * x2 + cross - x4) / (2.0 * (1.0 - u * u) * _LN2)
+    return _Forms(config).c_wd_of_nu(nu)
 
 
 def c_wd(config: SystemConfig, energy: float) -> float:
     """Weighted-difference ergodic capacity at the given average energy."""
-    return c_wd_of_nu(config, nu_from_energy(config, energy))
+    return _Forms(config).c_wd(energy)
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +350,16 @@ def c_wd(config: SystemConfig, energy: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _single_outage(config: SystemConfig) -> float:
-    """Pr{one relay's end-to-end SNR < threshold} = 1 - exp(-2*th/gbar)."""
-    return -math.expm1(-2.0 * config.outage_threshold / config.mean_snr)
-
-
 def outage_ts(config: SystemConfig, delta: float) -> float:
     """Time-sharing outage probability at tradeoff factor delta."""
-    _require_multi_relay(config)
-    delta = _check_delta(delta)
-    p1 = _single_outage(config)
-    return (1.0 - delta) * p1 ** config.n_relays + delta * p1
+    return _Forms(config).outage_ts(delta)
 
 
 def outage_tc_of_tau(config: SystemConfig, tau: float) -> float:
     """Threshold-checking outage probability as a function of tau."""
     _require_multi_relay(config)
     tau = _check_weight("tau", tau)
-    p1 = _single_outage(config)
+    p1 = _Forms(config).p1
     if tau <= config.outage_threshold:
         return p1 ** config.n_relays
     q = -math.expm1(-2.0 * tau / config.mean_snr)
@@ -340,13 +368,7 @@ def outage_tc_of_tau(config: SystemConfig, tau: float) -> float:
 
 def outage_tc(config: SystemConfig, delta: float) -> float:
     """Threshold-checking outage probability at tradeoff factor delta."""
-    _require_multi_relay(config)
-    delta = _check_delta(delta)
-    n = config.n_relays
-    p1 = _single_outage(config)
-    if delta <= p1 ** n:
-        return p1 ** n
-    return p1 * delta ** ((n - 1.0) / n)
+    return _Forms(config).outage_tc(delta)
 
 
 def outage_wd_of_nu(config: SystemConfig, nu: float) -> float:
@@ -375,9 +397,7 @@ def outage_wd_of_nu(config: SystemConfig, nu: float) -> float:
 
 def outage_wd(config: SystemConfig, delta: float) -> float:
     """Weighted-difference outage probability at tradeoff factor delta."""
-    _require_two_relays(config)
-    delta = _check_delta(delta)
-    return outage_wd_of_nu(config, nu_from_energy(config, energy_from_delta(config, delta)))
+    return _Forms(config).outage_wd(delta)
 
 
 # ---------------------------------------------------------------------------

@@ -29,18 +29,7 @@ def exp_integral_e1(x: float) -> float:
     x = float(x)
     if math.isnan(x) or math.isinf(x) or x <= 0.0:
         raise ValueError(f"exp_integral_e1 requires finite x > 0, got {x!r}")
-    if x <= 1.0:
-        # E1(x) = -gamma - ln(x) + sum_{k>=1} (-1)^(k+1) x^k / (k * k!)
-        total = -EULER_GAMMA - math.log(x)
-        term = -1.0
-        for k in range(1, _SERIES_MAX_TERMS):
-            term *= -x / k
-            contrib = term / k
-            total += contrib
-            if abs(contrib) < 1e-18 * abs(total):
-                break
-        return total
-    return math.exp(-x) * _e1_continued_fraction(x)
+    return _e1_series(x) if x <= 1.0 else math.exp(-x) * _e1_continued_fraction(x)
 
 
 def exp_e1_scaled(x: float) -> float:
@@ -56,9 +45,20 @@ def exp_e1_scaled(x: float) -> float:
         raise ValueError(f"exp_e1_scaled requires finite x > 0, got {x!r}")
     if math.isinf(x):
         return 0.0
-    if x <= 1.0:
-        return math.exp(x) * exp_integral_e1(x)
-    return _e1_continued_fraction(x)
+    return math.exp(x) * _e1_series(x) if x <= 1.0 else _e1_continued_fraction(x)
+
+
+def _e1_series(x: float) -> float:
+    """E1(x) = -gamma - ln(x) + sum_{k>=1} (-1)^(k+1) x^k / (k * k!), for 0 < x <= 1."""
+    total = -EULER_GAMMA - math.log(x)
+    term = -1.0
+    for k in range(1, _SERIES_MAX_TERMS):
+        term *= -x / k
+        contrib = term / k
+        total += contrib
+        if abs(contrib) < 1e-18 * abs(total):
+            break
+    return total
 
 
 def _e1_continued_fraction(x: float) -> float:

@@ -1,14 +1,20 @@
 import argparse
 import csv
+import functools
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relayswipt.cli as cli
 import relayswipt.closedform as cf
@@ -137,10 +143,10 @@ def test_a_refusing_closed_form_costs_no_kernel_call(command, integral_calls, mo
                                                      capsys):
     """Every closed form of a figure is evaluated before its frontier, so one
     that refuses ends the command before any capacity integral."""
-    def refuse(config, energy):
+    def refuse(forms, energy):
         raise ValueError("c_wd refuses")
 
-    monkeypatch.setattr(cf, "c_wd", refuse)
+    monkeypatch.setattr(cf._Forms, "c_wd", refuse)  # the row builder's closed forms
     assert main([command]) == 2
     assert capsys.readouterr().err == "error: c_wd refuses\n" and not integral_calls
 
@@ -383,6 +389,119 @@ def test_the_vs_snr_figures_agree_with_the_tradeoff_figures_cell_for_cell(capsys
                 assert cell(header, row, "out_pareto" + suffix) == 1.0 - noout
                 compared["outage pareto"] += 1
     assert compared == {"capacity": 4, "outage pareto": 5}
+
+
+def test_capacity_vs_snr_rows_are_the_tradeoff_cells_at_their_snr(capsys):
+    """Each SNR row of capacity-vs-snr holds the closed forms of its own mean SNR:
+    at N = 3 too, its cells are the bytes of the tradeoff figure at that SNR."""
+    header, data = _table(["capacity-vs-snr", "--n-relays", "3", "--snr-db=-20:60:5",
+                           "--deltas", "0,0.25,1"], capsys)
+    compared = 0
+    for row in data:
+        snr_db = f"{cell(header, row, 'snr_db'):g}"
+        th, tdata = _table(["tradeoff-capacity", "--n-relays", "3", "--mean-snr-db", snr_db,
+                            "--grid", "5", "--x-axis", "delta"], capsys)
+        for trow in tdata:
+            suffix = f"_d{cell(th, trow, 'delta'):g}"
+            if "c_ts" + suffix in header:
+                for name in ("c_ts", "c_tc"):
+                    assert row[header.index(name + suffix)] == trow[th.index(name)]
+                compared += 1
+    assert compared == 3 * len(data) == 15
+
+
+def _bits_or_refusal(call):
+    """Each cell's bits (float.hex), or the type and text of what the call raised."""
+    try:
+        return [[float(value).hex() for value in row] for row in call()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _fresh_closedform():
+    """A new copy of the closedform module: no state of the copy under test reaches it."""
+    spec = importlib.util.find_spec("relayswipt.closedform")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fresh_capacity_cells(forms, make, deltas):
+    """The closed-form cells of a capacity row, each from one public call of ``forms`` (a
+    closedform module) on a new config."""
+    schemes = (forms.c_ts, forms.c_tc, forms.c_wd)[:3 if make().n_relays == 2 else 2]
+    energies = [forms.energy_from_delta(make(), delta) for delta in deltas]
+    return [[energy] + [capacity(make(), energy) for capacity in schemes] for energy in energies]
+
+
+def _fresh_outage_cells(forms, make, deltas):
+    schemes = (forms.outage_ts, forms.outage_tc, forms.outage_wd)
+    return [[outage(make(), delta) for outage in schemes[:3 if make().n_relays == 2 else 2]]
+            for delta in deltas]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(2, 8), st.floats(-20.0, 60.0), st.floats(-300.0, 300.0),
+                          st.floats(-3.0, 3.0)), min_size=2, max_size=2),
+       st.lists(st.floats(0.0, 1.0), max_size=3))
+def test_no_closed_form_constant_crosses_configs(scenarios, interior):
+    """Every closed-form cell of a row builder is the public single call on an equal
+    but distinct config, bit for bit, or the same refusal (the nu < 0 inputs refuse).
+    The single calls run on a new copy of the module, which no earlier row has seen."""
+    deltas = [0.0] + interior + [1.0]
+    fresh = _fresh_closedform()
+    pareto = SimpleNamespace(points=[SimpleNamespace(value=0.0)] * len(deltas),
+                             zetas=[0.0] * len(deltas))
+    with mock.patch.object(cli, "capacity_frontier", lambda config, deltas: pareto), \
+            mock.patch.object(cli, "zeta_for_delta", lambda config, delta, metric: 1.0):
+        for n, snr_db, log_eps, log_threshold in scenarios:
+            def make():
+                return SystemConfig(n, snr_from_db(snr_db), 10.0 ** log_eps, 10.0 ** log_threshold)
+
+            width = 3 if n == 2 else 2
+            rows = _bits_or_refusal(lambda: [
+                row[:1 + width] for row in cli._capacity_rows(cf._Forms(make()), deltas)])
+            assert rows == _bits_or_refusal(lambda: _fresh_capacity_cells(fresh, make, deltas))
+            rows = _bits_or_refusal(lambda: [
+                row[:width] for row in cli._outage_rows(cf._Forms(make()), deltas)[1]])
+            assert rows == _bits_or_refusal(lambda: _fresh_outage_cells(fresh, make, deltas))
+
+
+# E1 calls recorded when each row began to hold its config's constants; per-cell
+# constants made 464 (fig6) and 212 (fig4).
+@pytest.mark.parametrize("argv, configs, e1_calls", [
+    (["capacity-vs-snr", "--preset", "fig6"], 16, 224),
+    (["tradeoff-capacity", "--preset", "fig4"], 1, 69),
+], ids=["fig6", "fig4"])
+def test_a_capacity_row_evaluates_c_max_once_per_config(argv, configs, e1_calls, monkeypatch,
+                                                         capsys):
+    """A row builder holds one config's closed forms: c_max's best-SNR sum runs once per
+    config outside the frontier (whose own c_max calls are its business), and the E1
+    calls of the whole command stay within those recorded when rows began to share them."""
+    rows_c_max, e1, in_frontier = Counter(), [], []
+    c_max, exp_e1_scaled, capacity_frontier = (cf._Forms.c_max.func, cf.exp_e1_scaled,
+                                               cli.capacity_frontier)
+
+    def spy_c_max(forms):
+        if not in_frontier:
+            rows_c_max[forms.config] += 1
+        return c_max(forms)
+
+    def spy_frontier(*args):
+        in_frontier.append(True)
+        try:
+            return capacity_frontier(*args)
+        finally:
+            in_frontier.pop()
+
+    spy = functools.cached_property(spy_c_max)
+    spy.__set_name__(cf._Forms, "c_max")
+    monkeypatch.setattr(cf._Forms, "c_max", spy)
+    monkeypatch.setattr(cli, "capacity_frontier", spy_frontier)
+    monkeypatch.setattr(cf, "exp_e1_scaled", lambda x: e1.append(x) or exp_e1_scaled(x))
+    assert main(argv) == 0
+    assert len(rows_c_max) == configs and set(rows_c_max.values()) == {1}
+    assert len(e1) <= e1_calls
 
 
 def test_montecarlo_row_and_determinism(tmp_path):
