@@ -120,6 +120,12 @@ def _require_two_relays(config: SystemConfig) -> None:
         raise ValueError(f"requires exactly 2 relays, got n_relays={config.n_relays}")
 
 
+def _no_outage_one(config: SystemConfig) -> float:
+    """exp(-2 theta / mean SNR) of a two-relay config: P(one relay's SNR >= theta)."""
+    _require_two_relays(config)
+    return math.exp(-2.0 * config.outage_threshold / config.mean_snr)
+
+
 def _check_weight(name: str, value: float) -> float:
     """A policy parameter (tau, nu or zeta): >= 0, math.inf allowed."""
     value = float(value)
@@ -377,9 +383,8 @@ def outage_wd_of_nu(config: SystemConfig, nu: float) -> float:
     Shares the removable singularity of the capacity expression at
     2 * nu * mean_energy == mean_snr and is perturbed there the same way.
     """
-    _require_two_relays(config)
+    a = _no_outage_one(config)
     nu = _check_weight("nu", nu)
-    a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
     if math.isinf(nu):
         return 1.0 - a
     g = config.mean_snr
@@ -449,10 +454,9 @@ def pareto_outage_energy(config: SystemConfig, zeta: float) -> float:
     zeta = 0 and zeta = inf return the respective analytic limits (the
     policy's feasible energy range is [pareto_outage_energy_min, 1.5*eps]).
     """
-    _require_two_relays(config)
+    a = _no_outage_one(config)
     zeta = _check_weight("zeta", zeta)
     eps = config.mean_energy
-    a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
     scale = zeta * eps  # 0 for zeta = 0, and where the product underflows: the zeta = 0 limit
     t = 1.0 / scale if scale > 0.0 else math.inf
     # (1+t) exp(-t) underflows before t overflows; cut off explicitly
@@ -462,9 +466,8 @@ def pareto_outage_energy(config: SystemConfig, zeta: float) -> float:
 
 def pareto_no_outage(config: SystemConfig, zeta: float) -> float:
     """No-outage probability of the outage-metric Pareto policy."""
-    _require_two_relays(config)
+    a = _no_outage_one(config)
     zeta = _check_weight("zeta", zeta)
-    a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
     scale = zeta * config.mean_energy  # 0 also where the product underflows: the zeta = 0 limit
     decay = math.exp(-1.0 / scale) if scale > 0.0 else 0.0
     return a * (2.0 - a) - a * (1.0 - a) * decay
@@ -472,13 +475,11 @@ def pareto_no_outage(config: SystemConfig, zeta: float) -> float:
 
 def pareto_outage_energy_min(config: SystemConfig) -> float:
     """Infimum of the Pareto policy's energy range (the zeta -> 0+ limit)."""
-    _require_two_relays(config)
-    a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
+    a = _no_outage_one(config)
     return config.mean_energy * (1.5 + a * a - a)
 
 
 def delta_range_outage(config: SystemConfig) -> tuple[float, float]:
     """Tradeoff-factor interval covered by the outage-metric Pareto policy."""
-    _require_two_relays(config)
-    a = math.exp(-2.0 * config.outage_threshold / config.mean_snr)
+    a = _no_outage_one(config)
     return 1.0 - 2.0 * (a - a * a), 1.0

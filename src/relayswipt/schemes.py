@@ -4,11 +4,13 @@ Each policy maps one channel frame (plus, for time sharing, a uniform coin)
 to the index of the relay to activate.  Indices are 0-based.  The rules
 live in ``select_indices``, which applies them to whole batches and is what
 the Monte Carlo engine uses; ``select`` runs it on a single frame.  The
-rules work column by column: a best-relay index is one comparison at N = 2,
-else a running maximum over the columns and a reverse scan for the lowest
-column equal to it, and the two-relay rules read two columns.  Ties are
-probability-zero events under the continuous fading model; the conventions
-below exist so results are reproducible:
+rules work column by column: a best-relay index is one bool comparison at
+N = 2, else a running maximum over the columns and a reverse scan for the
+lowest column equal to it.  Time sharing and threshold checking combine the
+two indices exactly as (kappa ^ lambda) * cond ^ lambda, in place and cast
+to intp once; the two-relay rules read two columns and build both sides in
+place.  Ties are probability-zero events under the continuous fading model;
+the conventions below exist so results are reproducible:
 
 * best SNR, best energy: exact tie selects the lowest index;
 * weighted difference: exact tie selects relay 0;
@@ -157,11 +159,13 @@ def _reject_nan(*arrays: np.ndarray) -> None:
 def _argmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise argmax (ties to the lowest index) and row maximum of an (m, N) array.
 
+    At N = 2 the argmax is the bool comparison of the two columns (True for
+    column 1), which callers cast to intp once; at any other N it is intp.
     Raises ValueError if x holds a NaN, which the row maximum propagates.
     """
     if x.shape[1] == 2:
         a, b = x[:, 0], x[:, 1]
-        idx, top = (b > a).astype(np.intp), np.maximum(a, b)
+        idx, top = b > a, np.maximum(a, b)
     else:
         top = x[:, 0].copy()
         for j in range(1, x.shape[1]):
@@ -171,6 +175,14 @@ def _argmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.putmask(idx, x[:, j] == top, j)
     _reject_nan(top)
     return idx, top
+
+
+def _pick(cond: np.ndarray, kappa: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """kappa where cond holds, else lam, as intp; exact on bool and intp indices alike."""
+    kappa ^= lam
+    kappa *= cond
+    kappa ^= lam
+    return kappa.astype(np.intp, copy=False)
 
 
 def select_indices(
@@ -207,29 +219,35 @@ def select_indices(
             raise ValueError(f"coins must have shape {snr.shape[:1]}, got {coins.shape}")
         kappa, _ = _argmax_rows(snr)
         lam, _ = _argmax_rows(energy)
-        return np.where(coins < scheme.mu, kappa, lam)
+        return _pick(coins < scheme.mu, kappa, lam)
     if isinstance(scheme, ThresholdChecking):
         kappa, best = _argmax_rows(snr)
         lam, _ = _argmax_rows(energy)
-        return np.where(best >= scheme.tau, kappa, lam)
+        return _pick(best >= scheme.tau, kappa, lam)
     weight = scheme.nu if isinstance(scheme, WeightedDifference) else scheme.zeta
     if math.isinf(weight):
-        return _argmax_rows(energy)[0]
+        return _argmax_rows(energy)[0].astype(np.intp)
     e0, e1 = energy[:, 0], energy[:, 1]
-    rhs = weight * (e1 - e0)
+    rhs = e1 - e0
+    rhs *= weight
     s0, s1 = snr[:, 0], snr[:, 1]
     if isinstance(scheme, WeightedDifference):
         lhs = s0 - s1
-    elif scheme.metric is Metric.CAPACITY:
-        lhs = 0.5 * np.log2(1.0 + s0) - 0.5 * np.log2(1.0 + s1)
+    elif scheme.metric is Metric.CAPACITY:  # 0.5 log2(1 + s0) - 0.5 log2(1 + s1)
+        lhs, minus = s0 + 1.0, s1 + 1.0
+        for half in (lhs, minus):
+            np.log2(half, out=half)
+            half *= 0.5
+        lhs -= minus
     else:
         _reject_nan(s0 - s1)  # the indicators below would swallow a NaN SNR
-        lhs = (s0 >= outage_threshold).astype(float) - (s1 >= outage_threshold).astype(float)
+        lhs = (s0 >= outage_threshold).astype(float)
+        lhs -= s1 >= outage_threshold
     _reject_nan(lhs, rhs)
     if isinstance(scheme, WeightedDifference):
         return (lhs < rhs).astype(np.intp)
-    # relay 1 if its metric gain beats its energy cost, or on a tie (no side
-    # ahead) if it has more energy
+    # relay 1 if its metric gain beats its energy cost, or on a tie if it
+    # has more energy
     pick1 = lhs < rhs
-    pick1 |= ~(lhs > rhs) & (e1 > e0)
+    pick1 |= (lhs == rhs) & (e1 > e0)
     return pick1.astype(np.intp)

@@ -14,10 +14,13 @@ how frames are chunked or how many workers evaluate the chunks.
 capped by a cgroup CPU quota rounded up; a one-chunk run is evaluated
 inline, without a thread pool.  A worker holds one chunk of at most 16 MiB.
 
-A chunk's frames are transformed in place in one contiguous array; the
-selection rules read its SNR and energy columns one at a time, and the
-selected relay's SNR and energy are gathered from it by flat index
-k(2N+1) + relay.
+A chunk's frames are transformed in place in one contiguous array.  A run's
+pass over it: the selection rule reads its SNR and energy columns one at a
+time; the selected relay's SNR and energy are gathered by flat index
+k(2N+1) + relay (the energy from the array shifted by N words) into one
+(5, count) array of per-frame statistics, computed in place and reduced
+per block at once; the selection counts are a count of the ones at N = 2,
+else a bincount.  A one-chunk run takes that chunk's results as they are.
 
 Runs that share (config, seed, n_frames) read the same frames, so a caller
 that makes many of them (the CLI's ``--with-mc`` overlay: one run per
@@ -33,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -104,14 +108,14 @@ class MonteCarloConfig:
     n_workers: int = _default_workers()  # read once, at import: a plain field default
 
     def __post_init__(self):
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        for name, low, high in (("n_frames", 1, math.inf), ("seed", 0, 2**64 - 1),
+                                ("batch_size", 1, math.inf), ("n_workers", 1, math.inf)):
+            value = number = getattr(self, name)
+            if type(value) is not int and isinstance(value, numbers.Real) and value % 1 == 0:
+                number = int(value)  # an integral float, bool or numpy value is stored as an int
+                object.__setattr__(self, name, number)
+            if type(number) is not int or not low <= number <= high:
+                raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -206,9 +210,9 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     threshold = config.outage_threshold
     sel = select_indices(scheme, snr, energy, coins, threshold)
     # Flat index of each frame's selected SNR in the contiguous frame array;
-    # its energy sits N words further on.  The indices are in range by
-    # construction: "clip" skips the bounds check and the copy of ``out``
-    # that the default mode makes.
+    # its energy sits N words further on, at the same index of the array
+    # shifted by N.  The indices are in range by construction: "clip" skips
+    # the bounds check and the copy of ``out`` that the default mode makes.
     at = np.arange(0, count * u.shape[1], u.shape[1])
     at += sel
     stats = np.empty((5, count))  # written in place: fewer passes than np.stack
@@ -219,13 +223,15 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     np.log2(cap, out=cap)
     cap *= 0.5
     np.multiply(cap, cap, out=cap_sq)
-    at += n
-    u.take(at, out=en, mode="clip")
+    u.ravel()[n:].take(at, out=en, mode="clip")
     np.multiply(en, en, out=en_sq)
     # a block sum may overflow to inf, which ``run`` refuses by name; worker
     # threads do not inherit the caller's error state, so it is set here
     with np.errstate(over="ignore"):
         sums = np.add.reduceat(stats, np.arange(0, count, _STAT_BLOCK), axis=1)
+    if n == 2:  # a count of the ones is a twentieth of a bincount's cost
+        ones = np.count_nonzero(sel)
+        return sums, np.array([count - ones, ones])
     return sums, np.bincount(sel, minlength=n)
 
 
@@ -277,18 +283,22 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
             results = list(pool.map(stats, jobs))
 
     # Blocks are merged in block order, whatever the chunking.
+    if len(results) == 1:
+        block_sums, counts = results[0]
+    else:
+        block_sums = np.concatenate([chunk_sums for chunk_sums, _ in results], axis=1)
+        counts = sum(chunk_counts for _, chunk_counts in results)
     with np.errstate(over="ignore"):  # an overflowing sum is refused by name below
-        sums = np.concatenate([block_sums for block_sums, _ in results], axis=1).sum(axis=1)
-    cap_sum, cap_sq, en_sum, en_sq, out_sum = (float(x) for x in sums)
+        sums = block_sums.sum(axis=1).tolist()
     for name, total in zip(_SUM_NAMES, sums):
         if not math.isfinite(total):
             raise ValueError(f"the {name} sum over {n} frames overflows")
-    counts = sum(chunk_counts for _, chunk_counts in results)
+    cap_sum, cap_sq, en_sum, en_sq, out_sum = sums
 
     return SimulationResult(
         capacity=_estimate(cap_sum, cap_sq, n),
         energy=_estimate(en_sum, en_sq, n),
         outage=_estimate(out_sum, out_sum, n),  # Bernoulli: sum of squares is the sum
-        selection_counts=tuple(int(c) for c in counts),
+        selection_counts=tuple(counts.tolist()),
         low_confidence=bool(out_sum < _MIN_OUTAGE_EVENTS),
     )

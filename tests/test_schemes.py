@@ -318,6 +318,39 @@ def test_select_indices_takes_an_empty_batch():
         assert select_indices(scheme, np.ones((0, 2)), np.ones((0, 2)), np.zeros(0)).size == 0
 
 
+def _schemes_at(n_relays):
+    """Every rule the relay count allows, with finite and infinite weights."""
+    schemes = [TimeSharing(mu=0.3), BEST_SNR, BEST_ENERGY, ThresholdChecking(tau=4.0),
+               ThresholdChecking(tau=0.0), ThresholdChecking(tau=math.inf)]
+    if n_relays == 2:
+        for weight in (0.0, 0.7, math.inf):
+            schemes += [WeightedDifference(nu=weight),
+                        ParetoOptimal(zeta=weight, metric=Metric.CAPACITY),
+                        ParetoOptimal(zeta=weight, metric=Metric.OUTAGE_INDICATOR)]
+    return schemes
+
+
+@pytest.mark.parametrize("n_relays", [1, 2, 3, 8])
+def test_rules_leave_read_only_inputs_alone(n_relays):
+    """As the frame memo hands chunks over: the transformed frames, read-only.
+
+    The second batch is rounded so that ties, and so every tie rule, occur.
+    """
+    cfg = SystemConfig(n_relays, 10.0, 1.0, 1.0)
+    snr, energy, coins = frames_from_uniforms(cfg, frame_uniforms(5, n_relays, 0, 400))
+    for batch in [(snr, energy, coins), (np.round(snr), np.round(energy, 1), coins)]:
+        before = [a.copy() for a in batch]
+        for a in batch:
+            a.flags.writeable = False
+        for scheme in _schemes_at(n_relays):
+            copies = [a.copy() for a in batch]
+            sel = select_indices(scheme, *batch, outage_threshold=1.0)
+            assert sel.dtype == np.intp and sel.shape == coins.shape
+            assert np.array_equal(sel, select_indices(scheme, *copies, outage_threshold=1.0))
+            for a, b, c in zip(before, batch, copies):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
 def _random_batch(seed, count):
     cfg = SystemConfig(2, 10.0, 1.0, 1.0)
     u = frame_uniforms(seed, 2, 0, count)

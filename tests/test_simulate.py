@@ -32,6 +32,34 @@ def test_mc_config_validation():
         MonteCarloConfig(n_frames=10, batch_size=5, seed=-1)
 
 
+_MC_FIELDS = ["n_frames", "seed", "batch_size", "n_workers"]
+
+
+@pytest.mark.parametrize("field", _MC_FIELDS)
+@pytest.mark.parametrize("value", [1.5, 2500.5, -1, math.nan, math.inf, "3", None, 3 + 0j],
+                         ids=repr)
+def test_mc_config_rejects_a_non_integral_field_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        MonteCarloConfig(**{"n_frames": 10, field: value})
+
+
+@pytest.mark.parametrize("field", _MC_FIELDS)
+@pytest.mark.parametrize("value", [10_000, 1e4, np.int64(10_000), np.float64(1e4)], ids=repr)
+def test_mc_config_stores_an_integral_field_as_int(field, value):
+    mc = MonteCarloConfig(**{"n_frames": 10, field: value})
+    assert type(getattr(mc, field)) is int and getattr(mc, field) == 10_000
+
+
+def test_mc_config_takes_an_integral_float_frame_count_and_seed(config10):
+    """n_frames=1e4 used to pass validation and fail in run; seed=1.5 used to run as seed 1."""
+    scheme = TimeSharing(mu=0.5)
+    assert (run(config10, scheme, MonteCarloConfig(1e4, seed=7.0))
+            == run(config10, scheme, MonteCarloConfig(10_000, seed=7)))
+    assert MonteCarloConfig(10, seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ValueError, match="^seed"):
+        MonteCarloConfig(10, seed=2**64)
+
+
 def test_frame_uniforms_split_invariance():
     full = frame_uniforms(seed=3, n_relays=2, start=0, count=64)
     head = frame_uniforms(seed=3, n_relays=2, start=0, count=10)
@@ -103,8 +131,9 @@ def test_runs_in_a_frame_scope_equal_runs_outside(n_frames, batch_size, n_worker
     """Also with a memo cap of 1 MiB, which holds two 10,000-frame chunks at N = 2
     (400 kB of frames and 80 kB of coins each), so later chunks spill."""
     cfg = SystemConfig(2, 10.0, 1.0, 1.0)
-    schemes = [TimeSharing(mu=0.3), WeightedDifference(nu=0.7),
-               ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY)]
+    schemes = [TimeSharing(mu=0.3), ThresholdChecking(tau=4.0), WeightedDifference(nu=0.7),
+               ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY),
+               ParetoOptimal(zeta=1.0, metric=Metric.OUTAGE_INDICATOR)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_CHUNK_BYTES", cap)
         mc = MonteCarloConfig(n_frames, seed, batch_size=batch_size, n_workers=n_workers)
