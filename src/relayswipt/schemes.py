@@ -4,13 +4,14 @@ Each policy maps one channel frame (plus, for time sharing, a uniform coin)
 to the index of the relay to activate.  Indices are 0-based.  The rules
 live in ``select_indices``, which applies them to whole batches and is what
 the Monte Carlo engine uses; ``select`` runs it on a single frame.  The
-rules work column by column: a best-relay index is one bool comparison at
-N = 2, else a running maximum over the columns and a reverse scan for the
-lowest column equal to it.  Time sharing and threshold checking combine the
-two indices exactly as (kappa ^ lambda) * cond ^ lambda, in place and cast
-to intp once; the two-relay rules read two columns and build both sides in
-place.  Ties are probability-zero events under the continuous fading model;
-the conventions below exist so results are reproducible:
+rules work column by column.  A best-relay index is one running maximum:
+the bool comparison of the first two columns, raised to column j wherever
+column j strictly beats the maximum so far, in a small unsigned type.  Time
+sharing and threshold checking combine the two indices exactly as
+(kappa ^ lambda) * cond ^ lambda, in place and cast to intp once; the
+two-relay rules read two columns and build both sides in place.  Ties are
+probability-zero events under the continuous fading model; the conventions
+below exist so results are reproducible:
 
 * best SNR, best energy: exact tie selects the lowest index;
 * weighted difference: exact tie selects relay 0;
@@ -159,26 +160,28 @@ def _reject_nan(*arrays: np.ndarray) -> None:
 def _argmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise argmax (ties to the lowest index) and row maximum of an (m, N) array.
 
-    At N = 2 the argmax is the bool comparison of the two columns (True for
-    column 1), which callers cast to intp once; at any other N it is intp.
-    Raises ValueError if x holds a NaN, which the row maximum propagates.
+    One running maximum: the bool comparison of columns 0 and 1, then j for
+    each further column j that strictly beats the maximum so far, in the
+    smallest unsigned type that holds N - 1; callers cast it to intp once.
+    Raises ValueError if x holds a NaN, which the maximum propagates.
     """
-    if x.shape[1] == 2:
-        a, b = x[:, 0], x[:, 1]
-        idx, top = b > a, np.maximum(a, b)
-    else:
-        top = x[:, 0].copy()
-        for j in range(1, x.shape[1]):
-            np.maximum(top, x[:, j], out=top)
-        idx = np.zeros(x.shape[0], dtype=np.intp)
-        for j in range(x.shape[1] - 1, -1, -1):  # the lowest equal column writes last
-            np.putmask(idx, x[:, j] == top, j)
+    n, a = x.shape[1], x[:, 0]
+    idx, top = (x[:, 1] > a, np.maximum(a, x[:, 1])) if n > 1 else (np.zeros(a.shape, bool), a)
+    if n > 2:
+        kind = np.min_scalar_type(n - 1)
+        idx = idx.view(kind) if kind.itemsize == 1 else idx.astype(kind)
+        beats, last = np.empty_like(idx), np.empty_like(top)
+        for j in range(2, n):  # column j beats the maximum iff it raises it
+            top, last = np.maximum(top, x[:, j], out=last), top
+            np.greater(top, last, out=beats)
+            beats *= j
+            np.maximum(idx, beats, out=idx)
     _reject_nan(top)
     return idx, top
 
 
 def _pick(cond: np.ndarray, kappa: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """kappa where cond holds, else lam, as intp; exact on bool and intp indices alike."""
+    """kappa where cond holds, else lam, as intp; exact on bool and unsigned indices alike."""
     kappa ^= lam
     kappa *= cond
     kappa ^= lam
@@ -217,13 +220,11 @@ def select_indices(
         coins = np.asarray(coins)
         if coins.shape != snr.shape[:1]:
             raise ValueError(f"coins must have shape {snr.shape[:1]}, got {coins.shape}")
-        kappa, _ = _argmax_rows(snr)
-        lam, _ = _argmax_rows(energy)
-        return _pick(coins < scheme.mu, kappa, lam)
-    if isinstance(scheme, ThresholdChecking):
+    if isinstance(scheme, (TimeSharing, ThresholdChecking)):
         kappa, best = _argmax_rows(snr)
         lam, _ = _argmax_rows(energy)
-        return _pick(best >= scheme.tau, kappa, lam)
+        cond = coins < scheme.mu if isinstance(scheme, TimeSharing) else best >= scheme.tau
+        return _pick(cond, kappa, lam)
     weight = scheme.nu if isinstance(scheme, WeightedDifference) else scheme.zeta
     if math.isinf(weight):
         return _argmax_rows(energy)[0].astype(np.intp)
@@ -246,8 +247,7 @@ def select_indices(
     _reject_nan(lhs, rhs)
     if isinstance(scheme, WeightedDifference):
         return (lhs < rhs).astype(np.intp)
-    # relay 1 if its metric gain beats its energy cost, or on a tie if it
-    # has more energy
+    # relay 1 if its metric gain beats its energy cost, or ties it with more energy
     pick1 = lhs < rhs
     pick1 |= (lhs == rhs) & (e1 > e0)
     return pick1.astype(np.intp)

@@ -11,8 +11,10 @@ how frames are chunked or how many workers evaluate the chunks.
 
 ``batch_size`` and ``n_workers`` are therefore pure throughput knobs.
 ``n_workers`` defaults to the cores this process may run on (CPU affinity),
-capped by a cgroup CPU quota rounded up; a one-chunk run is evaluated
-inline, without a thread pool.  A worker holds one chunk of at most 16 MiB.
+capped by a cgroup CPU quota rounded up, and a run starts no more threads
+than that many or than it has chunks, whatever ``n_workers`` asks; a run
+with one chunk or on one core is evaluated inline, without a thread pool.
+A worker holds one chunk of at most 16 MiB.
 
 A chunk's frames are transformed in place in one contiguous array.  A run's
 pass over it: the selection rule reads its SNR and energy columns one at a
@@ -100,7 +102,11 @@ def _default_workers(cgroup: str | os.PathLike = "/sys/fs/cgroup") -> int:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Sampling plan: frame budget, seed, and throughput knobs."""
+    """Sampling plan: frame budget, seed, and throughput knobs.
+
+    ``n_workers`` is an upper bound: a run starts no more threads than it
+    has chunks or than the cores this process may run on (``_default_workers``).
+    """
 
     n_frames: int
     seed: int = 0
@@ -276,10 +282,13 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
     def stats(job):
         return _chunk_stats(config, scheme, mc.seed, *job, memo)
 
-    if mc.n_workers == 1 or len(jobs) == 1:
+    workers = min(mc.n_workers, len(jobs))
+    if workers > 1:  # no more threads than cores; read only for a pool (it reads cgroup files)
+        workers = min(workers, _default_workers())
+    if workers == 1:
         results = [stats(job) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=min(mc.n_workers, len(jobs))) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(stats, jobs))
 
     # Blocks are merged in block order, whatever the chunking.

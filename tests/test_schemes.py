@@ -207,17 +207,32 @@ def test_monotone_dominance(winner, coin, mu, tau, weight):
 
 
 _TIE_VALUES = [0.0, 0.5, 1.0, 2.0]
+# the edges of the best-relay index widths: one byte holds relays 0..255
+_WIDE_RELAYS = [255, 256, 257, 300]
 
 
 @st.composite
 def _tied_batch(draw):
-    """Frames over a few values, so row, metric and threshold ties are common."""
-    n_relays = draw(st.one_of(st.just(2), st.integers(1, 8)))  # N = 2 has four schemes
+    """Frames over a few values, so row, metric and threshold ties are common.
+
+    At the index-width edges the lower values come from a drawn seed and the
+    top value sits at up to three drawn columns of a frame, so that late
+    winners and ties between them occur.
+    """
+    n_relays = draw(st.one_of(st.just(2), st.integers(1, 8),  # N = 2 has four schemes
+                              st.sampled_from(_WIDE_RELAYS)))
     m = draw(st.integers(1, 12))
-    values = st.lists(st.sampled_from(_TIE_VALUES), min_size=n_relays * m,
-                      max_size=n_relays * m)
-    snr = np.array(draw(values)).reshape(m, n_relays)
-    energy = np.array(draw(values)).reshape(m, n_relays)
+    if n_relays in _WIDE_RELAYS:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tops = st.lists(st.integers(0, n_relays - 1), max_size=3)
+        snr, energy = rng.choice(_TIE_VALUES[:-1], size=(2, m, n_relays))
+        for row in [*snr, *energy]:
+            row[draw(tops)] = _TIE_VALUES[-1]
+    else:
+        values = st.lists(st.sampled_from(_TIE_VALUES), min_size=n_relays * m,
+                          max_size=n_relays * m)
+        snr = np.array(draw(values)).reshape(m, n_relays)
+        energy = np.array(draw(values)).reshape(m, n_relays)
     coins = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
                                    min_size=m, max_size=m)))
     levels = st.sampled_from(_TIE_VALUES + [math.inf])
@@ -330,7 +345,7 @@ def _schemes_at(n_relays):
     return schemes
 
 
-@pytest.mark.parametrize("n_relays", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_relays", [1, 2, 3, 8, *_WIDE_RELAYS])
 def test_rules_leave_read_only_inputs_alone(n_relays):
     """As the frame memo hands chunks over: the transformed frames, read-only.
 

@@ -105,7 +105,7 @@ def test_huge_batch_is_cut_into_bounded_chunks(monkeypatch):
     assert huge == run(cfg, scheme, MonteCarloConfig(250_000, seed=4))
 
 
-@pytest.mark.parametrize("n_relays", [1, 8])
+@pytest.mark.parametrize("n_relays", [1, 3, 8])
 def test_chunk_memory_stays_under_the_cap(n_relays):
     """The cap bounds a whole chunk, temporaries included, not its uniforms."""
     cfg = SystemConfig(n_relays, 10.0, 1.0, 1.0)
@@ -203,6 +203,34 @@ def test_single_chunk_runs_without_a_pool(config10, monkeypatch):
     assert sum(run(config10, TimeSharing(mu=0.5), mc).selection_counts) == 10_000
 
 
+def test_pool_starts_no_more_threads_than_cores(config10, monkeypatch):
+    """A stand-in pool records its size and runs the jobs inline, so no thread starts."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+    scheme = TimeSharing(mu=0.5)
+    reference = run(config10, scheme, MonteCarloConfig(50_000, seed=1, n_workers=1))
+    for cores, started in [(3, [3]), (8, [5]), (1, [])]:  # five chunks
+        monkeypatch.setattr(simulate, "_default_workers", lambda cores=cores: cores)
+        sizes.clear()
+        mc = MonteCarloConfig(50_000, seed=1, batch_size=10_000, n_workers=100_000)
+        assert run(config10, scheme, mc) == reference
+        assert sizes == started
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
 def test_workers_default_to_available_cores():
     cores, quota = len(os.sched_getaffinity(0)), simulate._cpu_quota()
@@ -262,10 +290,13 @@ def _scenario(draw):
 )
 @settings(max_examples=30, deadline=None)
 def test_run_invariant_to_chunking_and_workers(scenario, n_frames, batch_size, n_workers, seed):
+    """Three cores are claimed, so that pools of two and three threads run on any host."""
     cfg, scheme = scenario
     reference = run(cfg, scheme, MonteCarloConfig(n_frames, seed, batch_size=10_000, n_workers=1))
     mc = MonteCarloConfig(n_frames, seed, batch_size=batch_size, n_workers=n_workers)
-    assert run(cfg, scheme, mc) == reference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_default_workers", lambda: 3)
+        assert run(cfg, scheme, mc) == reference
 
 
 def test_run_bit_identical_across_batch_and_workers(config10):
