@@ -14,7 +14,7 @@ how frames are chunked or how many workers evaluate the chunks.
 capped by a cgroup CPU quota rounded up, and a run starts no more threads
 than that many or than it has chunks, whatever ``n_workers`` asks; a run
 with one chunk or on one core is evaluated inline, without a thread pool.
-A worker holds one chunk of at most 16 MiB.
+A worker holds one chunk of at most 3 MiB (two statistics blocks at N <= 3).
 
 A chunk's frames are transformed in place in one contiguous array.  A run's
 pass over it: the selection rule reads its SNR and energy columns one at a
@@ -28,8 +28,8 @@ Runs that share (config, seed, n_frames) read the same frames, so a caller
 that makes many of them (the CLI's ``--with-mc`` overlay: one run per
 scheme and tradeoff factor) may open ``_shared_frames()`` around them.
 Inside that scope each chunk is drawn and transformed once and kept,
-read-only, for every later run of the scope, up to ``_CHUNK_BYTES`` of
-frames in all; chunks past the cap are drawn per run.  Nothing outlives the
+read-only, for every later run of the scope, up to ``_MEMO_BYTES`` (16 MiB)
+of frames in all; chunks past the cap are drawn per run.  Nothing outlives the
 scope, and runs outside any scope keep nothing.
 """
 
@@ -62,9 +62,11 @@ __all__ = [
 _STAT_BLOCK = 10_000
 
 # Bytes one chunk may hold: per frame, its 2N+1 uniforms and up to
-# _TEMP_WORDS 8-byte temporaries (measured at N = 1..8).
-_CHUNK_BYTES = 16 * 2**20
+# _TEMP_WORDS 8-byte temporaries (measured at N = 1..8).  A ``_shared_frames``
+# scope keeps up to _MEMO_BYTES of frames and coins.
+_CHUNK_BYTES = 3 * 2**20
 _TEMP_WORDS = 12
+_MEMO_BYTES = 16 * 2**20
 
 # Minimum expected outage events before the estimate is trusted.
 _MIN_OUTAGE_EVENTS = 100
@@ -104,13 +106,16 @@ def _default_workers(cgroup: str | os.PathLike = "/sys/fs/cgroup") -> int:
 class MonteCarloConfig:
     """Sampling plan: frame budget, seed, and throughput knobs.
 
-    ``n_workers`` is an upper bound: a run starts no more threads than it
-    has chunks or than the cores this process may run on (``_default_workers``).
+    ``batch_size`` (20,000 frames by default) is cut into whole statistics
+    blocks within the 3 MiB chunk cap: 20,000 frames at N <= 3, 10,000 at
+    N >= 4.  ``n_workers`` is an upper bound: a run starts no more threads
+    than it has chunks or than the cores this process may run on
+    (``_default_workers``).
     """
 
     n_frames: int
     seed: int = 0
-    batch_size: int = _STAT_BLOCK
+    batch_size: int = 2 * _STAT_BLOCK
     n_workers: int = _default_workers()  # read once, at import: a plain field default
 
     def __post_init__(self):
@@ -186,7 +191,7 @@ def _chunk_frames(config, seed, start, count, memo):
     ``frames`` is the transformed (count, 2N+1) array; ``snr`` and
     ``energy`` are views into it.  With a memo, a chunk it holds is
     returned as it is, and a new one is kept, read-only, while the memo
-    stays within ``_CHUNK_BYTES``.
+    stays within ``_MEMO_BYTES``.
     """
     key = (config, int(seed), start, count)
     if memo is not None and (chunk := memo.chunks.get(key)) is not None:
@@ -196,7 +201,7 @@ def _chunk_frames(config, seed, start, count, memo):
     if memo is not None:
         nbytes = u.nbytes + chunk[3].nbytes
         with memo.lock:
-            if key not in memo.chunks and memo.nbytes + nbytes <= _CHUNK_BYTES:
+            if key not in memo.chunks and memo.nbytes + nbytes <= _MEMO_BYTES:
                 for array in chunk:
                     array.flags.writeable = False
                 memo.chunks[key] = chunk

@@ -93,7 +93,7 @@ def test_with_mc_reuses_the_frontier_weights(tmp_path, monkeypatch):
         assert cell(header, row, "mc_e_pareto") == result.energy.mean
 
 
-@pytest.mark.parametrize("frames, chunks", [(10_000, 1), (None, 10)])
+@pytest.mark.parametrize("frames, chunks", [(10_000, 1), (None, 5)])
 def test_with_mc_draws_each_chunk_once(frames, chunks, monkeypatch, capsys):
     drawn = Counter()
     draw = simulate.frame_uniforms
@@ -122,9 +122,9 @@ def test_only_the_overlay_shares_frames(monkeypatch, capsys):
                  "--frames", "30000", "--workers", "2"]) == 0
     run(SystemConfig(2, 10.0, 1.0, 1.0), ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY),
         MonteCarloConfig(30_000))
-    assert len(memos) == 6 and set(memos) == {None}
+    assert len(memos) == 4 and set(memos) == {None}
     assert main(["tradeoff-capacity", "--with-mc", "--grid", "2", "--frames", "20000"]) == 0
-    assert len(memos) == 6 + 16 and None not in memos[6:]
+    assert len(memos) == 4 + 8 and None not in memos[4:]
 
 
 @pytest.mark.parametrize("argv, exponentiations", [

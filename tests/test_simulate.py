@@ -105,7 +105,7 @@ def test_huge_batch_is_cut_into_bounded_chunks(monkeypatch):
     assert huge == run(cfg, scheme, MonteCarloConfig(250_000, seed=4))
 
 
-@pytest.mark.parametrize("n_relays", [1, 3, 8])
+@pytest.mark.parametrize("n_relays", [1, 2, 3, 8])
 def test_chunk_memory_stays_under_the_cap(n_relays):
     """The cap bounds a whole chunk, temporaries included, not its uniforms."""
     cfg = SystemConfig(n_relays, 10.0, 1.0, 1.0)
@@ -124,7 +124,7 @@ def test_chunk_memory_stays_under_the_cap(n_relays):
     st.integers(1, 60_000),
     st.sampled_from([1, 2, 3]),
     st.integers(0, 2**64 - 1),
-    st.sampled_from([simulate._CHUNK_BYTES, 2**20]),
+    st.sampled_from([simulate._MEMO_BYTES, 2**20]),
 )
 @settings(max_examples=30, deadline=None)
 def test_runs_in_a_frame_scope_equal_runs_outside(n_frames, batch_size, n_workers, seed, cap):
@@ -135,7 +135,7 @@ def test_runs_in_a_frame_scope_equal_runs_outside(n_frames, batch_size, n_worker
                ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY),
                ParetoOptimal(zeta=1.0, metric=Metric.OUTAGE_INDICATOR)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_CHUNK_BYTES", cap)
+        mp.setattr(simulate, "_MEMO_BYTES", cap)
         mc = MonteCarloConfig(n_frames, seed, batch_size=batch_size, n_workers=n_workers)
         outside = [run(cfg, scheme, mc) for scheme in schemes]
         with simulate._shared_frames():
@@ -153,7 +153,7 @@ def test_frame_scope_spills_past_its_cap(config10, monkeypatch):
         return draw(seed, n_relays, start, count)
 
     monkeypatch.setattr(simulate, "frame_uniforms", spy)
-    monkeypatch.setattr(simulate, "_CHUNK_BYTES", 2**20)
+    monkeypatch.setattr(simulate, "_MEMO_BYTES", 2**20)
     mc = MonteCarloConfig(50_000, seed=2, batch_size=10_000, n_workers=2)
     scheme = TimeSharing(mu=0.5)
     reference = run(config10, scheme, mc)
@@ -167,7 +167,7 @@ def test_frame_scope_spills_past_its_cap(config10, monkeypatch):
 
 def test_shared_frames_are_read_only(config10):
     with simulate._shared_frames():
-        run(config10, TimeSharing(mu=0.5), MonteCarloConfig(20_000, seed=1))
+        run(config10, TimeSharing(mu=0.5), MonteCarloConfig(40_000, seed=1))
         chunks = list(simulate._frame_memo.get().chunks.values())
     assert len(chunks) == 2
     for chunk in chunks:
@@ -190,8 +190,25 @@ def test_a_frame_scope_retains_at_most_the_cap():
         left = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert simulate._CHUNK_BYTES / 2 < kept <= retained <= simulate._CHUNK_BYTES
+    assert simulate._MEMO_BYTES / 2 < kept <= retained <= simulate._MEMO_BYTES
     assert left < 2**20
+
+
+@pytest.mark.parametrize("n_relays, frames", [(1, 20_000), (2, 20_000), (3, 20_000),
+                                               (4, 10_000), (8, 10_000)])
+def test_default_chunks_hold_two_blocks_where_they_fit(n_relays, frames, monkeypatch):
+    """Two statistics blocks fit the chunk cap at N <= 3, one at N >= 4."""
+    drawn = []
+    draw = simulate.frame_uniforms
+
+    def spy(seed, n, start, count):
+        drawn.append(count)
+        return draw(seed, n, start, count)
+
+    monkeypatch.setattr(simulate, "frame_uniforms", spy)
+    run(SystemConfig(n_relays, 10.0, 1.0, 1.0), TimeSharing(mu=0.5),
+        MonteCarloConfig(60_000, seed=1, n_workers=1))
+    assert drawn == [frames] * (60_000 // frames)
 
 
 def test_single_chunk_runs_without_a_pool(config10, monkeypatch):
