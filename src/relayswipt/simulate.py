@@ -1,13 +1,13 @@
 """Deterministic Monte Carlo engine for any (config, scheme) pair.
 
-Frame k's 2N+1 uniforms (N SNR draws, N energy draws, one selection coin)
-are packed back to back in a Philox stream keyed by the seed, starting at
-word k(2N+1), so a frame's content depends only on (seed, k).  Every scheme
-reads the same layout, coin included, so runs of different schemes with one
-seed share their channel draws.  Accumulation happens over fixed-size
+Frame k's 2N+1 uniforms (N SNR draws, N energy draws, one selection coin) are
+packed back to back in a PCG64DXSM stream seeded by the seed, from word k(2N+1)
+on (``advance`` jumps there), so a frame's content depends only on (seed, k).
+Every scheme reads the same layout, coin included, so runs of different schemes
+with one seed share their channel draws.  Accumulation happens over fixed-size
 statistics blocks that are reduced in block order.  Together these make the
-result bit-identical for a given (config, scheme, seed, n_frames) no matter
-how frames are chunked or how many workers evaluate the chunks.
+result bit-identical for a given (config, scheme, seed, n_frames) no matter how
+frames are chunked or how many workers evaluate the chunks.
 
 ``batch_size`` and ``n_workers`` are therefore pure throughput knobs.
 ``n_workers`` defaults to the cores this process may run on (CPU affinity),
@@ -71,7 +71,7 @@ _MEMO_BYTES = 16 * 2**20
 # Minimum expected outage events before the estimate is trusted.
 _MIN_OUTAGE_EVENTS = 100
 
-# log1p(-u) at the largest uniform a Philox draw gives, 1 - 2**-53, is -53 ln 2:
+# log1p(-u) at the largest uniform a draw gives, 1 - 2**-53, is -53 ln 2:
 # no draw exceeds about 36.74 times its scale.
 _LARGEST_LOG = math.log1p(-(1.0 - 2.0**-53))
 _SUM_NAMES = ("capacity", "squared capacity", "energy", "squared energy", "outage")
@@ -102,6 +102,14 @@ def _default_workers(cgroup: str | os.PathLike = "/sys/fs/cgroup") -> int:
     return cores if quota is None else min(cores, quota)
 
 
+def _integer(name, value, low, high=math.inf):
+    """``value`` as an int in [low, high]; an integral float, bool or numpy value counts."""
+    number = int(value) if isinstance(value, numbers.Real) and value % 1 == 0 else value
+    if type(number) is not int or not low <= number <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Sampling plan: frame budget, seed, and throughput knobs.
@@ -121,12 +129,7 @@ class MonteCarloConfig:
     def __post_init__(self):
         for name, low, high in (("n_frames", 1, math.inf), ("seed", 0, 2**64 - 1),
                                 ("batch_size", 1, math.inf), ("n_workers", 1, math.inf)):
-            value = number = getattr(self, name)
-            if type(value) is not int and isinstance(value, numbers.Real) and value % 1 == 0:
-                number = int(value)  # an integral float, bool or numpy value is stored as an int
-                object.__setattr__(self, name, number)
-            if type(number) is not int or not low <= number <= high:
-                raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
 
 
 @dataclass(frozen=True)
@@ -152,14 +155,19 @@ class SimulationResult:
 def frame_uniforms(seed: int, n_relays: int, start: int, count: int) -> np.ndarray:
     """Uniform draws for frames [start, start+count), shape (count, 2N+1).
 
-    Frame k starts at word k(2N+1) of the Philox stream keyed by the seed:
-    inside 256-bit block floor(k(2N+1)/4), after its first k(2N+1) mod 4
-    words.  Any partition of the frame range therefore yields identical rows.
+    Frame k starts at word k(2N+1) of the PCG64DXSM stream seeded by the
+    seed, which ``advance`` reaches in O(log k) steps, so any partition of the
+    frame range yields identical rows.  Raises ValueError naming the argument
+    unless seed is an integer in [0, 2**64 - 1], n_relays >= 1 and start, count >= 0.
     """
+    seed = _integer("seed", seed, 0, 2**64 - 1)
+    n_relays = _integer("n_relays", n_relays, 1)
+    start = _integer("start", start, 0)
+    count = _integer("count", count, 0)
     words = uniforms_per_frame(n_relays)
-    block, skip = divmod(start * words, 4)
-    gen = np.random.Generator(np.random.Philox(key=int(seed), counter=block))
-    return gen.random(skip + count * words)[skip:].reshape(count, words)
+    bits = np.random.PCG64DXSM(seed)
+    bits.advance(start * words)
+    return np.random.Generator(bits).random(count * words).reshape(count, words)
 
 
 class _FrameMemo:

@@ -71,15 +71,79 @@ def test_frame_uniforms_split_invariance():
 
 
 @pytest.mark.parametrize("n_relays", range(1, 9))
-def test_frame_uniforms_random_access_inside_philox_blocks(n_relays):
-    """Frames are packed without padding, so most start inside a 4-word block."""
+def test_frame_uniforms_random_access_at_any_word_offset(n_relays):
+    """Frames are packed without padding; a draw may start at any frame, so at any
+    word offset k(2N+1) of the stream, and stop at any frame."""
     words = 2 * n_relays + 1
     full = frame_uniforms(seed=5, n_relays=n_relays, start=0, count=40)
     assert full.shape == (40, words)
-    for start in (1, 2, 3, 13, 22, 35):
-        assert start * words % 4 != 0
-        part = frame_uniforms(seed=5, n_relays=n_relays, start=start, count=40 - start)
-        assert np.array_equal(full[start:], part)
+    for start in range(40):
+        for count in {0, 1, min(3, 40 - start), 40 - start}:
+            part = frame_uniforms(seed=5, n_relays=n_relays, start=start, count=count)
+            assert np.array_equal(full[start:start + count], part)
+
+
+@pytest.mark.parametrize("n_relays", [1, 2, 3, 8])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("far", [2**60, 2**64])
+def test_frame_uniforms_far_into_the_stream(far, seed, n_relays):
+    """Starts near 2**60 frames sit past word 2**64 at N = 8, and near 2**64 frames at
+    every N: the jump needs all 128 bits of the state.  The reference reaches the same
+    word by jumps below 2**62 words each."""
+    words = 2 * n_relays + 1
+    first = frame_uniforms(seed, n_relays, far - 3, 10)
+    second = frame_uniforms(seed, n_relays, far + 2, 10)
+    assert np.array_equal(first[5:], second[:5])
+    bits = np.random.PCG64DXSM(seed)
+    offset = (far - 3) * words
+    for _ in range(offset >> 62):
+        bits.advance(2**62)
+    bits.advance(offset % 2**62)
+    assert np.array_equal(first, np.random.Generator(bits).random(10 * words).reshape(10, words))
+
+
+@pytest.mark.parametrize("n_relays", [1, 2, 3, 8])
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+def test_frame_uniforms_follow_one_sequential_stream(seed, n_relays):
+    """Frame k is words [k(2N+1), (k+1)(2N+1)) of one sequential PCG64DXSM draw."""
+    words = 2 * n_relays + 1
+    stream = np.random.Generator(np.random.PCG64DXSM(seed)).random(60 * words)
+    for start, count in ((0, 60), (1, 7), (13, 22), (59, 1), (30, 0)):
+        assert np.array_equal(frame_uniforms(seed, n_relays, start, count),
+                              stream[start * words:(start + count) * words].reshape(count, words))
+
+
+def test_largest_uniform_is_what_the_overflow_guard_assumes():
+    """A uniform is the top 53 bits of a 64-bit word times 2**-53, so the largest is
+    1 - 2**-53, the value ``_LARGEST_LOG`` is taken at."""
+    words = np.random.PCG64DXSM(11).random_raw(5 * 300)
+    assert np.array_equal(frame_uniforms(11, 2, 0, 300).ravel(), (words >> 11) * 2.0**-53)
+    largest = ((2**64 - 1) >> 11) * 2.0**-53
+    assert largest == 1.0 - 2.0**-53 and simulate._LARGEST_LOG == math.log1p(-largest)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("seed", (1.5, 2, 0, 4)),
+    ("seed", (-1, 2, 0, 4)),
+    ("seed", (2**64, 2, 0, 4)),
+    ("seed", ("3", 2, 0, 4)),
+    ("seed", (math.nan, 2, 0, 4)),
+    ("n_relays", (1, 0, 0, 4)),
+    ("n_relays", (1, -2, 0, 4)),
+    ("n_relays", (1, 2.5, 0, 4)),
+    ("start", (1, 2, -3, 4)),
+    ("start", (1, 2, 0.5, 4)),
+    ("count", (1, 2, 0, -1)),
+    ("count", (1, 2, 0, 1.5)),
+], ids=repr)
+def test_frame_uniforms_refuses_a_bad_argument_by_name(name, args):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        frame_uniforms(*args)
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, np.uint64(2**64 - 1), float(2**63)])
+def test_frame_uniforms_takes_an_integral_seed_of_any_type(seed):
+    assert np.array_equal(frame_uniforms(seed, 2, 3, 4), frame_uniforms(int(seed), 2, 3, 4))
 
 
 def test_batch_larger_than_n_frames_is_accepted(config10):
@@ -460,8 +524,10 @@ def test_coverage_calibration():
 
 
 # Every estimate and selection count of these runs, recorded before the
-# column-wise selection kernels replaced per-row argmax and 2-D gathers.  A
-# change to any frame's selection, gather or reduction moves a bit here.
+# column-wise selection kernels replaced per-row argmax and 2-D gathers, and
+# again when frames moved to the PCG64DXSM stream, after each estimate matched
+# its closed form within |z| <= 5.  A change to any frame's draw, selection,
+# gather or reduction moves a bit here.
 _PIN_SEEDS = (5, 2**63 + 11)
 _PIN_FRAMES = 23_457  # not a multiple of the statistics block
 
@@ -482,99 +548,99 @@ def _pinned_cases():
 
 _PINNED = {
     ("ts N=1", _PIN_SEEDS[0]):
-        "0x1.13e06ae7d81e6p+0 0x1.dfacd8ef8887dp-9 0x1.010fa1e8bd98ap+0 "
-        "0x1.b1775367bf7bcp-8 0x1.748bd32abf9efp-3 0x1.4a260237ffdcap-9 23457",
+        "0x1.13a7847b4298cp+0 0x1.dedb5efa7497ap-9 0x1.fd845789a7397p-1 "
+        "0x1.aa0b5718d6e34p-8 0x1.717d89fb00676p-3 0x1.491763a18da66p-9 23457",
     ("ts N=1", _PIN_SEEDS[1]):
-        "0x1.136a5fd67ee31p+0 0x1.e0589126c2453p-9 0x1.00e5376783dc1p+0 "
-        "0x1.ae14e3a6623aep-8 0x1.717d89fb00676p-3 0x1.491763a18da66p-9 23457",
+        "0x1.1520e2cdb68ffp+0 0x1.deff5c0ddc643p-9 0x1.fb45fe87d9db4p-1 "
+        "0x1.a4f1fe1640553p-8 0x1.6f7b7724c4935p-3 0x1.48646316da3f8p-9 23457",
     ("tc N=1", _PIN_SEEDS[0]):
-        "0x1.13e06ae7d81e6p+0 0x1.dfacd8ef8887dp-9 0x1.010fa1e8bd98ap+0 "
-        "0x1.b1775367bf7bcp-8 0x1.748bd32abf9efp-3 0x1.4a260237ffdcap-9 23457",
+        "0x1.13a7847b4298cp+0 0x1.dedb5efa7497ap-9 0x1.fd845789a7397p-1 "
+        "0x1.aa0b5718d6e34p-8 0x1.717d89fb00676p-3 0x1.491763a18da66p-9 23457",
     ("tc N=1", _PIN_SEEDS[1]):
-        "0x1.136a5fd67ee31p+0 0x1.e0589126c2453p-9 0x1.00e5376783dc1p+0 "
-        "0x1.ae14e3a6623aep-8 0x1.717d89fb00676p-3 0x1.491763a18da66p-9 23457",
+        "0x1.1520e2cdb68ffp+0 0x1.deff5c0ddc643p-9 0x1.fb45fe87d9db4p-1 "
+        "0x1.a4f1fe1640553p-8 0x1.6f7b7724c4935p-3 0x1.48646316da3f8p-9 23457",
     ("ts N=2", _PIN_SEEDS[0]):
-        "0x1.43bd1d76f3e9bp+0 0x1.c63c10855553ap-9 0x1.35f6c5d581696p+0 "
-        "0x1.d29fd5c426ceap-8 0x1.7e963159eac32p-4 0x1.f21615da3e9a7p-10 11756,11701",
+        "0x1.45981772eaab2p+0 0x1.c38a2f43d6950p-9 0x1.3217f35c0063fp+0 "
+        "0x1.cba50b08243fbp-8 0x1.6d4cb094f2d96p-4 0x1.e7d5b49c0af2fp-10 11764,11693",
     ("ts N=2", _PIN_SEEDS[1]):
-        "0x1.43a8753d8e315p+0 0x1.c7c68168b2adap-9 0x1.325c17d4e35adp+0 "
-        "0x1.ccb918a5912a0p-8 0x1.8379d9a64fe8cp-4 0x1.f4edc0f7aa0b5p-10 11802,11655",
+        "0x1.463a1e5b7be93p+0 0x1.c6c23ec685e95p-9 0x1.2f653e5b22dc6p+0 "
+        "0x1.c888c626269d2p-8 0x1.77f383cdaaa25p-4 0x1.ee3061ec7da32p-10 11655,11802",
     ("tc N=2", _PIN_SEEDS[0]):
-        "0x1.55a67951960eep+0 0x1.d807d9f9b7f6fp-9 0x1.28763cc02cfdbp+0 "
-        "0x1.c9e436b1b66b2p-8 0x1.a47a89a9faa70p-4 0x1.03bfd4ed013fdp-9 11831,11626",
+        "0x1.5772f6ec78dabp+0 0x1.d4d1839c8117bp-9 0x1.266ed245886b5p+0 "
+        "0x1.c666b61d3978ap-8 0x1.9304552b6cd76p-4 0x1.fdcdd78afb32ap-10 11764,11693",
     ("tc N=2", _PIN_SEEDS[1]):
-        "0x1.56d1382a6b120p+0 0x1.d8ca1a21232a5p-9 0x1.24fb1c3254c31p+0 "
-        "0x1.c882e6be8cf78p-8 0x1.a4d3f11d2672dp-4 0x1.03d847b2f262ep-9 11899,11558",
+        "0x1.58a95e078aed8p+0 0x1.d72b3fc7e8305p-9 0x1.23f8d31464255p+0 "
+        "0x1.bcc92462df34fp-8 0x1.99d3b67142de1p-4 0x1.00cf3da4f5e0dp-9 11727,11730",
     ("ts N=3", _PIN_SEEDS[0]):
-        "0x1.5d66cd246ae8ep+0 0x1.c70be34da369cp-9 0x1.557f5b15d6b98p+0 "
-        "0x1.e80477476b2b7p-8 0x1.3e808a4c0627cp-4 0x1.ca5d644bf75bap-10 7758,7846,7853",
+        "0x1.5f440c2cb9d91p+0 0x1.c606dbe40f6c4p-9 0x1.50e6ba8126aa3p+0 "
+        "0x1.e50aa5eeb153ap-8 0x1.2af1e91a71912p-4 0x1.bd37a323738bap-10 7921,7765,7771",
     ("ts N=3", _PIN_SEEDS[1]):
-        "0x1.5d04bf9353fb9p+0 0x1.c76155237d588p-9 0x1.54290ee5178a9p+0 "
-        "0x1.eaded0b0a02dap-8 0x1.3598bc53295a0p-4 0x1.c471964892be4p-10 7838,7739,7880",
+        "0x1.5e49b20f281abp+0 0x1.c58c39e708ccdp-9 0x1.534dcc928b78bp+0 "
+        "0x1.e3d74fe1ce486p-8 0x1.34331e867a2abp-4 0x1.c3814c32227cdp-10 7814,7780,7863",
     ("tc N=3", _PIN_SEEDS[0]):
-        "0x1.838e07234af0cp+0 0x1.a60445c7f6e9ep-9 0x1.243cbfd6e6399p+0 "
-        "0x1.cbb4cdad15dc6p-8 0x1.c06adda7aa59ap-5 0x1.8558761f1c539p-10 7856,7874,7727",
+        "0x1.8491dc74ab27ep+0 0x1.a65cf0fd1253dp-9 0x1.203ac5d0771e9p+0 "
+        "0x1.c47b4997f01f4p-8 0x1.ac82d502e9f73p-5 0x1.7d18262f7fc86p-10 7871,7694,7892",
     ("tc N=3", _PIN_SEEDS[1]):
-        "0x1.83311d637df4fp+0 0x1.a9aa9e80dac29p-9 0x1.250cd7ba0b045p+0 "
-        "0x1.d0ac94c64bb51p-8 0x1.c6b423c0beaeap-5 0x1.87e7ebbd0a3e8p-10 7824,7792,7841",
+        "0x1.83a483720184bp+0 0x1.aa6acabf10220p-9 0x1.21be9ce6125c8p+0 "
+        "0x1.c654b64875f49p-8 0x1.cf6f3e0005967p-5 0x1.8b6d635521ef2p-10 7834,7822,7801",
     ("ts N=8", _PIN_SEEDS[0]):
-        "0x1.8f0aca542176cp+0 0x1.e8d5993b4c8edp-9 0x1.b03b806af8a68p+0 "
-        "0x1.282a4dc257ab8p-7 0x1.2290364e56752p-4 0x1.b76a707f267fbp-10 "
-        "2927,2939,2934,3003,2947,2957,2884,2866",
+        "0x1.8df7a212cf686p+0 0x1.ece4d05cd5216p-9 0x1.b06004d0da45cp+0 "
+        "0x1.28e901013fce5p-7 0x1.2906302100b00p-4 0x1.bbe59e69ec318p-10 "
+        "2997,2824,2935,2975,2884,2937,2948,2957",
     ("ts N=8", _PIN_SEEDS[1]):
-        "0x1.8f7cbc42d5a9cp+0 0x1.eb031b8f2353cp-9 0x1.ad7e2a7957fffp+0 "
-        "0x1.2701122226a56p-7 0x1.2af1e91a71912p-4 0x1.bd37a323738bap-10 "
-        "2957,3012,2934,2916,2951,2945,2916,2826",
+        "0x1.8da145a6f2ab3p+0 0x1.ec3d0aa30922fp-9 0x1.aeb2a90be344cp+0 "
+        "0x1.2711fe5a458aep-7 0x1.300245206c9cbp-4 0x1.c0ac3f2c084ebp-10 "
+        "2842,2931,2891,2945,2930,2973,2952,2993",
     ("tc N=8", _PIN_SEEDS[0]):
-        "0x1.de67c97bc82dbp+0 0x1.060693952082ap-9 0x1.04d288fa59086p+0 "
-        "0x1.afc3b95df98bdp-8 0x1.cfc8a57331625p-9 0x1.968ae64781362p-12 "
-        "2890,2916,2967,2973,2954,2962,2876,2919",
+        "0x1.dec904e916077p+0 0x1.09d00b917bc5cp-9 0x1.036bbc11df9a4p+0 "
+        "0x1.b19b125995306p-8 0x1.76613247658d1p-9 0x1.6d630c579a4d3p-12 "
+        "2997,2860,2935,2987,2877,2899,2910,2992",
     ("tc N=8", _PIN_SEEDS[1]):
-        "0x1.df5a9c8ab281cp+0 0x1.055f097542e5cp-9 0x1.04476883f52b8p+0 "
-        "0x1.b3cb5ba04501ep-8 0x1.3e808a4c0627cp-9 0x1.51170805de100p-12 "
-        "2990,3052,2892,2918,2904,2889,2951,2861",
+        "0x1.de1245523ec62p+0 0x1.070e823487b80p-9 0x1.04144a25315bdp+0 "
+        "0x1.b06f3c8924c1ep-8 0x1.76613247658d1p-9 0x1.6d630c579a4d3p-12 "
+        "2844,2932,2888,2941,2944,2929,2972,3007",
     ("wd nu=0.7", _PIN_SEEDS[0]):
-        "0x1.6229278ca4943p+0 0x1.9b5cb3746efe9p-9 0x1.1f1624df85b65p+0 "
-        "0x1.d72a531963615p-8 0x1.6060bcef9e639p-5 0x1.5b46ae11843a1p-10 11805,11652",
+        "0x1.6372ec1f21e11p+0 0x1.9a6bb613e7ecep-9 0x1.1cc24279c6f60p+0 "
+        "0x1.d1af034315c2fp-8 0x1.515c5c974326cp-5 0x1.541ef8a40bec3p-10 11785,11672",
     ("wd nu=0.7", _PIN_SEEDS[1]):
-        "0x1.63983fa5b4e6ep+0 0x1.9acf3be71b902p-9 0x1.1ad0713629da8p+0 "
-        "0x1.d672d2936bd7ap-8 0x1.5b7d14a3393dep-5 0x1.58f74878b563fp-10 11821,11636",
+        "0x1.64e24ed7bfe4ap+0 0x1.9b8ae9f6e0d3ep-9 0x1.19c0f11f82061p+0 "
+        "0x1.c899dd9e96966p-8 0x1.56996c56d4184p-5 0x1.56a31e89b637fp-10 11705,11752",
     ("pareto-capacity zeta=0.7", _PIN_SEEDS[0]):
-        "0x1.4b35da7248f6cp+0 0x1.bcfbd7e8a7557p-9 0x1.62ff788cef7adp+0 "
-        "0x1.fa4482dd7a3dep-8 0x1.41a52d5890524p-4 0x1.cc6de3abb9744p-10 11719,11738",
+        "0x1.4cb70817e5577p+0 0x1.bd10791e4965cp-9 0x1.5faebb6fb0c7ep+0 "
+        "0x1.f2c953f4cc41bp-8 0x1.3f600cebf3a55p-4 0x1.caf0881a8f960p-10 11720,11737",
     ("pareto-capacity zeta=0.7", _PIN_SEEDS[1]):
-        "0x1.4c3d885570b52p+0 0x1.bfc27f372d6f0p-9 0x1.5fb8c1ea2c60fp+0 "
-        "0x1.fa2651e462122p-8 0x1.436432986b4d7p-4 0x1.cd9210743cfd2p-10 11854,11603",
+        "0x1.4dded90760d5bp+0 0x1.c0223a0af9b2cp-9 0x1.5e88abd1f6e41p+0 "
+        "0x1.f02e4f44e98a9p-8 0x1.3e2722d8da5bfp-4 0x1.ca22769c3893fp-10 11639,11818",
     ("pareto-outage zeta=0.7", _PIN_SEEDS[0]):
-        "0x1.2ee0c38c1d1c1p+0 0x1.ac89788feff82p-9 0x1.716135f373aacp+0 "
-        "0x1.ef561dee7539fp-8 0x1.1a01cfc8a5733p-4 0x1.b1625250ae759p-10 11672,11785",
+        "0x1.2f9276af7a64ap+0 0x1.ac1ff68546a3ep-9 0x1.6e57c3b022ac1p+0 "
+        "0x1.e8149c0bc50e4p-8 0x1.13e53d6927042p-4 0x1.ad016b53be229p-10 11730,11727",
     ("pareto-outage zeta=0.7", _PIN_SEEDS[1]):
-        "0x1.2efbeaee7c64ap+0 0x1.aea8d941b6217p-9 0x1.6ec0bdab3d1e7p+0 "
-        "0x1.ef7ceedee9bb6p-8 0x1.1c73a3eed8060p-4 0x1.b31e7325f4d36p-10 11868,11589",
+        "0x1.30a73437726cap+0 0x1.ad813e308fd3cp-9 0x1.6d3b5962be146p+0 "
+        "0x1.e5ea1f365f2efp-8 0x1.178ffba272e06p-4 0x1.afa3ca0f3e3f9p-10 11645,11812",
     ("wd nu=inf", _PIN_SEEDS[0]):
-        "0x1.133889b8d8c8cp+0 0x1.ded80b4a9d25cp-9 0x1.80d80852a1215p+0 "
-        "0x1.e330892bdf829p-8 0x1.71ed4b4af7263p-3 0x1.493e2e10141e8p-9 11636,11821",
+        "0x1.1443895798ea3p+0 0x1.dc5fcdc0f052cp-9 0x1.7e40e3032355dp+0 "
+        "0x1.db2477ea8535cp-8 0x1.6d1ffcdb5cf37p-3 0x1.4791107c189bap-9 11752,11705",
     ("wd nu=inf", _PIN_SEEDS[1]):
-        "0x1.129dfbe9934f1p+0 0x1.df95c0adc8806p-9 0x1.7f23861cedd6cp+0 "
-        "0x1.e231c2b16d419p-8 0x1.76e74d74273edp-3 0x1.4af551e2c36f6p-9 11865,11592",
+        "0x1.138769d232837p+0 0x1.e13cef440d7b6p-9 0x1.7d9cb603c040dp+0 "
+        "0x1.d8e77ce00ac37p-8 0x1.76e74d74273edp-3 0x1.4af551e2c36f6p-9 11696,11761",
     ("pareto-capacity zeta=inf", _PIN_SEEDS[0]):
-        "0x1.133889b8d8c8cp+0 0x1.ded80b4a9d25cp-9 0x1.80d80852a1215p+0 "
-        "0x1.e330892bdf829p-8 0x1.71ed4b4af7263p-3 0x1.493e2e10141e8p-9 11636,11821",
+        "0x1.1443895798ea3p+0 0x1.dc5fcdc0f052cp-9 0x1.7e40e3032355dp+0 "
+        "0x1.db2477ea8535cp-8 0x1.6d1ffcdb5cf37p-3 0x1.4791107c189bap-9 11752,11705",
     ("pareto-capacity zeta=inf", _PIN_SEEDS[1]):
-        "0x1.129dfbe9934f1p+0 0x1.df95c0adc8806p-9 0x1.7f23861cedd6cp+0 "
-        "0x1.e231c2b16d419p-8 0x1.76e74d74273edp-3 0x1.4af551e2c36f6p-9 11865,11592",
+        "0x1.138769d232837p+0 0x1.e13cef440d7b6p-9 0x1.7d9cb603c040dp+0 "
+        "0x1.d8e77ce00ac37p-8 0x1.76e74d74273edp-3 0x1.4af551e2c36f6p-9 11696,11761",
     ("pareto-outage zeta=inf", _PIN_SEEDS[0]):
-        "0x1.133889b8d8c8cp+0 0x1.ded80b4a9d25cp-9 0x1.80d80852a1215p+0 "
-        "0x1.e330892bdf829p-8 0x1.71ed4b4af7263p-3 0x1.493e2e10141e8p-9 11636,11821",
+        "0x1.1443895798ea3p+0 0x1.dc5fcdc0f052cp-9 0x1.7e40e3032355dp+0 "
+        "0x1.db2477ea8535cp-8 0x1.6d1ffcdb5cf37p-3 0x1.4791107c189bap-9 11752,11705",
     ("pareto-outage zeta=inf", _PIN_SEEDS[1]):
-        "0x1.129dfbe9934f1p+0 0x1.df95c0adc8806p-9 0x1.7f23861cedd6cp+0 "
-        "0x1.e231c2b16d419p-8 0x1.76e74d74273edp-3 0x1.4af551e2c36f6p-9 11865,11592",
+        "0x1.138769d232837p+0 0x1.e13cef440d7b6p-9 0x1.7d9cb603c040dp+0 "
+        "0x1.d8e77ce00ac37p-8 0x1.76e74d74273edp-3 0x1.4af551e2c36f6p-9 11696,11761",
     ("pareto-outage zeta=0", _PIN_SEEDS[0]):
-        "0x1.37cc2f40059c6p+0 0x1.96c6534c59ca1p-9 0x1.5b7a6553dbe8dp+0 "
-        "0x1.dfdb1187fc695p-8 0x1.0d9bf75012af2p-5 0x1.315d4e9c54447p-10 11681,11776",
+        "0x1.38c44978e145bp+0 0x1.9631b64f5146dp-9 0x1.57bc7a331b5d6p+0 "
+        "0x1.d6e736d2644bfp-8 0x1.f798b6bcb2274p-6 0x1.276feaa0e3f9bp-10 11723,11734",
     ("pareto-outage zeta=0", _PIN_SEEDS[1]):
-        "0x1.3855aa8ddd80cp+0 0x1.98e46c91018ccp-9 0x1.57a28ccb9c5ccp+0 "
-        "0x1.dc3a0d1c46e28p-8 0x1.0bdcf21037b3fp-5 0x1.306854a3170e2p-10 11856,11601",
+        "0x1.39db4e407fdf4p+0 0x1.97869a01dc4e2p-9 0x1.573f90c209e5ep+0 "
+        "0x1.d63ca7691efadp-8 0x1.0a7754438884ap-5 0x1.2fa3b6778ee80p-10 11703,11754",
 }
 
 
