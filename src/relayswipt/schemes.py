@@ -9,7 +9,9 @@ the bool comparison of the first two columns, raised to column j wherever
 column j strictly beats the maximum so far, in a small unsigned type.  Time
 sharing and threshold checking combine the two indices exactly as
 (kappa ^ lambda) * cond ^ lambda, in place and cast to intp once; the
-two-relay rules read two columns and build both sides in place.  Ties are
+two-relay rules read two columns and build both sides in place.  So time sharing
+and threshold checking read a frame only through the order within its SNR and
+its energy columns, and whether its best SNR reaches tau.  Ties are
 probability-zero events under the continuous fading model; the conventions
 below exist so results are reproducible:
 

@@ -16,21 +16,25 @@ than that many or than it has chunks, whatever ``n_workers`` asks; a run
 with one chunk or on one core is evaluated inline, without a thread pool.
 A worker holds one chunk of at most 3 MiB (two statistics blocks at N <= 3).
 
-A chunk's frames are transformed in place in one contiguous array.  A run's
-pass over it: the selection rule reads its SNR and energy columns one at a
-time; the selected relay's SNR and energy are gathered by flat index
-k(2N+1) + relay (the energy from the array shifted by N words) into one
-(5, count) array of per-frame statistics, computed in place and reduced
-per block at once; the selection counts are a count of the ones at N = 2,
-else a bincount.  A one-chunk run takes that chunk's results as they are.
+A run's pass over a chunk: the selection rule reads its SNR and energy columns
+one at a time; the selected relay's SNR and energy are gathered by flat index
+k(2N+1) + relay (the energy N words on) into one (5, count) array of per-frame
+statistics, computed in place and reduced per block at once; the selection
+counts are a count of the ones at N = 2, else a bincount.  A one-chunk run
+takes that chunk's results as they are.  Weighted difference and Pareto compare
+values, so their chunk is transformed in place first.  Time sharing and
+threshold checking read a frame only through the order of each column group and
+the best SNR against tau: outside a scope (below) they select on the uniforms
+and transform only the two gathered draws.
 
 Runs that share (config, seed, n_frames) read the same frames, so a caller
 that makes many of them (the CLI's ``--with-mc`` overlay: one run per
 scheme and tradeoff factor) may open ``_shared_frames()`` around them.
 Inside that scope each chunk is drawn and transformed once and kept,
 read-only, for every later run of the scope, up to ``_MEMO_BYTES`` (16 MiB)
-of frames in all; chunks past the cap are drawn per run.  Nothing outlives the
-scope, and runs outside any scope keep nothing.
+of frames in all; chunks past the cap are drawn per run; all its runs read
+transformed frames.  Nothing outlives the scope, and runs outside any scope
+keep nothing.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SystemConfig, frames_from_uniforms, uniforms_per_frame
-from .schemes import SchemeParam, select_indices, validate_scheme
+from .model import SystemConfig, _inverse_cdf, frames_from_uniforms, uniforms_per_frame
+from .schemes import SchemeParam, ThresholdChecking, TimeSharing, select_indices, validate_scheme
 
 __all__ = [
     "MonteCarloConfig",
@@ -194,13 +198,11 @@ def _shared_frames():
 
 
 def _chunk_frames(config, seed, start, count, memo):
-    """(frames, snr, energy, coins) of frames [start, start+count).
+    """(frames, snr, energy, coins) of frames [start, start+count), transformed.
 
-    ``frames`` is the transformed (count, 2N+1) array; ``snr`` and
-    ``energy`` are views into it.  With a memo, a chunk it holds is
-    returned as it is, and a new one is kept, read-only, while the memo
-    stays within ``_MEMO_BYTES``.
-    """
+    ``snr`` and ``energy`` are views into the (count, 2N+1) ``frames``.  With a
+    memo, a chunk it holds is returned as it is, and a new one is kept,
+    read-only, while the memo stays within ``_MEMO_BYTES``."""
     key = (config, int(seed), start, count)
     if memo is not None and (chunk := memo.chunks.get(key)) is not None:
         return chunk
@@ -222,10 +224,17 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
 
     Returns a (5, blocks) array of the capacity, squared capacity, energy,
     squared energy and outage sums of each block, and the selection counts.
-    ``start`` must be a multiple of the statistics block size.
+    ``start`` must be a multiple of the statistics block size.  Without a memo,
+    time sharing and threshold checking select on the uniforms (tau mapped by
+    ``run``) and transform only the chosen relay's draws: the same relay, as
+    the transform is nondecreasing, unless two draws round to one value.
     """
     n = config.n_relays
-    u, snr, energy, coins = _chunk_frames(config, seed, start, count, memo)
+    if rank := memo is None and isinstance(scheme, (TimeSharing, ThresholdChecking)):
+        u = frame_uniforms(seed, n, start, count)
+        snr, energy, coins = u[:, :n], u[:, n : 2 * n], u[:, 2 * n]
+    else:
+        u, snr, energy, coins = _chunk_frames(config, seed, start, count, memo)
     threshold = config.outage_threshold
     sel = select_indices(scheme, snr, energy, coins, threshold)
     # Flat index of each frame's selected SNR in the contiguous frame array;
@@ -237,12 +246,14 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     stats = np.empty((5, count))  # written in place: fewer passes than np.stack
     cap, cap_sq, en, en_sq, out = stats
     u.take(at, out=cap, mode="clip")
+    u.ravel()[n:].take(at, out=en, mode="clip")
+    if rank:
+        _inverse_cdf(config, stats[:3:2], [cap], [en])
     np.less(cap, threshold, out=out)
     cap += 1.0
     np.log2(cap, out=cap)
     cap *= 0.5
     np.multiply(cap, cap, out=cap_sq)
-    u.ravel()[n:].take(at, out=en, mode="clip")
     np.multiply(en, en, out=en_sq)
     # a block sum may overflow to inf, which ``run`` refuses by name; worker
     # threads do not inherit the caller's error state, so it is set here
@@ -254,14 +265,22 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     return sums, np.bincount(sel, minlength=n)
 
 
+def _uniform_threshold(config, tau):
+    """The smallest draw, a multiple of 2**-53, whose SNR is >= tau (1.0 if none):
+    a frame's best SNR reaches tau iff its largest SNR draw reaches this.  A
+    64-way bisection over the 2**53 draws, each probe by the engine's transform."""
+    lo, hi = 0, 2**53  # the answer, in units of 2**-53, lies in [lo, hi]
+    while lo < hi:
+        k = np.arange(lo, hi, -(-(hi - lo) // 64))
+        u = k * 2.0**-53
+        below = np.count_nonzero(_inverse_cdf(config, u, [u]) < tau)
+        lo, hi = (int(k[below - 1]) + 1 if below else lo), (int(k[below]) if below < k.size else hi)
+    return lo * 2.0**-53
+
+
 def _estimate(total: float, total_sq: float, n: int) -> Estimate:
-    mean = total / n
-    if n > 1:
-        var = max(total_sq - total * total / n, 0.0) / (n - 1)
-        std_error = math.sqrt(var / n)
-    else:
-        std_error = 0.0
-    return Estimate(mean=mean, std_error=std_error, n=n)
+    var = max(total_sq - total * total / n, 0.0) / (n - 1) if n > 1 else 0.0
+    return Estimate(mean=total / n, std_error=math.sqrt(var / n), n=n)
 
 
 def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> SimulationResult:
@@ -291,6 +310,8 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
     chunk = max(1, min(-(-mc.batch_size // _STAT_BLOCK), max_blocks)) * _STAT_BLOCK
     jobs = [(s, min(chunk, n - s)) for s in range(0, n, chunk)]
     memo = _frame_memo.get()  # read here: worker threads do not see this context
+    if memo is None and isinstance(scheme, ThresholdChecking):  # chunks compare uniforms
+        scheme = ThresholdChecking(_uniform_threshold(config, scheme.tau))
 
     def stats(job):
         return _chunk_stats(config, scheme, mc.seed, *job, memo)

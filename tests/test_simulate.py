@@ -197,7 +197,9 @@ def test_runs_in_a_frame_scope_equal_runs_outside(n_frames, batch_size, n_worker
     cfg = SystemConfig(2, 10.0, 1.0, 1.0)
     schemes = [TimeSharing(mu=0.3), ThresholdChecking(tau=4.0), WeightedDifference(nu=0.7),
                ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY),
-               ParetoOptimal(zeta=1.0, metric=Metric.OUTAGE_INDICATOR)]
+               ParetoOptimal(zeta=1.0, metric=Metric.OUTAGE_INDICATOR),
+               TimeSharing(mu=0.0), TimeSharing(mu=1.0),
+               ThresholdChecking(tau=0.0), ThresholdChecking(tau=math.inf)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_MEMO_BYTES", cap)
         mc = MonteCarloConfig(n_frames, seed, batch_size=batch_size, n_workers=n_workers)
@@ -206,6 +208,40 @@ def test_runs_in_a_frame_scope_equal_runs_outside(n_frames, batch_size, n_worker
             inside = [run(cfg, scheme, mc) for scheme in schemes + schemes]
             assert simulate._frame_memo.get().nbytes <= cap
     assert inside == outside + outside
+
+
+@pytest.mark.parametrize("n_relays, frames", [(1, 4000), (2, 4000), (3, 4000), (8, 4000),
+                                               (256, 300), (257, 300)])
+@pytest.mark.parametrize("mean_snr", [1e-300, 1e-5, 1.0, 37.0, 1e150, 9.7e306])
+def test_rank_path_selects_as_the_value_rule(n_relays, frames, mean_snr):
+    """Outside a frame scope time sharing and threshold checking select on the
+    uniforms, with tau mapped to a uniform; that must pick the relay that
+    ``select_indices`` picks on the transformed frames, at tau on a drawn best
+    SNR, at both its float neighbours, at 0 and at infinity."""
+    cfg = SystemConfig(n_relays, mean_snr, 3.0, 1.0)
+    u = frame_uniforms(11, n_relays, 0, frames)
+    snr, energy, coins = frames_from_uniforms(cfg, u.copy())
+    n = n_relays
+    ranks = u[:, :n], u[:, n : 2 * n], u[:, 2 * n]
+    taus = [0.0, math.inf]
+    for best in np.quantile(snr.max(axis=1), [0.0, 0.1, 0.5, 0.9, 1.0], method="nearest"):
+        taus += [np.nextafter(best, 0.0), best, np.nextafter(best, math.inf)]
+    for tau in taus:
+        by_rank = ThresholdChecking(tau=simulate._uniform_threshold(cfg, tau))
+        assert np.array_equal(select_indices(by_rank, *ranks),
+                              select_indices(ThresholdChecking(tau=tau), snr, energy)), tau
+    for mu in (0.0, 0.37, 1.0):
+        assert np.array_equal(select_indices(TimeSharing(mu=mu), *ranks),
+                              select_indices(TimeSharing(mu=mu), snr, energy, coins)), mu
+    # the engine's pass: a chunk's sums and counts equal those of its transformed frames
+    tau = taus[9]  # the median best SNR
+    for scheme, rank_scheme in [
+        (ThresholdChecking(tau=tau), ThresholdChecking(tau=simulate._uniform_threshold(cfg, tau))),
+        (TimeSharing(mu=0.37), TimeSharing(mu=0.37)),
+    ]:
+        by_rank = simulate._chunk_stats(cfg, rank_scheme, 11, 0, frames, None)
+        by_value = simulate._chunk_stats(cfg, scheme, 11, 0, frames, simulate._FrameMemo())
+        assert all(np.array_equal(a, b) for a, b in zip(by_rank, by_value))
 
 
 def test_frame_scope_spills_past_its_cap(config10, monkeypatch):
