@@ -243,6 +243,7 @@ def cmd_tradeoff_capacity(args, preset: dict, config: SystemConfig, seed: int) -
     names = _SCHEMES if config.n_relays == 2 else _SCHEMES[:2]
     header = ["delta", "energy"] + [f"c_{name}" for name in names]
     if args.with_mc:
+        mc = MonteCarloConfig(args.frames, seed)
         for name in names:
             header += [f"mc_c_{name}", f"mc_c_{name}_stderr",
                        f"mc_e_{name}", f"mc_e_{name}_stderr"]
@@ -257,7 +258,7 @@ def cmd_tradeoff_capacity(args, preset: dict, config: SystemConfig, seed: int) -
                 if config.n_relays == 2:
                     weights += [forms.nu_from_energy(energy), values[-1]]
                 for (_, scheme), weight in zip(_MC_SCHEMES.values(), weights):
-                    result = run(config, scheme(weight), MonteCarloConfig(args.frames, seed))
+                    result = run(config, scheme(weight), mc)
                     row += [
                         result.capacity.mean, result.capacity.std_error,
                         result.energy.mean, result.energy.std_error,

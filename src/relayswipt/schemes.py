@@ -3,15 +3,18 @@
 Each policy maps one channel frame (plus, for time sharing, a uniform coin)
 to the index of the relay to activate.  Indices are 0-based.  The rules
 live in ``select_indices``, which applies them to whole batches and is what
-the Monte Carlo engine uses; ``select`` runs it on a single frame.  The
-rules work column by column.  A best-relay index is one running maximum:
-the bool comparison of the first two columns, raised to column j wherever
-column j strictly beats the maximum so far, in a small unsigned type.  Time
-sharing and threshold checking combine the two indices exactly as
-(kappa ^ lambda) * cond ^ lambda, in place and cast to intp once; the
-two-relay rules read two columns and build both sides in place.  So time sharing
-and threshold checking read a frame only through the order within its SNR and
-its energy columns, and whether its best SNR reaches tau.  Ties are
+the Monte Carlo engine uses; ``select`` runs it on a single frame.  Each rule
+has a weight-free stage over the SNR and energy columns (``_free_stage``: the
+best-SNR index, best SNR and best-energy index, or the two-relay rules' metric
+gain, energy cost and tie flag) and a weight stage (``_weight_stage``), which
+works in place on the first unless it is read-only, as the engine's frame scope
+keeps it per chunk for every weight.  The rules work column by column.  A
+best-relay index is one running maximum: the bool comparison of the first two
+columns, raised to column j wherever column j strictly beats the maximum so
+far, in a small unsigned type.  Time sharing and threshold checking combine
+the two indices exactly as (kappa ^ lambda) * cond ^ lambda, cast to intp
+once.  So they read a frame only through the order within its SNR and its
+energy columns, and whether its best SNR reaches tau.  Ties are
 probability-zero events under the continuous fading model; the conventions
 below exist so results are reproducible:
 
@@ -152,11 +155,12 @@ def select(snr, energy, scheme: SchemeParam, coin: float = 0.0,
                               np.array([coin]), outage_threshold)[0])
 
 
-def _reject_nan(*arrays: np.ndarray) -> None:
-    """Raise if any array holds a NaN: one maximum each, as NaN propagates through it."""
-    if any(math.isnan(a.max(initial=-math.inf)) for a in arrays):
+def _reject_nan(a: np.ndarray) -> np.ndarray:
+    """a, unless it holds a NaN: one maximum, as NaN propagates through it."""
+    if math.isnan(a.max(initial=-math.inf)):
         raise ValueError("the selection rule compares a NaN: a NaN snr or energy, "
                          "or inf - inf or 0 * inf")
+    return a
 
 
 def _argmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,11 +187,60 @@ def _argmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pick(cond: np.ndarray, kappa: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """kappa where cond holds, else lam, as intp; exact on bool and unsigned indices alike."""
-    kappa ^= lam
+    """kappa where cond holds, else lam, as intp; in place unless kappa is read-only."""
+    kappa = np.bitwise_xor(kappa, lam, out=kappa if kappa.flags.writeable else None)
     kappa *= cond
     kappa ^= lam
     return kappa.astype(np.intp, copy=False)
+
+
+def _stage_family(scheme: SchemeParam):
+    """The key of a rule's weight-free stage, which TS and TC share, as do infinite weights."""
+    if isinstance(scheme, (TimeSharing, ThresholdChecking)):
+        return "best relays"
+    weight = scheme.nu if isinstance(scheme, WeightedDifference) else scheme.zeta
+    return "best energy" if math.isinf(weight) else getattr(scheme, "metric", "difference")
+
+
+def _free_stage(family, snr, energy, outage_threshold: float) -> tuple[np.ndarray, ...]:
+    """The arrays of a rule family (``_stage_family``) that its weight leaves alone:
+    (kappa, best SNR, lambda), (lambda,), or (F(s0) - F(s1), e1 - e0[, e1 > e0])."""
+    if family == "best relays":
+        return (*_argmax_rows(snr), _argmax_rows(energy)[0])
+    if family == "best energy":
+        return _argmax_rows(energy)[:1]
+    e0, e1, s0, s1 = energy[:, 0], energy[:, 1], snr[:, 0], snr[:, 1]
+    cost = e1 - e0
+    if family == "difference":
+        return _reject_nan(s0 - s1), cost
+    if family is Metric.CAPACITY:  # 0.5 log2(1 + s0) - 0.5 log2(1 + s1)
+        lhs, minus = s0 + 1.0, s1 + 1.0
+        for half in (lhs, minus):
+            np.log2(half, out=half)
+            half *= 0.5
+        lhs -= minus
+    else:
+        _reject_nan(s0 - s1)  # the indicators below would swallow a NaN SNR
+        lhs = (s0 >= outage_threshold).astype(float)
+        lhs -= s1 >= outage_threshold
+    return _reject_nan(lhs), cost, e1 > e0
+
+
+def _weight_stage(scheme: SchemeParam, stage: tuple[np.ndarray, ...], coins) -> np.ndarray:
+    """The indices a rule picks from its ``_free_stage``, in place on it unless it is read-only."""
+    if isinstance(scheme, (TimeSharing, ThresholdChecking)):
+        kappa, best, lam = stage
+        cond = coins < scheme.mu if isinstance(scheme, TimeSharing) else best >= scheme.tau
+        return _pick(cond, kappa, lam)
+    if len(stage) == 1:  # an infinite weight: the best-energy index
+        return stage[0].astype(np.intp)
+    lhs, cost, *more_energy = stage
+    weight = scheme.nu if isinstance(scheme, WeightedDifference) else scheme.zeta
+    rhs = _reject_nan(np.multiply(cost, weight, out=cost if cost.flags.writeable else None))
+    pick1 = lhs < rhs  # relay 1 if its gain beats its cost, or (Pareto) ties it with more energy
+    if more_energy:
+        pick1 |= (lhs == rhs) & more_energy[0]
+    return pick1.astype(np.intp)
 
 
 def select_indices(
@@ -222,34 +275,5 @@ def select_indices(
         coins = np.asarray(coins)
         if coins.shape != snr.shape[:1]:
             raise ValueError(f"coins must have shape {snr.shape[:1]}, got {coins.shape}")
-    if isinstance(scheme, (TimeSharing, ThresholdChecking)):
-        kappa, best = _argmax_rows(snr)
-        lam, _ = _argmax_rows(energy)
-        cond = coins < scheme.mu if isinstance(scheme, TimeSharing) else best >= scheme.tau
-        return _pick(cond, kappa, lam)
-    weight = scheme.nu if isinstance(scheme, WeightedDifference) else scheme.zeta
-    if math.isinf(weight):
-        return _argmax_rows(energy)[0].astype(np.intp)
-    e0, e1 = energy[:, 0], energy[:, 1]
-    rhs = e1 - e0
-    rhs *= weight
-    s0, s1 = snr[:, 0], snr[:, 1]
-    if isinstance(scheme, WeightedDifference):
-        lhs = s0 - s1
-    elif scheme.metric is Metric.CAPACITY:  # 0.5 log2(1 + s0) - 0.5 log2(1 + s1)
-        lhs, minus = s0 + 1.0, s1 + 1.0
-        for half in (lhs, minus):
-            np.log2(half, out=half)
-            half *= 0.5
-        lhs -= minus
-    else:
-        _reject_nan(s0 - s1)  # the indicators below would swallow a NaN SNR
-        lhs = (s0 >= outage_threshold).astype(float)
-        lhs -= s1 >= outage_threshold
-    _reject_nan(lhs, rhs)
-    if isinstance(scheme, WeightedDifference):
-        return (lhs < rhs).astype(np.intp)
-    # relay 1 if its metric gain beats its energy cost, or ties it with more energy
-    pick1 = lhs < rhs
-    pick1 |= (lhs == rhs) & (e1 > e0)
-    return pick1.astype(np.intp)
+    stage = _free_stage(_stage_family(scheme), snr, energy, outage_threshold)
+    return _weight_stage(scheme, stage, coins)

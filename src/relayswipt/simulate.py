@@ -30,11 +30,11 @@ and transform only the two gathered draws.
 Runs that share (config, seed, n_frames) read the same frames, so a caller
 that makes many of them (the CLI's ``--with-mc`` overlay: one run per
 scheme and tradeoff factor) may open ``_shared_frames()`` around them.
-Inside that scope each chunk is drawn and transformed once and kept,
-read-only, for every later run of the scope, up to ``_MEMO_BYTES`` (16 MiB)
-of frames in all; chunks past the cap are drawn per run; all its runs read
-transformed frames.  Nothing outlives the scope, and runs outside any scope
-keep nothing.
+Inside that scope each chunk is drawn and transformed once and kept, read-only,
+for every later run of the scope, with its gather base index k(2N+1) and the
+weight-free stage of each rule family (``schemes``), so a run does only the
+weight stage, the gather and the sums.  All of it counts against ``_MEMO_BYTES``
+(16 MiB); a chunk past the cap keeps nothing.  Nothing outlives the scope.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .model import SystemConfig, _inverse_cdf, frames_from_uniforms, uniforms_per_frame
-from .schemes import SchemeParam, ThresholdChecking, TimeSharing, select_indices, validate_scheme
+from .schemes import (SchemeParam, ThresholdChecking, TimeSharing, _free_stage, _stage_family,
+                      _weight_stage, select_indices, validate_scheme)
 
 __all__ = [
     "MonteCarloConfig",
@@ -175,10 +176,10 @@ def frame_uniforms(seed: int, n_relays: int, start: int, count: int) -> np.ndarr
 
 
 class _FrameMemo:
-    """Transformed chunks of one ``_shared_frames`` scope, by (config, seed, start, count)."""
+    """A scope's chunks by (config, seed, start, count), and their kept arrays by (that, name)."""
 
     def __init__(self):
-        self.chunks = {}
+        self.chunks, self.stages = {}, {}
         self.nbytes = 0
         self.lock = threading.Lock()  # chunks are evaluated on worker threads
 
@@ -197,26 +198,15 @@ def _shared_frames():
         _frame_memo.reset(token)
 
 
-def _chunk_frames(config, seed, start, count, memo):
-    """(frames, snr, energy, coins) of frames [start, start+count), transformed.
-
-    ``snr`` and ``energy`` are views into the (count, 2N+1) ``frames``.  With a
-    memo, a chunk it holds is returned as it is, and a new one is kept,
-    read-only, while the memo stays within ``_MEMO_BYTES``."""
-    key = (config, int(seed), start, count)
-    if memo is not None and (chunk := memo.chunks.get(key)) is not None:
-        return chunk
-    u = frame_uniforms(seed, config.n_relays, start, count)
-    chunk = (u, *frames_from_uniforms(config, u))  # views into u, transformed in place
-    if memo is not None:
-        nbytes = u.nbytes + chunk[3].nbytes
-        with memo.lock:
-            if key not in memo.chunks and memo.nbytes + nbytes <= _MEMO_BYTES:
-                for array in chunk:
-                    array.flags.writeable = False
-                memo.chunks[key] = chunk
-                memo.nbytes += nbytes
-    return chunk
+def _keep(memo, table, key, arrays, u):
+    """Keep arrays, read-only, as table[key] within ``_MEMO_BYTES``; views into u cost nothing."""
+    nbytes = sum(a.nbytes for a in arrays if a is u or not np.may_share_memory(a, u))
+    with memo.lock:
+        if key not in table and memo.nbytes + nbytes <= _MEMO_BYTES:
+            for array in arrays:
+                array.flags.writeable = False
+            table[key] = arrays
+            memo.nbytes += nbytes
 
 
 def _chunk_stats(config, scheme, seed, start, count, memo):
@@ -229,20 +219,35 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     ``run``) and transform only the chosen relay's draws: the same relay, as
     the transform is nondecreasing, unless two draws round to one value.
     """
-    n = config.n_relays
-    if rank := memo is None and isinstance(scheme, (TimeSharing, ThresholdChecking)):
-        u = frame_uniforms(seed, n, start, count)
-        snr, energy, coins = u[:, :n], u[:, n : 2 * n], u[:, 2 * n]
-    else:
-        u, snr, energy, coins = _chunk_frames(config, seed, start, count, memo)
-    threshold = config.outage_threshold
-    sel = select_indices(scheme, snr, energy, coins, threshold)
+    n, threshold = config.n_relays, config.outage_threshold
+    key = (config, int(seed), start, count)
+    rank = memo is None and isinstance(scheme, (TimeSharing, ThresholdChecking))
+    if memo is None or (chunk := memo.chunks.get(key)) is None:
+        u = frame_uniforms(seed, n, start, count)  # snr and energy are views into u
+        chunk = (u, u[:, :n], u[:, n : 2 * n], u[:, 2 * n]) if rank else (
+            u, *frames_from_uniforms(config, u))  # transformed in place
+        if memo is not None:
+            _keep(memo, memo.chunks, key, chunk, u)
+    u, snr, energy, coins = chunk
+
+    def kept(name, make):  # the arrays the memo keeps with this chunk, else make()'s
+        if (arrays := memo.stages.get((key, name))) is None:
+            _keep(memo, memo.stages, (key, name), arrays := make(), u)
+        return arrays
+
     # Flat index of each frame's selected SNR in the contiguous frame array;
     # its energy sits N words further on, at the same index of the array
     # shifted by N.  The indices are in range by construction: "clip" skips
     # the bounds check and the copy of ``out`` that the default mode makes.
-    at = np.arange(0, count * u.shape[1], u.shape[1])
-    at += sel
+    if memo is not None and key in memo.chunks:
+        family = _stage_family(scheme)
+        stage = kept(family, lambda: _free_stage(family, snr, energy, threshold))
+        sel = _weight_stage(scheme, stage, coins)
+        at = kept("at", lambda: (np.arange(0, count * u.shape[1], u.shape[1]),))[0] + sel
+    else:
+        sel = select_indices(scheme, snr, energy, coins, threshold)
+        at = np.arange(0, count * u.shape[1], u.shape[1])
+        at += sel
     stats = np.empty((5, count))  # written in place: fewer passes than np.stack
     cap, cap_sq, en, en_sq, out = stats
     u.take(at, out=cap, mode="clip")

@@ -192,14 +192,21 @@ def test_chunk_memory_stays_under_the_cap(n_relays):
 )
 @settings(max_examples=30, deadline=None)
 def test_runs_in_a_frame_scope_equal_runs_outside(n_frames, batch_size, n_workers, seed, cap):
-    """Also with a memo cap of 1 MiB, which holds two 10,000-frame chunks at N = 2
-    (400 kB of frames and 80 kB of coins each), so later chunks spill."""
+    """Every rule family at three or more weights, so that a kept weight-free stage
+    serves several runs.  Also with a memo cap of 1 MiB, which holds the frames
+    and coins of one or two chunks at N = 2 (480 kB per 10,000 frames) and few of
+    their stages (180 kB per 10,000 frames for the gather base and time sharing's
+    stage alone), so later chunks and stages spill."""
     cfg = SystemConfig(2, 10.0, 1.0, 1.0)
     schemes = [TimeSharing(mu=0.3), ThresholdChecking(tau=4.0), WeightedDifference(nu=0.7),
                ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY),
                ParetoOptimal(zeta=1.0, metric=Metric.OUTAGE_INDICATOR),
                TimeSharing(mu=0.0), TimeSharing(mu=1.0),
                ThresholdChecking(tau=0.0), ThresholdChecking(tau=math.inf)]
+    for weight in (0.0, 2.5, math.inf):
+        schemes += [WeightedDifference(nu=weight),
+                    ParetoOptimal(zeta=weight, metric=Metric.CAPACITY),
+                    ParetoOptimal(zeta=weight, metric=Metric.OUTAGE_INDICATOR)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_MEMO_BYTES", cap)
         mc = MonteCarloConfig(n_frames, seed, batch_size=batch_size, n_workers=n_workers)
@@ -252,8 +259,12 @@ def test_frame_scope_spills_past_its_cap(config10, monkeypatch):
         drawn.append(start)
         return draw(seed, n_relays, start, count)
 
+    # A 10,000-frame chunk at N = 2 keeps 5 words of frames and a coin per frame,
+    # and with them the gather base (one intp) and time sharing's weight-free
+    # stage (two bool indices and the best SNR): 66 bytes per frame in all.
+    chunk = 10_000 * (5 * 8 + 8 + 8 + 2 * 1 + 8)
     monkeypatch.setattr(simulate, "frame_uniforms", spy)
-    monkeypatch.setattr(simulate, "_MEMO_BYTES", 2**20)
+    monkeypatch.setattr(simulate, "_MEMO_BYTES", 2 * chunk)
     mc = MonteCarloConfig(50_000, seed=2, batch_size=10_000, n_workers=2)
     scheme = TimeSharing(mu=0.5)
     reference = run(config10, scheme, mc)
@@ -261,19 +272,51 @@ def test_frame_scope_spills_past_its_cap(config10, monkeypatch):
     with simulate._shared_frames():
         assert run(config10, scheme, mc) == run(config10, scheme, mc) == reference
         memo = simulate._frame_memo.get()
-        assert len(memo.chunks) == 2 and memo.nbytes == 2 * 480_000
+        assert len(memo.chunks) == 2 and len(memo.stages) == 2 * 2 and memo.nbytes == 2 * chunk
+        assert {key for key, _ in memo.stages} == set(memo.chunks)
     assert len(drawn) == 5 + 3
 
 
 def test_shared_frames_are_read_only(config10):
+    """The kept frames and, for each of the six families, the kept weight-free arrays."""
+    schemes = [TimeSharing(mu=0.5), WeightedDifference(nu=0.7), WeightedDifference(nu=math.inf),
+               ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY),
+               ParetoOptimal(zeta=1.0, metric=Metric.OUTAGE_INDICATOR)]
     with simulate._shared_frames():
-        run(config10, TimeSharing(mu=0.5), MonteCarloConfig(40_000, seed=1))
-        chunks = list(simulate._frame_memo.get().chunks.values())
-    assert len(chunks) == 2
-    for chunk in chunks:
-        for array in chunk:
+        for scheme in schemes + schemes:
+            run(config10, scheme, MonteCarloConfig(40_000, seed=1))
+        memo = simulate._frame_memo.get()
+        chunks, stages = list(memo.chunks.values()), list(memo.stages.values())
+    assert len(chunks) == 2 and len(stages) == 2 * (len(schemes) + 1)  # and the gather base
+    for arrays in chunks + stages:
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+                array[0] = 0
+
+
+@pytest.mark.parametrize("n_relays", [1, 2, 3, 8])
+def test_runs_in_a_frame_scope_equal_runs_outside_on_tied_draws(n_relays, monkeypatch):
+    """Draws on a grid of quarters make SNRs, energies and coins tie in most
+    frames, so every tie rule decides: the lowest index wins, a weighted
+    difference tie goes to relay 0, a Pareto tie to the larger energy, then
+    relay 0; a best SNR equal to tau clears it."""
+    draw = simulate.frame_uniforms
+    monkeypatch.setattr(simulate, "frame_uniforms", lambda *args: np.floor(draw(*args) * 4) / 4)
+    cfg = SystemConfig(n_relays, 10.0, 1.0, 1.0)
+    tau = float(frames_from_uniforms(cfg, np.full((1, 2 * n_relays + 1), 0.5))[0][0, 0])
+    schemes = [TimeSharing(mu=0.3), TimeSharing(mu=0.5), ThresholdChecking(tau=tau),
+               ThresholdChecking(tau=0.0)]
+    if n_relays == 2:
+        for weight in (0.0, 0.4, math.inf):
+            schemes += [WeightedDifference(nu=weight),
+                        ParetoOptimal(zeta=weight, metric=Metric.CAPACITY),
+                        ParetoOptimal(zeta=weight, metric=Metric.OUTAGE_INDICATOR)]
+    mc = MonteCarloConfig(30_000, seed=3, batch_size=10_000, n_workers=2)
+    outside = [run(cfg, scheme, mc) for scheme in schemes]
+    with simulate._shared_frames():
+        inside = [run(cfg, scheme, mc) for scheme in schemes + schemes]
+        assert simulate._frame_memo.get().stages
+    assert inside == outside + outside
 
 
 def test_a_frame_scope_retains_at_most_the_cap():
