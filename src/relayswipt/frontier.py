@@ -314,9 +314,10 @@ def _walk(config: SystemConfig, targets, metric: Metric):
     # the floor first: where it lies within the band of the ceiling, zeta = 0 meets both
     pending = []
     for i, t in enumerate(targets):
-        if floor - band <= t <= floor + band:
+        gap = t - floor  # exact near the floor, where floor ± band would round
+        if abs(gap) <= band:
             yield i, 0.0
-        elif floor - band <= t < ceiling:
+        elif band < gap and t < ceiling:
             pending.append((t, i))
         else:
             raise ValueError(f"energy target {t!r} outside feasible range [{floor - band!r}, "
@@ -362,7 +363,7 @@ def solve_zeta_for_energy(config: SystemConfig, energy_target: float, metric: Me
     halve the bracket.
 
     A target within 1e-4 * mean_energy (the band) of the policy's energy floor
-    gives 0; one in [floor - band, 1.5 * mean_energy) is solved for, until the
+    gives 0; one above that, below 1.5 * mean_energy, is solved for, until the
     forward map is within the band of it; any other raises ValueError.  The
     bracket [0, 1] grows x4 until it holds the target, each sample that grows it
     checked for monotonicity (a violation would indicate an integrator bug and

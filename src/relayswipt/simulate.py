@@ -11,10 +11,11 @@ frames are chunked or how many workers evaluate the chunks.
 
 ``batch_size`` and ``n_workers`` are therefore pure throughput knobs.
 ``n_workers`` defaults to the cores this process may run on (CPU affinity),
-capped by a cgroup CPU quota rounded up, and a run starts no more threads
-than that many or than it has chunks, whatever ``n_workers`` asks; a run
-with one chunk or on one core is evaluated inline, without a thread pool.
-A worker holds one chunk of at most 3 MiB (two statistics blocks at N <= 3).
+capped by a cgroup CPU quota rounded up.  W threads evaluate a run's chunks,
+W the least of ``n_workers``, that many cores and the run's chunks: the calling
+thread and W - 1 helper threads it starts, each claiming the next chunk from
+one shared counter, so a run with one chunk or on one core starts no thread.
+Each holds one chunk of at most 3 MiB (two statistics blocks at N <= 3).
 
 A run's pass over a chunk: the selection rule reads its SNR and energy columns
 one at a time; the selected relay's SNR and energy are gathered by flat index
@@ -45,7 +46,6 @@ import math
 import numbers
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,9 +121,9 @@ class MonteCarloConfig:
 
     ``batch_size`` (20,000 frames by default) is cut into whole statistics
     blocks within the 3 MiB chunk cap: 20,000 frames at N <= 3, 10,000 at
-    N >= 4.  ``n_workers`` is an upper bound: a run starts no more threads
-    than it has chunks or than the cores this process may run on
-    (``_default_workers``).
+    N >= 4.  ``n_workers`` is an upper bound: at most that many threads, the
+    caller included, evaluate a run's chunks, and no more than it has chunks
+    or than the cores this process may run on (``_default_workers``).
     """
 
     n_frames: int
@@ -181,7 +181,7 @@ class _FrameMemo:
     def __init__(self):
         self.chunks, self.stages = {}, {}
         self.nbytes = 0
-        self.lock = threading.Lock()  # chunks are evaluated on worker threads
+        self.lock = threading.Lock()  # chunks are evaluated on helper threads too
 
 
 _frame_memo: contextvars.ContextVar[_FrameMemo | None] = contextvars.ContextVar(
@@ -260,7 +260,7 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     cap *= 0.5
     np.multiply(cap, cap, out=cap_sq)
     np.multiply(en, en, out=en_sq)
-    # a block sum may overflow to inf, which ``run`` refuses by name; worker
+    # a block sum may overflow to inf, which ``run`` refuses by name; helper
     # threads do not inherit the caller's error state, so it is set here
     with np.errstate(over="ignore"):
         sums = np.add.reduceat(stats, np.arange(0, count, _STAT_BLOCK), axis=1)
@@ -314,21 +314,37 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
     max_blocks = _CHUNK_BYTES // (frame_bytes * _STAT_BLOCK)
     chunk = max(1, min(-(-mc.batch_size // _STAT_BLOCK), max_blocks)) * _STAT_BLOCK
     jobs = [(s, min(chunk, n - s)) for s in range(0, n, chunk)]
-    memo = _frame_memo.get()  # read here: worker threads do not see this context
+    memo = _frame_memo.get()  # read here: helper threads do not see this context
     if memo is None and isinstance(scheme, ThresholdChecking):  # chunks compare uniforms
         scheme = ThresholdChecking(_uniform_threshold(config, scheme.tau))
 
-    def stats(job):
-        return _chunk_stats(config, scheme, mc.seed, *job, memo)
-
     workers = min(mc.n_workers, len(jobs))
-    if workers > 1:  # no more threads than cores; read only for a pool (it reads cgroup files)
+    if workers > 1:  # no more threads than cores; read only then (it reads cgroup files)
         workers = min(workers, _default_workers())
-    if workers == 1:
-        results = [stats(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(stats, jobs))
+    results, errors, claims, lock = [None] * len(jobs), [], iter(range(len(jobs))), threading.Lock()
+
+    def evaluate():  # claim the next chunk until none is left or a thread has failed
+        while True:
+            with lock:
+                i = None if errors else next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = _chunk_stats(config, scheme, mc.seed, *jobs[i], memo)
+            except BaseException as error:  # the other threads stop at their next claim
+                errors.append(error)
+
+    # The caller evaluates chunks beside workers - 1 helper threads.
+    helpers = [threading.Thread(target=evaluate) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        evaluate()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
     # Blocks are merged in block order, whatever the chunking.
     if len(results) == 1:

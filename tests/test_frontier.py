@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relayswipt.closedform as cf
@@ -255,6 +255,25 @@ def test_a_lone_capacity_solve_makes_a_median_of_at_most_seven_kernel_calls(monk
     assert len(counts) == 133 and statistics.median(counts) <= 7 and max(counts) <= 12
 
 
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("eps", [1e-3, 10.0**0.5, 100.0])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_a_target_at_the_edge_of_the_floor_band_snaps_is_solved_or_is_refused(
+        metric, eps, side, ulps):
+    """floor - band and floor + band, as computed in floats, and one ulp either side of
+    each: zeta = 0 within the band of the floor, a weight meeting the target, or ValueError."""
+    config = SystemConfig(2, snr_from_db(0.0), eps, 1.0)
+    floor = eps if metric is Metric.CAPACITY else cf.pareto_outage_energy_min(config)
+    edge = floor + side * frontier._SOLVER_BAND * eps
+    target = math.nextafter(edge, edge + ulps)  # one ulp toward edge + ulps, or none
+    try:
+        zeta = solve_zeta_for_energy(config, target, metric)
+    except ValueError:
+        return
+    assert_meets_target(config, metric, target, zeta)
+
+
 def _spy_on_weights(patch, metric):
     """The weights at which the walk's forward map is evaluated from now on, counted:
     the capacity kernel's ladder steps, or the outage energy's calls."""
@@ -280,6 +299,11 @@ def _spy_on_weights(patch, metric):
     repeats=st.integers(0, 2),
     deltas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
 )
+# targets just past the band above the floor, where floor + band rounds up past them
+@example(snr_db=0.0, eps=10.0**0.5, metric=Metric.CAPACITY, fractions=[2e-4], repeats=0,
+         deltas=[0.0])
+@example(snr_db=0.0, eps=100.0, metric=Metric.CAPACITY, fractions=[0.00019999999999999998],
+         repeats=0, deltas=[0.0])
 def test_one_walk_meets_each_target_within_the_band_evaluating_each_weight_once(
         snr_db, eps, metric, fractions, repeats, deltas):
     config = SystemConfig(2, snr_from_db(snr_db), eps, 1.0)

@@ -1,6 +1,9 @@
 import math
 import os
+import sys
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -354,41 +357,84 @@ def test_default_chunks_hold_two_blocks_where_they_fit(n_relays, frames, monkeyp
     assert drawn == [frames] * (60_000 // frames)
 
 
-def test_single_chunk_runs_without_a_pool(config10, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-chunk run started a thread pool")
+def _spy_on_threads(monkeypatch, thread):
+    """Give ``simulate`` a ``threading`` whose Thread is ``thread``."""
+    monkeypatch.setattr(simulate, "threading", SimpleNamespace(Lock=threading.Lock, Thread=thread))
 
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+
+def test_single_chunk_runs_without_a_pool(config10, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-chunk run started a thread")
+
+    _spy_on_threads(monkeypatch, no_thread)
     mc = MonteCarloConfig(10_000, seed=1, batch_size=60_000, n_workers=3)
     assert sum(run(config10, TimeSharing(mu=0.5), mc).selection_counts) == 10_000
 
 
 def test_pool_starts_no_more_threads_than_cores(config10, monkeypatch):
-    """A stand-in pool records its size and runs the jobs inline, so no thread starts."""
-    sizes = []
+    """The caller evaluates chunks too: W chunk-evaluating threads are W - 1 started threads."""
+    started = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+    _spy_on_threads(monkeypatch, Counted)
     scheme = TimeSharing(mu=0.5)
     reference = run(config10, scheme, MonteCarloConfig(50_000, seed=1, n_workers=1))
-    for cores, started in [(3, [3]), (8, [5]), (1, [])]:  # five chunks
+    assert started == []
+    for cores, helpers in [(3, 2), (8, 4), (1, 0)]:  # five chunks
         monkeypatch.setattr(simulate, "_default_workers", lambda cores=cores: cores)
-        sizes.clear()
+        started.clear()
         mc = MonteCarloConfig(50_000, seed=1, batch_size=10_000, n_workers=100_000)
         assert run(config10, scheme, mc) == reference
-        assert sizes == started
+        assert len(started) == helpers and not any(t.is_alive() for t in started)
+
+
+def test_threads_claim_every_chunk_once_under_frequent_switches(monkeypatch):
+    """Eight threads on any host, switching every microsecond: a lost or repeated
+    claim would evaluate a chunk twice, or leave one unevaluated."""
+    config, scheme = SystemConfig(1, 10.0, 1.0, 1.0), TimeSharing(mu=0.5)
+    reference = run(config, scheme, MonteCarloConfig(400_000, seed=2, n_workers=1))
+    starts, chunk_stats = [], simulate._chunk_stats
+    monkeypatch.setattr(simulate, "_chunk_stats",
+                        lambda *args: starts.append(args[3]) or chunk_stats(*args))
+    monkeypatch.setattr(simulate, "_default_workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run(config, scheme, MonteCarloConfig(400_000, seed=2, batch_size=10_000,
+                                                      n_workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(starts) == list(range(0, 400_000, 10_000)) and result == reference
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_an_error_in_a_chunk_propagates_and_no_thread_outlives_the_run(
+        config10, monkeypatch, failing):
+    """Each thread waits for the other on its first chunk, so both hold one; then the
+    failing thread's chunk raises."""
+    both_claimed, seen = threading.Barrier(2, timeout=30), set()
+    chunk_stats = simulate._chunk_stats
+
+    def flaky(*args):
+        me = threading.current_thread()
+        if me not in seen:
+            seen.add(me)
+            both_claimed.wait()
+            if (me is threading.main_thread()) == (failing == "caller"):
+                raise RuntimeError(f"the {failing}'s chunk failed")
+        return chunk_stats(*args)
+
+    monkeypatch.setattr(simulate, "_chunk_stats", flaky)
+    monkeypatch.setattr(simulate, "_default_workers", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"the {failing}'s chunk failed"):
+        run(config10, TimeSharing(mu=0.5), MonteCarloConfig(50_000, seed=1, batch_size=10_000,
+                                                            n_workers=2))
+    assert threading.active_count() == before
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
@@ -759,8 +805,8 @@ def test_a_run_at_the_largest_mean_snr_it_accepts_is_finite():
 
 def test_a_run_whose_sum_overflows_is_refused():
     # each squared energy is finite, but 20,000 of them overflow their sum; with the
-    # default workers, and in two chunks on two worker threads, which do not inherit
-    # the caller's error state: an overflow warning would fail the test
+    # default workers, and in two chunks on the caller and a helper thread, which does not
+    # inherit the caller's error state: an overflow warning would fail the test
     for mc in (MonteCarloConfig(20_000), MonteCarloConfig(20_000, batch_size=10_000, n_workers=2)):
         with pytest.raises(ValueError, match="squared energy sum"):
             run(SystemConfig(2, 10.0, 3.5e152, 1.0), TimeSharing(mu=0.5), mc)
