@@ -11,31 +11,30 @@ frames are chunked or how many workers evaluate the chunks.
 
 ``batch_size`` and ``n_workers`` are therefore pure throughput knobs.
 ``n_workers`` defaults to the cores this process may run on (CPU affinity),
-capped by a cgroup CPU quota rounded up.  W threads evaluate a run's chunks,
-W the least of ``n_workers``, that many cores and the run's chunks: the calling
-thread and W - 1 helper threads it starts, each claiming the next chunk from
-one shared counter, so a run with one chunk or on one core starts no thread.
-Each holds one chunk of at most 3 MiB (two statistics blocks at N <= 3).
+capped by a cgroup CPU quota rounded up, read once per process.  W threads
+evaluate a run's chunks, W the least of ``n_workers``, those cores and the
+run's chunks: the calling thread and W - 1 helper threads it starts, each
+claiming the next chunk from one shared counter, so a run with one chunk or on
+one core starts no thread.  Each holds one chunk of at most 3 MiB.
 
 A run's pass over a chunk: the selection rule reads its SNR and energy columns
 one at a time; the selected relay's SNR and energy are gathered by flat index
 k(2N+1) + relay (the energy N words on) into one (5, count) array of per-frame
 statistics, computed in place and reduced per block at once; the selection
-counts are a count of the ones at N = 2, else a bincount.  A one-chunk run
-takes that chunk's results as they are.  Weighted difference and Pareto compare
-values, so their chunk is transformed in place first.  Time sharing and
-threshold checking read a frame only through the order of each column group and
-the best SNR against tau: outside a scope (below) they select on the uniforms
-and transform only the two gathered draws.
+counts are a count of the ones at N = 2, else a bincount.  Weighted difference
+and Pareto compare values, so their chunk is transformed in place first.  Time
+sharing and threshold checking read a frame only through the order of each
+column group and the best SNR against tau: outside a scope (below) they select
+on the uniforms and transform only the two gathered draws.
 
 Runs that share (config, seed, n_frames) read the same frames, so a caller
 that makes many of them (the CLI's ``--with-mc`` overlay: one run per
 scheme and tradeoff factor) may open ``_shared_frames()`` around them.
 Inside that scope each chunk is drawn and transformed once and kept, read-only,
-for every later run of the scope, with its gather base index k(2N+1) and the
-weight-free stage of each rule family (``schemes``), so a run does only the
+for every later run of the scope, in one record with its gather base k(2N+1) and
+each rule family's weight-free stage (``schemes``), so a run does only the
 weight stage, the gather and the sums.  All of it counts against ``_MEMO_BYTES``
-(16 MiB); a chunk past the cap keeps nothing.  Nothing outlives the scope.
+(16 MiB); a chunk past the cap keeps no record.  Nothing outlives the scope.
 """
 
 from __future__ import annotations
@@ -107,6 +106,9 @@ def _default_workers(cgroup: str | os.PathLike = "/sys/fs/cgroup") -> int:
     return cores if quota is None else min(cores, quota)
 
 
+_CORES = _default_workers()  # read once per process: it reads cgroup files
+
+
 def _integer(name, value, low, high=math.inf):
     """``value`` as an int in [low, high]; an integral float, bool or numpy value counts."""
     number = int(value) if isinstance(value, numbers.Real) and value % 1 == 0 else value
@@ -123,13 +125,13 @@ class MonteCarloConfig:
     blocks within the 3 MiB chunk cap: 20,000 frames at N <= 3, 10,000 at
     N >= 4.  ``n_workers`` is an upper bound: at most that many threads, the
     caller included, evaluate a run's chunks, and no more than it has chunks
-    or than the cores this process may run on (``_default_workers``).
+    or than the cores this process may run on (``_default_workers``, read at import).
     """
 
     n_frames: int
     seed: int = 0
     batch_size: int = 2 * _STAT_BLOCK
-    n_workers: int = _default_workers()  # read once, at import: a plain field default
+    n_workers: int = _CORES
 
     def __post_init__(self):
         for name, low, high in (("n_frames", 1, math.inf), ("seed", 0, 2**64 - 1),
@@ -176,10 +178,10 @@ def frame_uniforms(seed: int, n_relays: int, start: int, count: int) -> np.ndarr
 
 
 class _FrameMemo:
-    """A scope's chunks by (config, seed, start, count), and their kept arrays by (that, name)."""
+    """A scope's chunk records by (config, seed, start, count): their kept arrays by name."""
 
     def __init__(self):
-        self.chunks, self.stages = {}, {}
+        self.chunks = {}
         self.nbytes = 0
         self.lock = threading.Lock()  # chunks are evaluated on helper threads too
 
@@ -198,14 +200,14 @@ def _shared_frames():
         _frame_memo.reset(token)
 
 
-def _keep(memo, table, key, arrays, u):
-    """Keep arrays, read-only, as table[key] within ``_MEMO_BYTES``; views into u cost nothing."""
+def _keep(memo, key, name, arrays, u):
+    """Keep arrays, read-only, in key's record within ``_MEMO_BYTES``; views into u cost nothing."""
     nbytes = sum(a.nbytes for a in arrays if a is u or not np.may_share_memory(a, u))
     with memo.lock:
-        if key not in table and memo.nbytes + nbytes <= _MEMO_BYTES:
+        if name not in memo.chunks.get(key, ()) and memo.nbytes + nbytes <= _MEMO_BYTES:
             for array in arrays:
                 array.flags.writeable = False
-            table[key] = arrays
+            memo.chunks.setdefault(key, {})[name] = arrays
             memo.nbytes += nbytes
 
 
@@ -222,17 +224,17 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     n, threshold = config.n_relays, config.outage_threshold
     key = (config, int(seed), start, count)
     rank = memo is None and isinstance(scheme, (TimeSharing, ThresholdChecking))
-    if memo is None or (chunk := memo.chunks.get(key)) is None:
+    if memo is None or (record := memo.chunks.get(key)) is None:
         u = frame_uniforms(seed, n, start, count)  # snr and energy are views into u
-        chunk = (u, u[:, :n], u[:, n : 2 * n], u[:, 2 * n]) if rank else (
-            u, *frames_from_uniforms(config, u))  # transformed in place
+        record = {"frames": (u, u[:, :n], u[:, n : 2 * n], u[:, 2 * n]) if rank else (
+            u, *frames_from_uniforms(config, u))}  # transformed in place
         if memo is not None:
-            _keep(memo, memo.chunks, key, chunk, u)
-    u, snr, energy, coins = chunk
+            _keep(memo, key, "frames", record["frames"], u)
+    u, snr, energy, coins = record["frames"]
 
     def kept(name, make):  # the arrays the memo keeps with this chunk, else make()'s
-        if (arrays := memo.stages.get((key, name))) is None:
-            _keep(memo, memo.stages, (key, name), arrays := make(), u)
+        if (arrays := record.get(name)) is None:
+            _keep(memo, key, name, arrays := make(), u)
         return arrays
 
     # Flat index of each frame's selected SNR in the contiguous frame array;
@@ -253,7 +255,7 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     u.take(at, out=cap, mode="clip")
     u.ravel()[n:].take(at, out=en, mode="clip")
     if rank:
-        _inverse_cdf(config, stats[:3:2], [cap], [en])
+        _inverse_cdf(config, stats[:3:2], cap, en)
     np.less(cap, threshold, out=out)
     cap += 1.0
     np.log2(cap, out=cap)
@@ -278,7 +280,7 @@ def _uniform_threshold(config, tau):
     while lo < hi:
         k = np.arange(lo, hi, -(-(hi - lo) // 64))
         u = k * 2.0**-53
-        below = np.count_nonzero(_inverse_cdf(config, u, [u]) < tau)
+        below = np.count_nonzero(_inverse_cdf(config, u, u) < tau)
         lo, hi = (int(k[below - 1]) + 1 if below else lo), (int(k[below]) if below < k.size else hi)
     return lo * 2.0**-53
 
@@ -318,9 +320,7 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
     if memo is None and isinstance(scheme, ThresholdChecking):  # chunks compare uniforms
         scheme = ThresholdChecking(_uniform_threshold(config, scheme.tau))
 
-    workers = min(mc.n_workers, len(jobs))
-    if workers > 1:  # no more threads than cores; read only then (it reads cgroup files)
-        workers = min(workers, _default_workers())
+    workers = min(mc.n_workers, len(jobs), _CORES)
     results, errors, claims, lock = [None] * len(jobs), [], iter(range(len(jobs))), threading.Lock()
 
     def evaluate():  # claim the next chunk until none is left or a thread has failed
@@ -347,11 +347,8 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
         raise errors[0]
 
     # Blocks are merged in block order, whatever the chunking.
-    if len(results) == 1:
-        block_sums, counts = results[0]
-    else:
-        block_sums = np.concatenate([chunk_sums for chunk_sums, _ in results], axis=1)
-        counts = sum(chunk_counts for _, chunk_counts in results)
+    block_sums = np.concatenate([chunk_sums for chunk_sums, _ in results], axis=1)
+    counts = sum(chunk_counts for _, chunk_counts in results)
     with np.errstate(over="ignore"):  # an overflowing sum is refused by name below
         sums = block_sums.sum(axis=1).tolist()
     for name, total in zip(_SUM_NAMES, sums):

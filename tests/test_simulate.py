@@ -275,8 +275,9 @@ def test_frame_scope_spills_past_its_cap(config10, monkeypatch):
     with simulate._shared_frames():
         assert run(config10, scheme, mc) == run(config10, scheme, mc) == reference
         memo = simulate._frame_memo.get()
-        assert len(memo.chunks) == 2 and len(memo.stages) == 2 * 2 and memo.nbytes == 2 * chunk
-        assert {key for key, _ in memo.stages} == set(memo.chunks)
+        assert len(memo.chunks) == 2 and memo.nbytes == 2 * chunk
+        # each record holds its frames and two kept arrays: no stage is kept without its chunk
+        assert all(record.keys() == {"frames", "at", "best relays"} for record in memo.chunks.values())
     assert len(drawn) == 5 + 3
 
 
@@ -288,13 +289,14 @@ def test_shared_frames_are_read_only(config10):
     with simulate._shared_frames():
         for scheme in schemes + schemes:
             run(config10, scheme, MonteCarloConfig(40_000, seed=1))
-        memo = simulate._frame_memo.get()
-        chunks, stages = list(memo.chunks.values()), list(memo.stages.values())
-    assert len(chunks) == 2 and len(stages) == 2 * (len(schemes) + 1)  # and the gather base
-    for arrays in chunks + stages:
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+        records = list(simulate._frame_memo.get().chunks.values())
+    # the frames, a stage per family and the gather base
+    assert len(records) == 2 and all(len(record) == 1 + len(schemes) + 1 for record in records)
+    for record in records:
+        for arrays in record.values():
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
 
 @pytest.mark.parametrize("n_relays", [1, 2, 3, 8])
@@ -318,7 +320,7 @@ def test_runs_in_a_frame_scope_equal_runs_outside_on_tied_draws(n_relays, monkey
     outside = [run(cfg, scheme, mc) for scheme in schemes]
     with simulate._shared_frames():
         inside = [run(cfg, scheme, mc) for scheme in schemes + schemes]
-        assert simulate._frame_memo.get().stages
+        assert any(len(record) > 1 for record in simulate._frame_memo.get().chunks.values())
     assert inside == outside + outside
 
 
@@ -385,7 +387,7 @@ def test_pool_starts_no_more_threads_than_cores(config10, monkeypatch):
     reference = run(config10, scheme, MonteCarloConfig(50_000, seed=1, n_workers=1))
     assert started == []
     for cores, helpers in [(3, 2), (8, 4), (1, 0)]:  # five chunks
-        monkeypatch.setattr(simulate, "_default_workers", lambda cores=cores: cores)
+        monkeypatch.setattr(simulate, "_CORES", cores)
         started.clear()
         mc = MonteCarloConfig(50_000, seed=1, batch_size=10_000, n_workers=100_000)
         assert run(config10, scheme, mc) == reference
@@ -400,7 +402,7 @@ def test_threads_claim_every_chunk_once_under_frequent_switches(monkeypatch):
     starts, chunk_stats = [], simulate._chunk_stats
     monkeypatch.setattr(simulate, "_chunk_stats",
                         lambda *args: starts.append(args[3]) or chunk_stats(*args))
-    monkeypatch.setattr(simulate, "_default_workers", lambda: 8)
+    monkeypatch.setattr(simulate, "_CORES", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -429,12 +431,26 @@ def test_an_error_in_a_chunk_propagates_and_no_thread_outlives_the_run(
         return chunk_stats(*args)
 
     monkeypatch.setattr(simulate, "_chunk_stats", flaky)
-    monkeypatch.setattr(simulate, "_default_workers", lambda: 2)
+    monkeypatch.setattr(simulate, "_CORES", 2)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"the {failing}'s chunk failed"):
         run(config10, TimeSharing(mu=0.5), MonteCarloConfig(50_000, seed=1, batch_size=10_000,
                                                             n_workers=2))
     assert threading.active_count() == before
+
+
+def test_a_run_reads_no_cgroup_or_affinity_file(config10, monkeypatch):
+    """The cores are read once per process, at import, not by each multi-chunk run."""
+    def no_read(*args):
+        raise AssertionError("a run read the cores it may use")
+
+    scheme = TimeSharing(mu=0.5)
+    reference = run(config10, scheme, MonteCarloConfig(50_000, seed=1, n_workers=1))
+    monkeypatch.setattr(simulate, "_CORES", 2)
+    monkeypatch.setattr(simulate, "_cpu_quota", no_read)
+    monkeypatch.setattr(simulate, "_default_workers", no_read)
+    mc = MonteCarloConfig(50_000, seed=1, batch_size=10_000, n_workers=2)  # five chunks
+    assert run(config10, scheme, mc) == reference
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
