@@ -2,21 +2,22 @@
 
 Each policy maps one channel frame (plus, for time sharing, a uniform coin)
 to the index of the relay to activate.  Indices are 0-based.  The rules
-live in ``select_indices``, which applies them to whole batches and is what
-the Monte Carlo engine uses; ``select`` runs it on a single frame.  Each rule
-has a weight-free stage over the SNR and energy columns (``_free_stage``: the
-best-SNR index, best SNR and best-energy index, or the two-relay rules' metric
-gain, energy cost and tie flag) and a weight stage (``_weight_stage``), which
-works in place on the first unless it is read-only, as the engine's frame scope
-keeps it per chunk for every weight.  The rules work column by column.  A
-best-relay index is one running maximum: the bool comparison of the first two
-columns, raised to column j wherever column j strictly beats the maximum so
-far, in a small unsigned type.  Time sharing and threshold checking combine
-the two indices exactly as (kappa ^ lambda) * cond ^ lambda, cast to intp
-once.  So they read a frame only through the order within its SNR and its
-energy columns, and whether its best SNR reaches tau.  Ties are
-probability-zero events under the continuous fading model; the conventions
-below exist so results are reproducible:
+live in ``select_indices``, which applies them to whole batches; ``select``
+runs it on a single frame.  Each rule has a weight-free stage over the SNR and
+energy columns (``_free_stage``: the best-SNR index, best SNR and best-energy
+index, or the two-relay rules' metric gain, energy cost and tie flag) and a
+weight stage (``_weight_stage``), which works in place on the first unless it
+is read-only, as the engine's frame scope keeps it per chunk for every weight.
+The Monte Carlo engine calls the two stages and adds their index, in its small
+type, to its gather base; ``select_indices`` casts it to intp.  The rules work
+column by column.  A best-relay index is one running maximum: the bool
+comparison of the first two columns, raised to column j wherever column j
+strictly beats the maximum so far, in a small unsigned type.  Time sharing and
+threshold checking combine the two indices exactly as
+(kappa ^ lambda) * cond ^ lambda.  So they read a frame only through the
+order within its SNR and its energy columns, and whether its best SNR reaches
+tau.  Ties are probability-zero events under the continuous fading model; the
+conventions below exist so results are reproducible:
 
 * best SNR, best energy: exact tie selects the lowest index;
 * weighted difference: exact tie selects relay 0;
@@ -168,7 +169,7 @@ def _argmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One running maximum: the bool comparison of columns 0 and 1, then j for
     each further column j that strictly beats the maximum so far, in the
-    smallest unsigned type that holds N - 1; callers cast it to intp once.
+    smallest unsigned type that holds N - 1.
     Raises ValueError if x holds a NaN, which the maximum propagates.
     """
     n, a = x.shape[1], x[:, 0]
@@ -187,11 +188,11 @@ def _argmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pick(cond: np.ndarray, kappa: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """kappa where cond holds, else lam, as intp; in place unless kappa is read-only."""
+    """kappa where cond holds, else lam, in their small type; in place unless kappa is read-only."""
     kappa = np.bitwise_xor(kappa, lam, out=kappa if kappa.flags.writeable else None)
     kappa *= cond
     kappa ^= lam
-    return kappa.astype(np.intp, copy=False)
+    return kappa
 
 
 def _stage_family(scheme: SchemeParam):
@@ -227,20 +228,21 @@ def _free_stage(family, snr, energy, outage_threshold: float) -> tuple[np.ndarra
 
 
 def _weight_stage(scheme: SchemeParam, stage: tuple[np.ndarray, ...], coins) -> np.ndarray:
-    """The indices a rule picks from its ``_free_stage``, in place on it unless it is read-only."""
+    """The indices a rule picks from its ``_free_stage``, in place on it unless it is read-only,
+    in a small type (bool or unsigned; the infinite weight's is the stage's own array)."""
     if isinstance(scheme, (TimeSharing, ThresholdChecking)):
         kappa, best, lam = stage
         cond = coins < scheme.mu if isinstance(scheme, TimeSharing) else best >= scheme.tau
         return _pick(cond, kappa, lam)
     if len(stage) == 1:  # an infinite weight: the best-energy index
-        return stage[0].astype(np.intp)
+        return stage[0]
     lhs, cost, *more_energy = stage
     weight = scheme.nu if isinstance(scheme, WeightedDifference) else scheme.zeta
     rhs = _reject_nan(np.multiply(cost, weight, out=cost if cost.flags.writeable else None))
     pick1 = lhs < rhs  # relay 1 if its gain beats its cost, or (Pareto) ties it with more energy
     if more_energy:
         pick1 |= (lhs == rhs) & more_energy[0]
-    return pick1.astype(np.intp)
+    return pick1
 
 
 def select_indices(
@@ -276,4 +278,4 @@ def select_indices(
         if coins.shape != snr.shape[:1]:
             raise ValueError(f"coins must have shape {snr.shape[:1]}, got {coins.shape}")
     stage = _free_stage(_stage_family(scheme), snr, energy, outage_threshold)
-    return _weight_stage(scheme, stage, coins)
+    return _weight_stage(scheme, stage, coins).astype(np.intp)

@@ -15,7 +15,10 @@ capped by a cgroup CPU quota rounded up, read once per process.  W threads
 evaluate a run's chunks, W the least of ``n_workers``, those cores and the
 run's chunks: the calling thread and W - 1 helper threads it starts, each
 claiming the next chunk from one shared counter, so a run with one chunk or on
-one core starts no thread.  Each holds one chunk of at most 3 MiB.
+one core starts no thread.  Each thread keeps a workspace (``_Workspace``) from
+the first chunk it draws until the run returns: one bit generator, seeded once
+and reset to that state before each chunk's ``advance``, and one chunk's
+buffers, filled with ``out=``.  A chunk and its temporaries fit in 3 MiB.
 
 A run's pass over a chunk: the selection rule reads its SNR and energy columns
 one at a time; the selected relay's SNR and energy are gathered by flat index
@@ -30,11 +33,12 @@ on the uniforms and transform only the two gathered draws.
 Runs that share (config, seed, n_frames) read the same frames, so a caller
 that makes many of them (the CLI's ``--with-mc`` overlay: one run per
 scheme and tradeoff factor) may open ``_shared_frames()`` around them.
-Inside that scope each chunk is drawn and transformed once and kept, read-only,
-for every later run of the scope, in one record with its gather base k(2N+1) and
-each rule family's weight-free stage (``schemes``), so a run does only the
-weight stage, the gather and the sums.  All of it counts against ``_MEMO_BYTES``
-(16 MiB); a chunk past the cap keeps no record.  Nothing outlives the scope.
+Inside that scope each chunk is drawn (into a fresh array, not a workspace) and
+transformed once and kept, read-only, for every later run of the scope, in one
+record with its gather base k(2N+1) and each rule family's weight-free stage
+(``schemes``), so a run does only the weight stage, the gather and the sums.
+All of it counts against ``_MEMO_BYTES`` (16 MiB); a chunk past the cap keeps
+no record.  Nothing outlives the scope.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 
 from .model import SystemConfig, _inverse_cdf, frames_from_uniforms, uniforms_per_frame
 from .schemes import (SchemeParam, ThresholdChecking, TimeSharing, _free_stage, _stage_family,
-                      _weight_stage, select_indices, validate_scheme)
+                      _weight_stage, validate_scheme)
 
 __all__ = [
     "MonteCarloConfig",
@@ -125,7 +129,8 @@ class MonteCarloConfig:
     blocks within the 3 MiB chunk cap: 20,000 frames at N <= 3, 10,000 at
     N >= 4.  ``n_workers`` is an upper bound: at most that many threads, the
     caller included, evaluate a run's chunks, and no more than it has chunks
-    or than the cores this process may run on (``_default_workers``, read at import).
+    or than the cores this process may run on (read once, at import).  Each
+    of them holds one chunk's buffers until the run returns.
     """
 
     n_frames: int
@@ -171,10 +176,27 @@ def frame_uniforms(seed: int, n_relays: int, start: int, count: int) -> np.ndarr
     n_relays = _integer("n_relays", n_relays, 1)
     start = _integer("start", start, 0)
     count = _integer("count", count, 0)
-    words = uniforms_per_frame(n_relays)
-    bits = np.random.PCG64DXSM(seed)
-    bits.advance(start * words)
-    return np.random.Generator(bits).random(count * words).reshape(count, words)
+    words, gen = uniforms_per_frame(n_relays), np.random.Generator(np.random.PCG64DXSM(seed))
+    return _draw(gen, gen.bit_generator.state, start, count, words, np.empty(count * words))
+
+
+def _draw(gen, seeded, start, count, words, out):
+    """``frame_uniforms``' rows, in the first count * words words of ``out``, from ``gen``
+    with its bit generator reset to the ``seeded`` state (1.5 us; seeding one takes 10)."""
+    gen.bit_generator.state = seeded
+    gen.bit_generator.advance(start * words)
+    return gen.random(out=out[:count * words].reshape(count, words))
+
+
+class _Workspace:
+    """One thread's bit generator, seeded once, and one chunk's buffers, for one run:
+    the uniforms, the statistics, the gather index and its base k(2N+1)."""
+
+    def __init__(self, seed, words, chunk):
+        self.gen = np.random.Generator(np.random.PCG64DXSM(seed))
+        self.seeded, self.u = self.gen.bit_generator.state, np.empty(chunk * words)
+        self.stats, self.at = np.empty(5 * chunk), np.empty(chunk, np.intp)
+        self.base = np.arange(0, chunk * words, words)
 
 
 class _FrameMemo:
@@ -211,7 +233,7 @@ def _keep(memo, key, name, arrays, u):
             memo.nbytes += nbytes
 
 
-def _chunk_stats(config, scheme, seed, start, count, memo):
+def _chunk_stats(config, scheme, seed, start, count, memo, spaces=None):
     """Per-statistics-block sums for frames [start, start+count).
 
     Returns a (5, blocks) array of the capacity, squared capacity, energy,
@@ -220,14 +242,22 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     time sharing and threshold checking select on the uniforms (tau mapped by
     ``run``) and transform only the chosen relay's draws: the same relay, as
     the transform is nondecreasing, unless two draws round to one value.
+    ``spaces`` holds the calling thread's ``_Workspace`` once it has drawn a chunk.
     """
     n, threshold = config.n_relays, config.outage_threshold
-    key = (config, int(seed), start, count)
+    words, key = uniforms_per_frame(n), (config, int(seed), start, count)
     rank = memo is None and isinstance(scheme, (TimeSharing, ThresholdChecking))
+    space = None  # a chunk the memo holds makes no draw, so no workspace
     if memo is None or (record := memo.chunks.get(key)) is None:
-        u = frame_uniforms(seed, n, start, count)  # snr and energy are views into u
+        spaces = [] if spaces is None else spaces
+        if not spaces:  # sized by the first chunk: only a run's last chunk, claimed last, is shorter
+            spaces.append(_Workspace(seed, words, count))
+        space = spaces[0]
+        # a chunk the memo may keep is drawn into a fresh array, never a buffer
+        u = _draw(space.gen, space.seeded, start, count, words,
+                  space.u if memo is None else np.empty(count * words))
         record = {"frames": (u, u[:, :n], u[:, n : 2 * n], u[:, 2 * n]) if rank else (
-            u, *frames_from_uniforms(config, u))}  # transformed in place
+            u, *frames_from_uniforms(config, u))}  # snr and energy are views into u
         if memo is not None:
             _keep(memo, key, "frames", record["frames"], u)
     u, snr, energy, coins = record["frames"]
@@ -241,16 +271,15 @@ def _chunk_stats(config, scheme, seed, start, count, memo):
     # its energy sits N words further on, at the same index of the array
     # shifted by N.  The indices are in range by construction: "clip" skips
     # the bounds check and the copy of ``out`` that the default mode makes.
+    family = _stage_family(scheme)
     if memo is not None and key in memo.chunks:
-        family = _stage_family(scheme)
         stage = kept(family, lambda: _free_stage(family, snr, energy, threshold))
-        sel = _weight_stage(scheme, stage, coins)
-        at = kept("at", lambda: (np.arange(0, count * u.shape[1], u.shape[1]),))[0] + sel
+        base = kept("at", lambda: (np.arange(0, count * words, words),))[0]
     else:
-        sel = select_indices(scheme, snr, energy, coins, threshold)
-        at = np.arange(0, count * u.shape[1], u.shape[1])
-        at += sel
-    stats = np.empty((5, count))  # written in place: fewer passes than np.stack
+        stage, base = _free_stage(family, snr, energy, threshold), space.base[:count]
+    sel = _weight_stage(scheme, stage, coins)  # bool or uint8: no astype, which holds the GIL
+    at = np.add(base, sel, out=None if space is None else space.at[:count])
+    stats = (np.empty(5 * count) if space is None else space.stats)[:5 * count].reshape(5, count)
     cap, cap_sq, en, en_sq, out = stats
     u.take(at, out=cap, mode="clip")
     u.ravel()[n:].take(at, out=en, mode="clip")
@@ -324,17 +353,18 @@ def run(config: SystemConfig, scheme: SchemeParam, mc: MonteCarloConfig) -> Simu
     results, errors, claims, lock = [None] * len(jobs), [], iter(range(len(jobs))), threading.Lock()
 
     def evaluate():  # claim the next chunk until none is left or a thread has failed
+        spaces = []
         while True:
             with lock:
                 i = None if errors else next(claims, None)
             if i is None:
                 return
             try:
-                results[i] = _chunk_stats(config, scheme, mc.seed, *jobs[i], memo)
+                results[i] = _chunk_stats(config, scheme, mc.seed, *jobs[i], memo, spaces)
             except BaseException as error:  # the other threads stop at their next claim
                 errors.append(error)
 
-    # The caller evaluates chunks beside workers - 1 helper threads.
+    # The caller evaluates chunks beside workers - 1 helper threads, each with its own workspace.
     helpers = [threading.Thread(target=evaluate) for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()

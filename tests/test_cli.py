@@ -96,13 +96,13 @@ def test_with_mc_reuses_the_frontier_weights(tmp_path, monkeypatch):
 @pytest.mark.parametrize("frames, chunks", [(10_000, 1), (None, 5)])
 def test_with_mc_draws_each_chunk_once(frames, chunks, monkeypatch, capsys):
     drawn = Counter()
-    draw = simulate.frame_uniforms
+    draw = simulate._draw
 
-    def spy(seed, n_relays, start, count):
-        drawn[seed, n_relays, start, count] += 1
-        return draw(seed, n_relays, start, count)
+    def spy(gen, seeded, start, count, words, out):  # the seeded state stands for the seed
+        drawn[seeded["state"]["state"], words, start, count] += 1
+        return draw(gen, seeded, start, count, words, out)
 
-    monkeypatch.setattr(simulate, "frame_uniforms", spy)
+    monkeypatch.setattr(simulate, "_draw", spy)
     argv = ["tradeoff-capacity", "--with-mc", "--seed", "4"]
     assert main(argv + (["--frames", str(frames)] if frames else [])) == 0
     assert len(drawn) == chunks and set(drawn.values()) == {1}
@@ -114,7 +114,7 @@ def test_only_the_overlay_shares_frames(monkeypatch, capsys):
     chunk_stats = simulate._chunk_stats
 
     def spy(*args):
-        memos.append(args[-1])
+        memos.append(args[5])
         return chunk_stats(*args)
 
     monkeypatch.setattr(simulate, "_chunk_stats", spy)

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -159,14 +160,14 @@ def test_batch_larger_than_n_frames_is_accepted(config10):
 def test_huge_batch_is_cut_into_bounded_chunks(monkeypatch):
     cfg = SystemConfig(8, 10.0, 1.0, 1.0)
     scheme = ThresholdChecking(tau=3.0)
-    drawn = []
+    drawn, draw = [], simulate._draw
 
     def spy(*args):
-        u = frame_uniforms(*args)
+        u = draw(*args)
         drawn.append(u.nbytes)
         return u
 
-    monkeypatch.setattr(simulate, "frame_uniforms", spy)
+    monkeypatch.setattr(simulate, "_draw", spy)
     huge = run(cfg, scheme, MonteCarloConfig(250_000, seed=4, batch_size=10**9))
     assert len(drawn) > 1 and max(drawn) <= simulate._CHUNK_BYTES
     assert huge == run(cfg, scheme, MonteCarloConfig(250_000, seed=4))
@@ -184,6 +185,83 @@ def test_chunk_memory_stays_under_the_cap(n_relays):
     finally:
         tracemalloc.stop()
     assert simulate._CHUNK_BYTES / 2 < peak <= simulate._CHUNK_BYTES
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 300)), min_size=1, max_size=4),
+    st.integers(0, 50),
+)
+@settings(max_examples=50, deadline=None)
+def test_workspace_draws_are_frame_uniforms_rows(seed, n_relays, chunks, spare):
+    """One workspace draws chunks in any order, each into the head of one buffer that is
+    ``spare`` frames longer than the largest: each draw restores the seeded state, so
+    each gives ``frame_uniforms``' rows bit for bit."""
+    words = 2 * n_relays + 1
+    space = simulate._Workspace(seed, words, max(count for _, count in chunks) + spare)
+    for start, count in chunks:
+        u = simulate._draw(space.gen, space.seeded, start, count, words, space.u)
+        assert u.shape == (count, words) and u.ctypes.data == space.u.ctypes.data
+        assert np.array_equal(u, frame_uniforms(seed, n_relays, start, count))
+
+
+def test_a_thread_draws_every_chunk_into_one_buffer_and_a_run_keeps_none(config10, monkeypatch):
+    """50 chunks on two threads: each thread draws into its own buffer, and what the
+    workspaces hold (about 1 MB each) is gone when ``run`` returns."""
+    firsts, same, draw = {}, [], simulate._draw
+
+    def spy(*args):  # is the array a chunk is drawn into the one of its thread's first chunk?
+        u = draw(*args)
+        first = firsts.setdefault(threading.get_ident(), weakref.ref(u.base))
+        same.append(first() is u.base)
+        return u
+
+    scheme = WeightedDifference(nu=0.7)
+    reference = run(config10, scheme, MonteCarloConfig(500_000, seed=3, n_workers=1))
+    monkeypatch.setattr(simulate, "_draw", spy)
+    monkeypatch.setattr(simulate, "_CORES", 2)
+    mc = MonteCarloConfig(500_000, seed=3, batch_size=10_000, n_workers=2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run(config10, scheme, mc) == reference
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(same) == 50 and all(same)
+    assert kept < 2**20 and all(first() is None for first in firsts.values())
+
+
+def test_kept_frames_share_no_workspace_buffer_and_held_chunks_draw_nothing(config10, monkeypatch):
+    """The first run of a scope draws and keeps its six chunks; every later run reads
+    them and builds no bit generator and no workspace."""
+    spaces, seeded = [], []
+
+    class Recorded(simulate._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spaces.append(self)
+
+    bits = np.random.PCG64DXSM
+    monkeypatch.setattr(simulate, "_Workspace", Recorded)
+    monkeypatch.setattr(np.random, "PCG64DXSM", lambda *args: seeded.append(args) or bits(*args))
+    monkeypatch.setattr(simulate, "_CORES", 2)
+    mc = MonteCarloConfig(60_000, seed=1, batch_size=10_000, n_workers=2)
+    schemes = [TimeSharing(mu=0.5), ThresholdChecking(tau=2.0), WeightedDifference(nu=0.7),
+               ParetoOptimal(zeta=1.0, metric=Metric.CAPACITY), WeightedDifference(nu=math.inf)]
+    with simulate._shared_frames():
+        run(config10, schemes[0], mc)
+        assert len(spaces) == len(seeded) >= 1
+        made = len(spaces)
+        for scheme in schemes + schemes:
+            run(config10, scheme, mc)
+        assert len(spaces) == len(seeded) == made
+        records = list(simulate._frame_memo.get().chunks.values())
+    assert len(records) == 6
+    kept = [array for record in records for arrays in record.values() for array in arrays]
+    buffers = [buffer for space in spaces for buffer in (space.u, space.stats, space.at, space.base)]
+    assert not any(np.shares_memory(array, buffer) for array in kept for buffer in buffers)
 
 
 @given(
@@ -256,17 +334,17 @@ def test_rank_path_selects_as_the_value_rule(n_relays, frames, mean_snr):
 
 def test_frame_scope_spills_past_its_cap(config10, monkeypatch):
     drawn = []
-    draw = simulate.frame_uniforms
+    draw = simulate._draw
 
-    def spy(seed, n_relays, start, count):
+    def spy(gen, seeded, start, count, words, out):
         drawn.append(start)
-        return draw(seed, n_relays, start, count)
+        return draw(gen, seeded, start, count, words, out)
 
     # A 10,000-frame chunk at N = 2 keeps 5 words of frames and a coin per frame,
     # and with them the gather base (one intp) and time sharing's weight-free
     # stage (two bool indices and the best SNR): 66 bytes per frame in all.
     chunk = 10_000 * (5 * 8 + 8 + 8 + 2 * 1 + 8)
-    monkeypatch.setattr(simulate, "frame_uniforms", spy)
+    monkeypatch.setattr(simulate, "_draw", spy)
     monkeypatch.setattr(simulate, "_MEMO_BYTES", 2 * chunk)
     mc = MonteCarloConfig(50_000, seed=2, batch_size=10_000, n_workers=2)
     scheme = TimeSharing(mu=0.5)
@@ -304,9 +382,18 @@ def test_runs_in_a_frame_scope_equal_runs_outside_on_tied_draws(n_relays, monkey
     """Draws on a grid of quarters make SNRs, energies and coins tie in most
     frames, so every tie rule decides: the lowest index wins, a weighted
     difference tie goes to relay 0, a Pareto tie to the larger energy, then
-    relay 0; a best SNR equal to tau clears it."""
-    draw = simulate.frame_uniforms
-    monkeypatch.setattr(simulate, "frame_uniforms", lambda *args: np.floor(draw(*args) * 4) / 4)
+    relay 0; a best SNR equal to tau clears it.  The draws are rounded in place, in
+    the engine's own buffer outside the scope, and every run draws through them."""
+    drawn, draw = [], simulate._draw
+
+    def tied(*args):
+        u = draw(*args)
+        np.floor(u * 4, out=u)
+        u /= 4
+        drawn.append(u.shape[0])
+        return u
+
+    monkeypatch.setattr(simulate, "_draw", tied)
     cfg = SystemConfig(n_relays, 10.0, 1.0, 1.0)
     tau = float(frames_from_uniforms(cfg, np.full((1, 2 * n_relays + 1), 0.5))[0][0, 0])
     schemes = [TimeSharing(mu=0.3), TimeSharing(mu=0.5), ThresholdChecking(tau=tau),
@@ -318,9 +405,11 @@ def test_runs_in_a_frame_scope_equal_runs_outside_on_tied_draws(n_relays, monkey
                         ParetoOptimal(zeta=weight, metric=Metric.OUTAGE_INDICATOR)]
     mc = MonteCarloConfig(30_000, seed=3, batch_size=10_000, n_workers=2)
     outside = [run(cfg, scheme, mc) for scheme in schemes]
+    assert sum(drawn) == 30_000 * len(schemes)
     with simulate._shared_frames():
         inside = [run(cfg, scheme, mc) for scheme in schemes + schemes]
         assert any(len(record) > 1 for record in simulate._frame_memo.get().chunks.values())
+    assert sum(drawn) == 30_000 * (len(schemes) + 1)
     assert inside == outside + outside
 
 
@@ -347,13 +436,13 @@ def test_a_frame_scope_retains_at_most_the_cap():
 def test_default_chunks_hold_two_blocks_where_they_fit(n_relays, frames, monkeypatch):
     """Two statistics blocks fit the chunk cap at N <= 3, one at N >= 4."""
     drawn = []
-    draw = simulate.frame_uniforms
+    draw = simulate._draw
 
-    def spy(seed, n, start, count):
+    def spy(gen, seeded, start, count, words, out):
         drawn.append(count)
-        return draw(seed, n, start, count)
+        return draw(gen, seeded, start, count, words, out)
 
-    monkeypatch.setattr(simulate, "frame_uniforms", spy)
+    monkeypatch.setattr(simulate, "_draw", spy)
     run(SystemConfig(n_relays, 10.0, 1.0, 1.0), TimeSharing(mu=0.5),
         MonteCarloConfig(60_000, seed=1, n_workers=1))
     assert drawn == [frames] * (60_000 // frames)
@@ -512,12 +601,13 @@ def _scenario(draw):
 )
 @settings(max_examples=30, deadline=None)
 def test_run_invariant_to_chunking_and_workers(scenario, n_frames, batch_size, n_workers, seed):
-    """Three cores are claimed, so that pools of two and three threads run on any host."""
+    """Three cores are claimed, so that pools of two and three threads, each with its own
+    workspace, run on any host, often with a short last chunk."""
     cfg, scheme = scenario
     reference = run(cfg, scheme, MonteCarloConfig(n_frames, seed, batch_size=10_000, n_workers=1))
     mc = MonteCarloConfig(n_frames, seed, batch_size=batch_size, n_workers=n_workers)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_default_workers", lambda: 3)
+        mp.setattr(simulate, "_CORES", 3)
         assert run(cfg, scheme, mc) == reference
 
 
@@ -807,7 +897,7 @@ def test_run_estimates_are_pinned():
 ])
 def test_a_run_whose_draws_would_overflow_is_refused_before_drawing(
         mean_snr, mean_energy, quantity, monkeypatch):
-    monkeypatch.setattr(simulate, "frame_uniforms", lambda *args: pytest.fail("drew frames"))
+    monkeypatch.setattr(simulate, "_draw", lambda *args: pytest.fail("drew frames"))
     with pytest.raises(ValueError, match=f"^{quantity} .* too large to simulate"):
         run(SystemConfig(2, mean_snr, mean_energy, 1.0), TimeSharing(mu=0.5),
             MonteCarloConfig(20_000))
